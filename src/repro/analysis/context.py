@@ -43,12 +43,12 @@ the differential test suite asserts rather than assumes.
 Demand-kernel independence
 --------------------------
 Context memo keys never encode the active demand kernel
-(:func:`repro.analysis.dbf.demand_kernel`): all four kernels are
+(:func:`repro.analysis.dbf.demand_kernel`): all kernels are
 verdict-identical decision procedures over the same demand functions, so
 a memoized result is valid under any of them and switching kernels
 mid-session cannot poison a context.  The identity contract is tiered:
-``forward``, ``qpa`` and ``vec`` are additionally bit-identical down to
-the descent *trajectory* (iteration counts, committed deadlines), while
+``forward`` and ``qpa`` are additionally bit-identical down to the
+descent *trajectory* (iteration counts, committed deadlines), while
 ``block`` commits multi-task boundary jumps and guarantees only the
 *verdicts* — which is exactly the level the memo keys, the shard-cache
 payloads and the opt-in :mod:`repro.analysis.verdict_cache` depend on.

@@ -89,6 +89,7 @@ import numpy as np
 from repro.model import MCTask, TaskSet
 from repro.obs import REGISTRY as _OBS_REGISTRY
 from repro.util.env import (
+    DBF_KERNELS,
     approx_k_from_env,
     demand_kernel_from_env,
     scan_chunk_from_env,
@@ -247,7 +248,6 @@ def _first_violation(points: np.ndarray, demand_fn) -> int | None:
 
 # -- kernel selection and diagnostics ---------------------------------------
 
-_KERNELS = ("qpa", "vec", "block", "forward")
 # Consumed once at import, like the scan-chunk/approx-k knobs; the CLI's
 # ``--demand-kernel`` both exports the env var (for spawned workers) and
 # calls :func:`set_demand_kernel` (for this process), so the effective
@@ -273,7 +273,7 @@ _COUNTERS = _OBS_REGISTRY.counter_scope(
 
 
 def demand_kernel() -> str:
-    """The active violation-search kernel (``qpa``/``vec``/``block``/``forward``)."""
+    """The active violation-search kernel (one of :data:`DBF_KERNELS`)."""
     return _KERNEL
 
 
@@ -281,30 +281,25 @@ def set_demand_kernel(name: str) -> str:
     """Select the violation-search kernel; returns the previous one.
 
     ``"qpa"`` (the default) runs the screens + backward fixed-point search;
-    ``"vec"`` keeps the identical QPA decision procedure at this level and
-    additionally enables the vectorized machinery of
-    :mod:`repro.analysis.dbf_vec` inside the shrink-descent engine
-    (closed-form V* windows, split upper-bound screens, vectorized
-    candidate ranking and speculative shrink batches);
-    ``"block"`` keeps the QPA decision procedure and the vec machinery
-    and additionally lets the shrink descent commit *blocks* of
-    closed-form V* jumps across several tasks per exact probe
-    (:mod:`repro.analysis.dbf_block`) — it relaxes the bit-identical
-    *trajectory* contract of the other three to bit-identical
+    ``"block"`` keeps the QPA decision procedure and additionally lets
+    the shrink descent commit *blocks* of V* jumps across several tasks
+    per exact probe (:mod:`repro.analysis.dbf_block`) — it relaxes the
+    bit-identical *trajectory* contract of the other two to bit-identical
     *verdicts* (same accept/reject, acceptance ratios, WAR tables and
     shard-cache bytes; iteration counts and committed virtual deadlines
     on accepted sets may differ);
     ``"forward"`` restores the pure chunked breakpoint enumeration — the
-    differential oracle and the baseline the kernel benchmark measures
-    against.  All kernels decide the violation predicate exactly, so
-    every verdict, violation point and figure output is identical under
-    any of them.  The startup default comes from ``REPRO_DBF_KERNEL``
-    (:func:`repro.util.env.demand_kernel_from_env`); this call overrides
-    it for the current process.
+    differential oracle.  All kernels decide the violation predicate
+    exactly, so every verdict, violation point and figure output is
+    identical under any of them.  The startup default comes from
+    ``REPRO_DBF_KERNEL`` (:func:`repro.util.env.demand_kernel_from_env`);
+    this call overrides it for the current process.
     """
     global _KERNEL
-    if name not in _KERNELS:
-        raise ValueError(f"unknown demand kernel {name!r}; choose from {_KERNELS}")
+    if name not in DBF_KERNELS:
+        raise ValueError(
+            f"unknown demand kernel {name!r}; choose from {'|'.join(DBF_KERNELS)}"
+        )
     previous = _KERNEL
     _KERNEL = name
     return previous
@@ -897,7 +892,8 @@ class LoShrinkProbe:
 
         Callers that already know the other-breakpoint half holds (its
         per-point bounds invert in closed form and are monotone in the
-        deadline) may query this directly; ``feasible`` is the conjunction.
+        deadline) may query this directly; ``feasible`` is the conjunction
+        and :meth:`vstar_own` inverts this half's boundary.
         """
         task = self._task
         if self._infeasible_always:
@@ -926,3 +922,88 @@ class LoShrinkProbe:
         else:
             others_at_own = np.zeros(len(own), dtype=np.int64)
         return not np.any(own_demand + others_at_own > own)
+
+    def vstar_own(self, floor_v: int) -> int | None:
+        """Minimal :meth:`_own_feasible` deadline in ``[floor_v, D]``.
+
+        Inverts the own-breakpoint half in closed form over the whole
+        other-breakpoint window instead of bisecting it.  For the probed
+        task (``C = C_L``, period ``T``) the own half fails for deadline
+        ``v`` iff some own point ``l = v + jT <= horizon`` has
+        ``(j+1) C > slack(l)``, where within the others' region ``i``
+        (from ``p_i`` up to the next breakpoint) the slack is
+        ``slack_o[i] + (l - p_i)``.  For each region the smallest job
+        count that can fail at all is
+        ``j* = max(slack_o[i] // C, ceil((p_i - D) / T), 0)``
+        (below ``slack_o[i] // C`` the region start already has enough
+        slack; below the middle term no ``v <= D`` reaches the region),
+        and the largest failing ``l`` at that count is
+
+            ``min(p_{i+1} - 1, p_i + (j*+1) C - 1 - slack_o[i],
+            D + j* T, horizon)``
+
+        — every term non-increasing in ``j``, so ``j*`` dominates all
+        larger counts and ``v = l - j* T`` is the region's largest failing
+        deadline.  Duplicate breakpoints make a region empty; the
+        ``l >= p_i`` mask voids it.
+
+        Requires ``slack_o >= 0`` everywhere and ``floor_v`` at or above
+        the other-breakpoint floor (as :meth:`min_feasible_deadline`
+        guarantees): there the own half is the whole, monotone verdict, so
+        the value is exactly the bisection's.  Returns None when even
+        ``D`` fails.
+        """
+        task = self._task
+        # C > T puts the worst-case utilization above 1, so such a probe is
+        # always-infeasible and never reaches the closed form.
+        if self._infeasible_always:
+            return None
+        c, t, d = task.wcet_lo, task.period, task.deadline
+        points_o, slack_o = self._points_o, self._slack_o
+        if len(points_o) == 0:
+            return floor_v
+        jmin = slack_o // c
+        jlo = -((d - points_o) // t)  # ceil((p - d) / t) in floor division
+        jstar = np.maximum(np.maximum(jmin, jlo), 0)
+        p_next = np.empty_like(points_o)
+        p_next[:-1] = points_o[1:]
+        p_next[-1] = self._horizon + 1
+        l_cand = np.minimum(
+            np.minimum(p_next - 1, points_o + (jstar + 1) * c - 1 - slack_o),
+            np.minimum(d + jstar * t, self._horizon),
+        )
+        valid = l_cand >= points_o
+        if not valid.any():
+            return floor_v
+        maxfail = int((l_cand - jstar * t)[valid].max())
+        if maxfail >= d:
+            return None
+        return max(floor_v, maxfail + 1)
+
+    def min_feasible_deadline(self) -> int | None:
+        """Smallest deadline ``V*`` that :meth:`feasible` accepts; None
+        when even the task's full deadline fails.
+
+        The first half of :meth:`feasible` (own demand against the other
+        tasks' slack at *their* breakpoints) inverts in closed form: at
+        slack ``s`` the task may place at most ``s // C_L`` jobs, giving a
+        per-point lower bound on the deadline.  Their max is the floor
+        above which that half holds, and :meth:`vstar_own` finds the
+        own-half boundary from there.
+        """
+        task = self._task
+        if self._infeasible_always:
+            return None
+        floor_v = task.wcet_lo
+        if len(self._points_o):
+            if int(self._slack_o.min()) < 0:
+                return None  # the other tasks alone overrun: never feasible
+            bounds = (
+                self._points_o
+                - (self._slack_o // task.wcet_lo) * task.period
+                + 1
+            )
+            floor_v = max(floor_v, int(bounds.max()))
+        if floor_v > task.deadline:
+            return None
+        return self.vstar_own(floor_v)

@@ -12,9 +12,8 @@ This module plans that bigger commit.  From the scaffolding the scalar
 descent already memoizes, :func:`plan_block` derives for several ranked
 candidates at once their *minimal LO-feasible virtual deadline* ``V*``
 (:meth:`~repro.analysis.vdtuning.DemandEngine.lo_min_deadline` — the
-closed-form :func:`~repro.analysis.dbf_vec.vstar_own` machinery under
-the vec/block kernels) and proposes jumping each straight to its
-boundary.  Two sound clamps make the *joint* jump provable:
+closed-form :meth:`~repro.analysis.dbf.LoShrinkProbe.min_feasible_deadline`)
+and proposes jumping each straight to its boundary.  Two sound clamps make the *joint* jump provable:
 
 * **Per-task lower bound.**  Each ``V*`` is a *lower* bound on the
   task's boundary at every assignment the scalar descent could reach
@@ -44,10 +43,10 @@ asserts the verdicts (acceptance ratios, WAR tables, shard-cache bytes)
 are *identical* in practice.  What the block kernel deliberately gives
 up is the bit-identical descent *trajectory*: iteration counts and the
 committed virtual deadlines of accepted sets may differ from
-forward/qpa/vec.
+forward/qpa.
 
-Diagnostics live in the always-on ``kernel.block.*`` counter scope,
-mirroring the vec kernel's ``kernel.vec.*``: ``block-jumps`` (blocks
+Diagnostics live in the always-on ``kernel.block.*`` counter scope:
+``block-jumps`` (blocks
 committed), ``block-settled`` (tasks jumped inside those blocks),
 ``block-residual`` (ranked candidates the planner had to leave to the
 scalar step), ``block-fallback`` (descents re-run on the scalar path
@@ -60,7 +59,7 @@ from repro.obs import REGISTRY as _OBS_REGISTRY
 
 __all__ = ["plan_block", "block_counters", "reset_block_counters"]
 
-# Always-on like the "dbf" and "kernel.vec" scopes: the registry hands
+# Always-on like the "dbf" scope: the registry hands
 # back a mutable dict, so planning keeps plain ``+= 1`` cost while
 # snapshots and worker->parent merging see ``kernel.block.<key>``.
 _COUNTERS = _OBS_REGISTRY.counter_scope(

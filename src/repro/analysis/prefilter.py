@@ -56,7 +56,7 @@ pre-screen of :class:`repro.analysis.context.DemandContext` and reports
 Every filter and screen here is demand-kernel independent: the conditions
 are utilization arithmetic over the batch columns and never evaluate a
 demand bound function, so the rejects hold — and the survivors' verdicts
-stay bit-identical — whichever kernel (``forward``, ``qpa`` or ``vec``,
+stay bit-identical — whichever kernel (``forward``, ``qpa`` or ``block``,
 see :func:`repro.analysis.dbf.set_demand_kernel`) analyzes the survivors.
 """
 

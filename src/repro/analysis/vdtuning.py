@@ -55,10 +55,8 @@ import numpy as np
 
 from repro.model import MCTask, TaskSet
 from repro import obs as _obs
-from repro.util import env as _env
 from repro.analysis import dbf as _dbf
 from repro.analysis import dbf_block as _blk
-from repro.analysis import dbf_vec as _vec
 from repro.analysis import verdict_cache as _vcache
 from repro.analysis.dbf import (
     DemandScenario,
@@ -90,10 +88,10 @@ _MAX_ITERATIONS = 400
 #: kernel decides the same predicate).
 _MICRO_WALK = 2
 
-#: Screen calls per scaffolding entry before the qpa kernel stops
-#: screening and pays the exact probe (the ``REPRO_DBF_SCREEN_VALVE``
-#: knob).  Screens are accept-only, so the valve is a pure cost policy.
-_SCREEN_VALVE = _env.screen_valve_from_env()
+#: Screen calls per scaffolding entry before the descent stops screening
+#: and pays the exact probe.  Screens are accept-only, so the budget is a
+#: pure cost policy.
+_SCREEN_BUDGET = 2
 
 
 @dataclass(frozen=True)
@@ -964,11 +962,10 @@ class DemandEngine:
 
         ``[others mode-task tuple, worst-case horizon (None = the probe
         would raise or mark always-infeasible), others' density, smallest
-        screen-accepted deadline, screen-call count, cached vec split
-        screen (None until the vec kernel's first full screen)]`` —
-        shared by the accept screens and the fast probe construction so
-        the descent's repeated picks of one task build it once per
-        surrounding assignment.
+        screen-accepted deadline, screen-call count]`` — shared by the
+        accept screens and the fast probe construction so the descent's
+        repeated picks of one task build it once per surrounding
+        assignment.
         """
         key = ("lofp", task.task_id, sig_o)
         prepared = self._memo.get(key)
@@ -988,7 +985,7 @@ class DemandEngine:
                 horizon = DemandScenario._horizon(worst, self.horizon_cap)
             except HorizonExceeded:
                 horizon = None  # decline exactly where the probe would raise
-            prepared = [tuple(others), horizon, density, None, 0, None]
+            prepared = [tuple(others), horizon, density, None, 0]
             self._memo[key] = prepared
         return prepared
 
@@ -1067,58 +1064,23 @@ class DemandEngine:
             ok = True
         else:
             prepared[4] += 1
-            if _dbf._KERNEL in ("vec", "block"):
-                # Split screen, engaged lazily: the first shot on an entry
-                # uses the one-shot screen (cheaper than building the split
-                # cache for an entry that may never be screened again); from
-                # the second shot on the others' half is cached once and
-                # each call adds only the probe's own terms.  The O(k)
-                # marginal cost is low enough that the vec kernel keeps
-                # screening where qpa's valve below gives up and pays the
-                # exact probe — screens are accept-only, so this is a pure
-                # cost policy with verdict-identical results.
-                if prepared[4] == 1:
-                    candidate = list(others)
-                    candidate.append(
-                        _ModeTask(task.wcet_lo, v, task.period, task.wcet_lo)
-                    )
-                    ok = approx_accepts(candidate, horizon, hi=False)
-                else:
-                    screen = prepared[5]
-                    if screen is None:
-                        screen = _vec.lo_screen_prepare(
-                            others, horizon, _dbf._APPROX_K
-                        )
-                        prepared[5] = screen
-                    ok = _vec.lo_screen_accepts(
-                        screen, task.wcet_lo, task.period, v, horizon,
-                        _dbf._APPROX_K,
-                    )
-            else:
-                # The descent re-picks the same task with ever-smaller
-                # deadlines; after a couple of full O(n·k) screen
-                # evaluations it is cheaper to let the exact V* search run
-                # once and serve every later request from its memo entry (a
-                # pure cost policy — the V* path returns the identical
-                # shrink).
-                if prepared[4] > _SCREEN_VALVE:
-                    return False
-                candidate = list(others)
-                candidate.append(
-                    _ModeTask(task.wcet_lo, v, task.period, task.wcet_lo)
-                )
-                ok = approx_accepts(candidate, horizon, hi=False)
+            # The descent re-picks the same task with ever-smaller
+            # deadlines; after a couple of full O(n·k) screen evaluations
+            # it is cheaper to let the exact V* search run once and serve
+            # every later request from its memo entry (a pure cost policy
+            # — the V* path returns the identical shrink).
+            if prepared[4] > _SCREEN_BUDGET:
+                return False
+            candidate = list(others)
+            candidate.append(_ModeTask(task.wcet_lo, v, task.period, task.wcet_lo))
+            ok = approx_accepts(candidate, horizon, hi=False)
         if ok:
             _dbf._COUNTERS["approx-accept"] += 1
             prepared[3] = v if accepted_v is None else min(accepted_v, v)
         return ok
 
     def max_lo_feasible_shrink(
-        self,
-        vd: dict[int, int],
-        task: MCTask,
-        desired: int,
-        _sig_o: tuple | None = None,
+        self, vd: dict[int, int], task: MCTask, desired: int
     ) -> int:
         """Largest shrink ``<= desired`` keeping the LO-mode check feasible.
 
@@ -1132,12 +1094,6 @@ class DemandEngine:
         ``V*``, which is independent of the task's own current deadline —
         so every later descent iteration that re-picks this task (with any
         remaining ``base``, against any deficit) costs one lookup.
-
-        ``_sig_o`` optionally supplies the precomputed
-        :meth:`_sig_others` tuple for ``(vd, task)`` — a pure-value reuse
-        hook for the vec kernel's speculation batches (which build all
-        candidate signatures in one pass); passing it never changes the
-        result.
         """
         base = vd[task.task_id]
 
@@ -1166,9 +1122,7 @@ class DemandEngine:
         # construction and the V* search.  Screen verdicts are monotone in
         # the probed deadline, so the smallest accepted deadline is cached
         # per surrounding assignment and repeated picks cost one lookup.
-        sig_o = (
-            _sig_o if _sig_o is not None else self._sig_others(vd, task.task_id)
-        )
+        sig_o = self._sig_others(vd, task.task_id)
         if _dbf._KERNEL != "forward":
             target = base - desired
             if (
@@ -1192,14 +1146,10 @@ class DemandEngine:
         engine) — the scalar descent's :meth:`max_lo_feasible_shrink` and
         the block planner share the entry.
 
-        The probe's first check (own demand against the other tasks'
-        slack at *their* breakpoints) inverts in closed form: at slack
-        ``s`` the task may place at most ``s // C_L`` jobs, giving a
-        per-point lower bound on the deadline.  The max of those bounds
-        is verified with one :meth:`LoShrinkProbe.feasible` call (the
-        own-breakpoint check can still push higher, in which case the
-        bisection resumes above the bound) — same verdict function,
-        same minimum, far fewer probe evaluations.
+        Both halves of the probe's verdict invert in closed form
+        (:meth:`LoShrinkProbe.min_feasible_deadline`), so the value is the
+        minimum a ``feasible(v)`` bisection settles on, without the
+        probe evaluations.
         """
         if sig_o is None:
             sig_o = self._sig_others(vd, task.task_id)
@@ -1209,46 +1159,7 @@ class DemandEngine:
                 probe = self._lo_probe_fast(vd, task, sig_o)
             except HorizonExceeded:
                 return None
-            points_o, slack_o = probe._points_o, probe._slack_o
-            if probe._infeasible_always:
-                return None
-            floor_v = task.wcet_lo
-            if len(points_o):
-                if int(slack_o.min()) < 0:
-                    return None  # the other tasks alone overrun: never feasible
-                bounds = points_o - (slack_o // task.wcet_lo) * task.period + 1
-                floor_v = max(floor_v, int(bounds.max()))
-            if floor_v > task.deadline:
-                return None
-            # At or above floor_v the other-breakpoint half holds by the
-            # closed-form inversion, so only the own-breakpoint half of
-            # feasible() remains to test.
-            if _dbf._KERNEL in ("vec", "block") and task.wcet_lo <= task.period:
-                # Same boundary, no bisection: above floor_v the own half
-                # is the whole (monotone) verdict, and its largest failing
-                # deadline inverts in closed form over the others' slack
-                # regions (see dbf_vec.vstar_own).
-                return _vec.vstar_own(
-                    points_o,
-                    slack_o,
-                    task.wcet_lo,
-                    task.period,
-                    task.deadline,
-                    floor_v,
-                    probe._horizon,
-                )
-            if probe._own_feasible(floor_v):
-                return floor_v
-            if not probe._own_feasible(task.deadline):
-                return None
-            lo, hi = floor_v + 1, task.deadline
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if probe._own_feasible(mid):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return lo
+            return probe.min_feasible_deadline()
 
         return self._cached(("vmin", task.task_id, sig_o), compute)
 
@@ -1403,11 +1314,10 @@ def run_tuning_stages(
 def _default_engine(taskset: TaskSet, horizon_cap: int) -> DemandEngine:
     """The engine a caller gets when it passes none.
 
-    Under the QPA and vec kernels the engine carries a private per-run
+    Under the qpa and block kernels the engine carries a private per-run
     memo so the whole kernel machinery (warm anchors, witness-level
-    checks, screen caches, speculation batches) serves the from-scratch
-    path too — memoization only
-    deduplicates pure queries, so outcomes are identical either way (the
+    checks, screen caches, V* entries) serves the from-scratch path too —
+    memoization only deduplicates pure queries, so outcomes are identical either way (the
     property the memo/no-memo differential tests assert).  Under the
     forward oracle kernel the engine stays memo-free, preserving the
     historical from-scratch cost profile the benchmarks baseline against.
@@ -1550,24 +1460,8 @@ def _descend(
     non-frozen entry equals the historical per-iteration argmax: the score
     key embeds ``-task_id``, a total order) and every outcome are
     unchanged; only the redundant re-evaluations are gone.
-
-    Under the vec kernel a :class:`~repro.analysis.dbf_vec.DescentSession`
-    takes over the per-assignment work: the candidate ranking runs as
-    column arithmetic (entry-identical) and the next ``k`` ranked
-    candidates' shrink screens are speculated in one batch — the
-    trajectory consumes the speculated settle for whichever candidate it
-    actually reaches and the rest is discarded on commit.  Every
-    speculated value is a pure function of the probe and ``vd`` is frozen
-    between commits, so trajectories, iteration counts and outcomes are
-    identical with speculation on or off (the descent-trace equality
-    test).
     """
     vd = dict(vd)
-    session = (
-        _vec.DescentSession(engine, high_tasks)
-        if _dbf._KERNEL == "vec" and engine._memo is not None
-        else None
-    )
     frozen: set[int] = set()
     # Shrinking any Dv only lowers HI demand, so check points below the
     # last seen violation stay feasible for the rest of the descent — the
@@ -1580,47 +1474,30 @@ def _descend(
             try:
                 current = engine.hi_check(vd, refine, not_before=front)
             except HorizonExceeded:
-                if session is not None:
-                    session.retire()
                 return TuningOutcome(
                     False, vd, iteration, "HI horizon cap exceeded"
                 )
         violation, demand = current
         if violation is None:
-            if session is not None:
-                session.retire()
             return TuningOutcome(True, vd, iteration)
         front = violation
 
         deficit = demand - violation
         if ranked is None:
-            if session is not None and session.vector_rank:
-                ranked = session.rank(vd, violation, deficit, policy)
-            else:
-                ranked = _rank_candidates(
-                    high_tasks, vd, violation, deficit, policy, engine
-                )
-            if session is not None:
-                session.speculate(ranked, vd)
+            ranked = _rank_candidates(
+                high_tasks, vd, violation, deficit, policy, engine
+            )
         candidate = None
         for _key, task, desired in ranked:
             if task.task_id not in frozen:
                 candidate = (task, desired)
                 break
         if candidate is None:
-            if session is not None:
-                session.retire()
             return TuningOutcome(
                 False, vd, iteration, f"no shrinkable task at l*={violation}"
             )
         task, desired = candidate
-        shrink = sig_o = None
-        if session is not None:
-            shrink, sig_o = session.consume(task, desired)
-        if shrink is None:
-            shrink = engine.max_lo_feasible_shrink(
-                vd, task, desired, _sig_o=sig_o
-            )
+        shrink = engine.max_lo_feasible_shrink(vd, task, desired)
         if shrink == 0 or engine.hi_gain(task, vd[task.task_id], shrink, violation) <= 0:
             frozen.add(task.task_id)
             continue
@@ -1628,11 +1505,7 @@ def _descend(
         frozen.clear()  # shrinking one task may unfreeze others elsewhere
         current = None
         ranked = None
-        if session is not None:
-            session.retire(committed=task.task_id)
 
-    if session is not None:
-        session.retire()
     return TuningOutcome(False, vd, _MAX_ITERATIONS, "iteration cap reached")
 
 

@@ -11,8 +11,8 @@ Keys are **canonical**: the task list is normalized to a stable sorted
 order of the parameter tuples ``(period, criticality, C^L, C^H, D,
 degraded fields)`` — task ids, names and submission order do not enter
 the key — and hashed (sha256 over sort-keyed JSON, the shard-cache key
-recipe).  The kernel never enters the key either: all four demand
-kernels are verdict-identical by contract, so their outcomes are
+recipe).  The kernel never enters the key either: all demand kernels
+are verdict-identical by contract, so their outcomes are
 interchangeable at this level.  The service model and the probe shape
 (tuning stages + horizon cap, or ``m`` + test + strategy) are separate
 key components.

@@ -51,6 +51,7 @@ from repro.analysis import get_test, registered_tests
 from repro.core import get_strategy, partition, registered_strategies
 from repro.generator import MCTaskSetGenerator
 from repro.model import TaskSet
+from repro.util.env import DBF_KERNELS
 from repro.util.rng import derive_rng
 
 __all__ = ["main", "build_parser"]
@@ -173,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figure.add_argument(
         "--demand-kernel",
-        choices=("forward", "qpa", "vec", "block"),
+        choices=DBF_KERNELS,
         default=None,
         help=(
             "demand-kernel stack for the dbf analyses (default: "
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--demand-kernel",
-        choices=("forward", "qpa", "vec", "block"),
+        choices=DBF_KERNELS,
         default=None,
         help=(
             "demand-kernel stack for the dbf analyses (default: "
@@ -368,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--demand-kernel",
-        choices=("forward", "qpa", "vec", "block"),
+        choices=DBF_KERNELS,
         default=None,
         help=(
             "demand-kernel stack for the dbf analyses (default: "

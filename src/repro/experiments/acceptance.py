@@ -239,13 +239,11 @@ def kernel_summary(
     The batched shard runner records per-algorithm ``kernel.<algorithm>.
     <counter>`` deltas into :data:`repro.obs.REGISTRY` (workers ship theirs
     through the pool), and this folds them back into the report shape the
-    ``--pipeline`` diagnostics and the dbf-kernel benchmark print: the
-    ``qpa-accept`` / ``approx-accept`` / ``approx-reject`` settle counters,
-    with the run/iteration totals collapsed to ``qpa-iter-mean`` (mean
-    backward fixed-point iterations per QPA search).  The vec kernel's
-    speculation scope (``kernel.vec.*``) folds the same way: raw
-    ``spec-hit`` / ``spec-waste`` settles plus the batch/width totals
-    collapsed to ``spec-width-mean`` (mean candidates per batch).
+    ``--pipeline`` diagnostics print: the ``qpa-accept`` /
+    ``approx-accept`` / ``approx-reject`` settle counters, with the
+    run/iteration totals collapsed to ``qpa-iter-mean`` (mean backward
+    fixed-point iterations per QPA search).  The block kernel's
+    ``kernel.block.*`` scope lands under ``block`` with its raw counters.
 
     With recording on (``REPRO_OBS`` at ``metrics`` or above) a
     ``descent`` row is added from the ``descent.iterations`` histogram —
@@ -276,10 +274,6 @@ def kernel_summary(
         iterations = counts.pop("qpa-iterations", 0)
         if runs:
             counts["qpa-iter-mean"] = round(iterations / runs, 2)
-        batches = counts.pop("spec-batches", 0)
-        width = counts.pop("spec-width", 0)
-        if batches:
-            counts["spec-width-mean"] = round(width / batches, 2)
     histogram = _obs.REGISTRY.histogram("descent.iterations")
     if histogram is not None:
         stats = histogram.summary()

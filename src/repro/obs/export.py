@@ -50,7 +50,7 @@ def to_json(
     The active demand kernel is stamped alongside the mode so every
     exported snapshot (``--obs-out``, trace artifacts, BENCH files) is
     self-describing about the machinery that produced its counters —
-    ``repro trace --demand-kernel vec`` and a default run are otherwise
+    ``repro trace --demand-kernel block`` and a default run are otherwise
     indistinguishable on disk.  (Additive field; the schema stays
     ``repro-obs-snapshot/1``.)
     """

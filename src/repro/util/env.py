@@ -5,35 +5,21 @@ Two knobs control experiment scale everywhere (figures, benchmarks, CI):
 * ``REPRO_SAMPLES`` — task sets per ``UB`` bucket (the paper used 1000).
 * ``REPRO_M`` — comma-separated processor counts (the paper swept 2,4,8).
 
-Six more tune the demand kernel of :mod:`repro.analysis.dbf`:
+Three more tune the demand kernel of :mod:`repro.analysis.dbf`:
 
-* ``REPRO_DBF_KERNEL`` — ``forward``, ``qpa`` (default), ``vec`` or
-  ``block``: the demand-kernel stack used for violation searches and
-  shrink descents.  ``forward``/``qpa``/``vec`` are bit-identical down
-  to the descent *trajectory*; ``block`` commits multi-task shrinks in
-  one step and is verdict-identical only (see
+* ``REPRO_DBF_KERNEL`` — one of :data:`DBF_KERNELS`: ``forward``,
+  ``qpa`` (default) or ``block``, the demand-kernel stack used for
+  violation searches and shrink descents.  ``forward``/``qpa`` are
+  bit-identical down to the descent *trajectory*; ``block`` commits
+  multi-task shrinks in one step and is verdict-identical only (see
   :func:`repro.analysis.dbf.set_demand_kernel`).  The resolution order
   is instance (``set_demand_kernel``) > CLI (``--demand-kernel``) >
   this knob > default.
-* ``REPRO_DBF_SPEC_K`` — speculation depth ``k`` of the ``vec`` kernel's
-  speculative shrink descent (default 4): how many ranked candidates per
-  descent assignment get their screens pre-evaluated in one batch.
-  Pure cost/coverage trade — results never depend on it.
 * ``REPRO_DBF_SCAN_CHUNK`` — breakpoint chunk size of the forward
   violation scan (default 4096).
 * ``REPRO_DBF_APPROX_K`` — exact-step depth ``k`` of the Fisher–Baruah
   style dbf upper-bound screens (default 3); the screens stay sound for
   every positive ``k``, larger values trade screen cost for coverage.
-* ``REPRO_DBF_RANK_VEC_MIN`` — candidate-count crossover at which the
-  vec/block descent switches from the scalar ranking loop to the
-  vectorized one (default 24).  Both rankings compute IEEE-identical
-  sort keys, so this is a pure cost knob.
-* ``REPRO_DBF_SCREEN_VALVE`` — the qpa accept-screen cost valve: after
-  this many screen calls on one ``(task, assignment)`` scaffolding
-  entry the qpa kernel stops screening and pays the exact probe
-  (default 2).  Screens are accept-only, so any positive value is
-  sound; the vec/block split screen ignores the valve (its marginal
-  shot is O(k)).
 
 Three configure the canonical verdict cache of
 :mod:`repro.analysis.verdict_cache` (opt-in; default off):
@@ -98,9 +84,6 @@ __all__ = [
     "scan_chunk_from_env",
     "approx_k_from_env",
     "demand_kernel_from_env",
-    "spec_depth_from_env",
-    "rank_vec_min_from_env",
-    "screen_valve_from_env",
     "verdict_cache_from_env",
     "verdict_cache_size_from_env",
     "verdict_cache_dir_from_env",
@@ -117,9 +100,10 @@ __all__ = [
 #: Valid ``REPRO_OBS`` values, in increasing collection order.
 OBS_MODES = ("off", "metrics", "trace")
 
-#: Valid demand kernels, in increasing machinery order.  The first three
+#: Valid demand kernels, in increasing machinery order — the one list the
+#: analysis, the env knob and the CLI all read.  ``forward`` and ``qpa``
 #: are trajectory-identical; ``block`` is verdict-identical only.
-DBF_KERNELS = ("forward", "qpa", "vec", "block")
+DBF_KERNELS = ("forward", "qpa", "block")
 
 #: Valid executor backends, in increasing machinery order ("" = auto).
 RUNNER_BACKENDS = ("serial", "pool", "cluster")
@@ -182,10 +166,9 @@ def approx_k_from_env(fallback: int = 3) -> int:
 def demand_kernel_from_env(fallback: str = "qpa") -> str:
     """Demand kernel: ``REPRO_DBF_KERNEL`` or ``fallback``.
 
-    Accepts exactly ``forward``, ``qpa``, ``vec`` or ``block``; anything
-    else raises :class:`ValueError` — all four produce identical
-    verdicts, but a typo must not silently run a benchmark on the wrong
-    machinery.
+    Accepts exactly the names in :data:`DBF_KERNELS`; anything else
+    raises :class:`ValueError` — all kernels produce identical verdicts,
+    but a typo must not silently run a benchmark on the wrong machinery.
     """
     raw = os.environ.get("REPRO_DBF_KERNEL", "")
     if not raw:
@@ -196,32 +179,6 @@ def demand_kernel_from_env(fallback: str = "qpa") -> str:
             f"got {raw!r}"
         )
     return raw
-
-
-def spec_depth_from_env(fallback: int = 4) -> int:
-    """Speculation depth ``k`` of the vec descent: ``REPRO_DBF_SPEC_K``."""
-    return positive_int_env("REPRO_DBF_SPEC_K", fallback)
-
-
-def rank_vec_min_from_env(fallback: int = 24) -> int:
-    """Vectorized-ranking crossover: ``REPRO_DBF_RANK_VEC_MIN``.
-
-    Below this many descent candidates the scalar ranking loop wins on
-    numpy's fixed per-call overhead; at or above it the column ranking
-    takes over.  Both compute identical sort keys — a pure cost knob.
-    """
-    return positive_int_env("REPRO_DBF_RANK_VEC_MIN", fallback)
-
-
-def screen_valve_from_env(fallback: int = 2) -> int:
-    """QPA accept-screen cost valve: ``REPRO_DBF_SCREEN_VALVE``.
-
-    After this many screen calls on one scaffolding entry the qpa kernel
-    stops screening and pays the exact probe.  Screens are accept-only,
-    so every positive value is sound; larger values trade repeated
-    screen cost for probe avoidance.
-    """
-    return positive_int_env("REPRO_DBF_SCREEN_VALVE", fallback)
 
 
 def verdict_cache_from_env(fallback: str = "off") -> str:

@@ -6,7 +6,7 @@ ranked candidates against a virtual copy of the assignment and commits
 the whole block of boundary jumps under a single probe.  What must hold
 — and what this suite pins — is the *verdict* contract: accept/reject
 flags, acceptance ratios and figure outputs are identical to the
-forward/qpa/vec kernels, every committed jump lands at or above the
+forward/qpa kernels, every committed jump lands at or above the
 scalar kernel's V* boundary, and every committed joint assignment is
 LO-feasible outright.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import dbf
 from repro.analysis.dbf import (
     DemandScenario,
     HorizonExceeded,
@@ -35,8 +34,9 @@ from repro.analysis.vdtuning import (
 )
 from repro.degradation.service import parse_service_model
 from repro.model import Criticality, MCTask, TaskSet
+from repro.util.env import DBF_KERNELS
 
-KERNELS = ("forward", "qpa", "vec", "block")
+KERNELS = ("forward", "qpa", "block")
 
 SERVICES = ("full-drop", "imprecise:0.5", "elastic:1.5")
 
@@ -58,7 +58,7 @@ def run_with_kernel(kernel, fn):
 
 @st.composite
 def mc_taskset(draw):
-    """A small random dual-criticality task set (the vec suite's shape)."""
+    """A small random dual-criticality task set (the qpa suite's shape)."""
     n = draw(st.integers(min_value=1, max_value=5))
     tasks = []
     for _ in range(n):
@@ -106,23 +106,54 @@ class TestKernelRegistration:
         assert demand_kernel() == previous
 
     def test_block_in_registry(self):
-        assert "block" in dbf._KERNELS
+        assert "block" in DBF_KERNELS
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown demand kernel"):
             set_demand_kernel("blocc")
 
 
-# -- four-kernel verdict equivalence ----------------------------------------
+# -- three-kernel verdict equivalence ---------------------------------------
 
 class TestVerdictEquivalence:
+    @given(mc_taskset(), st.sampled_from(SERVICES), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_scenario_checks_identical(self, ts, service, data):
+        """Block keeps QPA's decision procedure, so LO and HI verdicts
+        and earliest-violation witnesses agree across all three kernels,
+        with refinement on and off."""
+        tagged = attach(ts, service)
+        vd = {
+            t.task_id: data.draw(
+                st.integers(min_value=t.wcet_lo, max_value=t.deadline)
+            )
+            for t in tagged
+            if t.is_high
+        }
+
+        def checks():
+            scenario = DemandScenario(tagged, vd)
+            try:
+                out = [("lo", scenario.lo_violation())]
+            except HorizonExceeded:
+                out = [("lo", "raise")]
+            for refine in (False, True):
+                try:
+                    out.append((refine, scenario.hi_violation(refine=refine)))
+                except HorizonExceeded:
+                    out.append((refine, "raise"))
+            return out
+
+        results = [run_with_kernel(k, checks) for k in KERNELS]
+        assert results[0] == results[1] == results[2]
+
     @given(mc_taskset(), st.sampled_from(SERVICES))
     @settings(max_examples=60, deadline=None)
     def test_tuning_verdicts_identical(self, ts, service):
-        """run_tuning_stages agrees on the *verdict* under all four
+        """run_tuning_stages agrees on the *verdict* under all three
         kernels, fresh and memo-backed engines, both stage chains.
 
-        Unlike the vec suite this deliberately does NOT compare iteration
+        Unlike the qpa suite this deliberately does NOT compare iteration
         counts or the tuned deadlines — diverging there is the block
         kernel's contract.  A block-accepted assignment is instead
         checked for LO feasibility outright.
@@ -172,10 +203,9 @@ class TestPlanBlockSoundness:
         boundary at the pre-jump assignment, and the joint post-jump
         assignment is LO-feasible outright.
 
-        The oracle is deliberately independent machinery: a fresh engine
-        under the qpa kernel, whose ``lo_min_deadline`` takes the
-        own-half *bisection* path instead of the closed-form vstar the
-        block planner uses.
+        The oracle is deliberately independent machinery: the memo-free
+        engine's ``max_lo_feasible_shrink``, a ``feasible(v)`` bisection
+        instead of the closed-form V* the block planner uses.
         """
         tagged = attach(ts, service)
         high = [t for t in tagged if t.is_high]
@@ -202,16 +232,21 @@ class TestPlanBlockSoundness:
             return
 
         def oracle_floors():
-            oracle = DemandEngine(tagged, 100_000, memo={})
-            return {
-                tid: oracle.lo_min_deadline(vd, by_id[tid]) for tid in commits
-            }
+            oracle = DemandEngine(tagged, 100_000)
+            floors = {}
+            for tid in commits:
+                task = by_id[tid]
+                full = vd[tid] - task.wcet_lo
+                shrink = oracle.max_lo_feasible_shrink(vd, task, full)
+                # A zero shrink leaves V* unresolved between D and "never".
+                floors[tid] = vd[tid] - shrink if shrink else None
+            return floors
 
         floors = run_with_kernel("qpa", oracle_floors)
         for tid, v_new in commits.items():
             v_star = floors[tid]
             assert v_star is not None, (
-                f"block jumped task {tid} the scalar oracle calls infeasible"
+                f"block jumped task {tid} the scalar oracle cannot shrink"
             )
             assert v_new >= v_star, (
                 f"block jump for task {tid} overshot the scalar V* "
@@ -280,7 +315,7 @@ class TestBlockCounters:
 class TestFigureVerdictParity:
     """fig3–fig7 at miniature scale: the full figure outputs — acceptance
     ratios, sample counts and WAR tables — must be identical under all
-    four kernels.  This is the verdict level the shard store and the
+    three kernels.  This is the verdict level the shard store and the
     verdict cache key on."""
 
     @pytest.mark.parametrize(

@@ -92,3 +92,28 @@ def test_probe_agrees_with_full_scenario(case):
         f"probe={probe_verdict} full={full_verdict} "
         f"candidate={candidate}\n{taskset.describe()}"
     )
+
+
+def _probe_or_none(taskset, tunable):
+    try:
+        return DemandScenario(taskset).lo_shrink_probe(tunable)
+    except HorizonExceeded:
+        return None
+
+
+@given(probe_cases())
+@settings(max_examples=120, deadline=None)
+def test_feasibility_is_a_suffix_above_vstar(case):
+    """The closed-form V* is the smallest deadline ``feasible`` accepts,
+    and LO demand only falls as the deadline grows, so ``feasible`` holds
+    on exactly ``[V*, D]`` — the prefix property the shrink search and
+    the cached V* both rely on."""
+    taskset, tunable, _ = case
+    probe = _probe_or_none(taskset, tunable)
+    if probe is None:
+        return
+    v_star = probe.min_feasible_deadline()
+    if v_star is not None:
+        assert tunable.wcet_lo <= v_star <= tunable.deadline
+    for v in range(tunable.wcet_lo, tunable.deadline + 1):
+        assert probe.feasible(v) == (v_star is not None and v >= v_star)

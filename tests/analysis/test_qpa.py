@@ -5,8 +5,9 @@ screens and the descent warm starts are all *cost* layers: every verdict,
 violation point and tuning outcome must equal the forward breakpoint
 oracle's.  These tests assert that equivalence — across random task sets,
 service models, refinement on/off, scenario- and engine-level entry points
-— plus the closed-form shrink inversion against the historical bisection
-and the window-tiling regression of ``_window_points``.
+— plus the closed-form shrink inversion and the closed-form V* against
+the historical bisections, and the window-tiling regression of
+``_window_points``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import dbf
 from repro.analysis.dbf import (
     DemandScenario,
+    LoShrinkProbe,
     _ModeTask,
     _first_violation,
     _hi_point_demand,
@@ -41,6 +43,7 @@ from repro.analysis.vdtuning import (
 )
 from repro.degradation.service import parse_service_model
 from repro.model import Criticality, MCTask, TaskSet
+from repro.util.env import DBF_KERNELS
 
 
 @pytest.fixture
@@ -246,8 +249,9 @@ class TestKernelEquivalence:
     @given(mc_taskset(), st.sampled_from(["full-drop", "imprecise:0.5", "elastic:1.5"]))
     @settings(max_examples=60, deadline=None)
     def test_tuning_outcomes_identical(self, ts, service):
-        """run_tuning_stages returns the identical TuningOutcome fields
-        under both kernels, for EY and ECDF chains, fresh and memo-backed
+        """run_tuning_stages returns the identical TuningOutcome —
+        including the iteration count, i.e. the descent trajectory — under
+        both kernels, for EY and ECDF chains, fresh and memo-backed
         engines alike."""
         tagged = attach(ts, service)
         chains = (
@@ -269,6 +273,7 @@ class TestKernelEquivalence:
                 assert other.schedulable == first.schedulable
                 assert other.virtual_deadlines == first.virtual_deadlines
                 assert other.detail == first.detail
+                assert other.iterations == first.iterations
 
     def test_anchor_dominance_regression(self, qpa_kernel):
         """Pinned regression: QPA's witness is the largest *breakpoint*
@@ -354,6 +359,166 @@ class TestShrinkInversion:
             assert _hi_gain(task, vd_now, shrink - 1, length) < target
 
 
+# -- closed-form V* ----------------------------------------------------------
+
+@st.composite
+def vstar_inputs(draw):
+    """A task set plus one of its HC tasks to probe."""
+    ts = draw(mc_taskset())
+    high = [t for t in ts if t.is_high]
+    if not high:
+        ts = TaskSet(
+            list(ts)
+            + [
+                MCTask(
+                    period=20,
+                    criticality=Criticality.HC,
+                    wcet_lo=3,
+                    wcet_hi=6,
+                    deadline=16,
+                )
+            ]
+        )
+        high = [t for t in ts if t.is_high]
+    task = high[draw(st.integers(min_value=0, max_value=len(high) - 1))]
+    return ts, task
+
+
+class TestVstarOwn:
+    @given(vstar_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_own_feasible_boundary(self, inputs):
+        """vstar_own equals the minimal v in [floor_v, deadline] accepted
+        by LoShrinkProbe._own_feasible (None when even the full deadline
+        fails) — the value a bisection over that half settles on."""
+        ts, task = inputs
+        try:
+            probe = LoShrinkProbe(DemandScenario(ts), task)
+        except dbf.HorizonExceeded:
+            return  # busy period past the cap; no probe to compare
+        if probe._infeasible_always or probe._horizon == 0:
+            return
+        if len(probe._points_o) and (probe._slack_o < 0).any():
+            return  # others alone infeasible: V* is None before vstar_own
+        # The others-half floor: minimal v whose demand at the others'
+        # breakpoints fits their slack (monotone in v by construction).
+        floor_v = None
+        for v in range(task.wcet_lo, task.deadline + 1):
+            x = probe._points_o - v
+            jobs = np.where(x >= 0, x // task.period + 1, 0)
+            if not np.any(jobs * task.wcet_lo > probe._slack_o):
+                floor_v = v
+                break
+        if floor_v is None:
+            return  # no feasible deadline at all
+        expected = None
+        for v in range(floor_v, task.deadline + 1):
+            if probe._own_feasible(v):
+                expected = v
+                break
+        assert probe.vstar_own(floor_v) == expected
+
+    def test_empty_window_returns_floor(self):
+        task = MCTask(
+            period=10,
+            criticality=Criticality.HC,
+            wcet_lo=2,
+            wcet_hi=4,
+            deadline=8,
+        )
+        probe = LoShrinkProbe.__new__(LoShrinkProbe)
+        probe._task = task
+        probe._infeasible_always = False
+        probe._horizon = 100
+        probe._points_o = np.empty(0, dtype=np.int64)
+        probe._slack_o = np.empty(0, dtype=np.int64)
+        assert probe.vstar_own(3) == 3
+
+    @pytest.mark.parametrize("kernel", DBF_KERNELS)
+    @given(
+        mc_taskset(),
+        st.sampled_from(["full-drop", "imprecise:0.5", "elastic:1.5"]),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_warm_shrink_equals_bisection_under_every_kernel(
+        self, kernel, ts, service, data
+    ):
+        """Under every kernel the memo-backed max_lo_feasible_shrink —
+        accept screens first, closed-form V* behind them, cached across
+        repeated asks — returns the memo-free bisection's shrink, and so
+        does the shrink implied by lo_min_deadline's closed-form V*."""
+        tagged = attach(ts, service)
+        high = [t for t in tagged if t.is_high]
+        if not high:
+            return
+        vd = {
+            t.task_id: data.draw(
+                st.integers(min_value=t.wcet_lo, max_value=t.deadline)
+            )
+            for t in high
+        }
+        asks = [
+            (task, data.draw(st.integers(1, vd[task.task_id] - task.wcet_lo)))
+            for task in high
+            if vd[task.task_id] > task.wcet_lo
+        ]
+
+        def shrinks(memo):
+            engine = DemandEngine(tagged, 100_000, memo=memo)
+            # Ask twice so the second round answers from the warm cache.
+            return [
+                engine.max_lo_feasible_shrink(vd, task, desired)
+                for _ in range(2)
+                for task, desired in asks
+            ]
+
+        def implied():
+            engine = DemandEngine(tagged, 100_000, memo={})
+            out = []
+            for task, desired in asks:
+                v_star = engine.lo_min_deadline(vd, task)
+                slack = 0 if v_star is None else vd[task.task_id] - v_star
+                out.append(min(desired, max(0, slack)))
+            return out * 2
+
+        expected = run_with_kernel("forward", lambda: shrinks(None))
+        assert run_with_kernel(kernel, lambda: shrinks({})) == expected
+        assert run_with_kernel(kernel, implied) == expected
+
+    @pytest.mark.parametrize("kernel", DBF_KERNELS)
+    def test_wcet_above_period_never_shrinks_via_engine(self, kernel):
+        """A C_L > T task overloads LO mode on its own, so both engines
+        report no feasible deadline before any V* inversion runs."""
+        task = MCTask(
+            period=5,
+            criticality=Criticality.HC,
+            wcet_lo=6,
+            wcet_hi=6,
+            deadline=8,
+        )
+        other = MCTask(
+            period=20,
+            criticality=Criticality.LC,
+            wcet_lo=1,
+            wcet_hi=1,
+            deadline=20,
+        )
+        ts = TaskSet([task, other])
+        vd = {task.task_id: task.deadline}
+
+        def query():
+            warm = DemandEngine(ts, 100_000, memo={})
+            cold = DemandEngine(ts, 100_000)
+            return (
+                warm.lo_min_deadline(vd, task),
+                warm.max_lo_feasible_shrink(vd, task, 2),
+                cold.max_lo_feasible_shrink(vd, task, 2),
+            )
+
+        assert run_with_kernel(kernel, query) == (None, 0, 0)
+
+
 # -- window tiling regression (satellite) ------------------------------------
 
 class TestWindowTiling:
@@ -387,17 +552,33 @@ class TestWindowTiling:
 # -- kernel switch / counters -------------------------------------------------
 
 class TestKernelControls:
-    def test_kernel_switch_round_trip(self):
-        assert demand_kernel() in ("qpa", "forward", "vec", "block")
-        previous = set_demand_kernel("forward")
+    @pytest.mark.parametrize("name", DBF_KERNELS)
+    def test_kernel_switch_round_trip(self, name):
+        """set_demand_kernel accepts every name the env knob and the CLI
+        offer, and hands back the previous kernel."""
+        before = demand_kernel()
+        assert before in DBF_KERNELS
+        previous = set_demand_kernel(name)
         try:
-            assert demand_kernel() == "forward"
+            assert previous == before
+            assert demand_kernel() == name
         finally:
             set_demand_kernel(previous)
+        assert demand_kernel() == before
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown demand kernel"):
-            set_demand_kernel("sideways")
+    @pytest.mark.parametrize(
+        "name", ["sideways", "vec", "VEC", "", "qpa ", "Forward"]
+    )
+    def test_unknown_kernel_rejected(self, name):
+        """Unknown names, the retired ``vec`` among them, are refused with
+        the list of valid kernels: no case folding, no trimming, no empty
+        fallback, and the active kernel stays as it was."""
+        before = demand_kernel()
+        with pytest.raises(
+            ValueError, match="unknown demand kernel .*forward\\|qpa\\|block"
+        ):
+            set_demand_kernel(name)
+        assert demand_kernel() == before
 
     def test_counters_accumulate_and_reset(self, qpa_kernel):
         dbf.reset_kernel_counters()

@@ -183,3 +183,71 @@ class TestStrictSeriesAlignment:
             ratios={"a": [1.0, 0.8], "b": [0.9, 0.5]},
         )
         assert result.max_improvement("a", "b") == pytest.approx(30.0)
+
+
+class TestKernelSummary:
+    """kernel_summary folds the registry's ``kernel.<algorithm>.*``
+    counters into the report shape the pipeline diagnostics print."""
+
+    @pytest.fixture
+    def registry(self, monkeypatch):
+        from repro import obs
+        from repro.obs.registry import MetricsRegistry
+
+        fresh = MetricsRegistry()
+        monkeypatch.setattr(obs, "REGISTRY", fresh)
+        return fresh
+
+    def test_qpa_totals_collapse_to_iteration_mean(self, registry):
+        from repro.experiments.acceptance import kernel_summary
+
+        registry.add_counters(
+            {
+                "kernel.EY.qpa-accept": 7,
+                "kernel.EY.approx-accept": 3,
+                "kernel.EY.qpa-runs": 4,
+                "kernel.EY.qpa-iterations": 10,
+            }
+        )
+        assert kernel_summary() == {
+            "EY": {"qpa-accept": 7, "approx-accept": 3, "qpa-iter-mean": 2.5}
+        }
+
+    def test_no_runs_means_no_iteration_mean(self, registry):
+        from repro.experiments.acceptance import kernel_summary
+
+        registry.add("kernel.ECDF.approx-reject", 2)
+        assert kernel_summary() == {"ECDF": {"approx-reject": 2}}
+
+    def test_block_scope_reports_raw_counters(self, registry):
+        from repro.experiments.acceptance import kernel_summary
+
+        scope = registry.counter_scope(
+            "kernel.block", ("block-jumps", "block-settled")
+        )
+        scope["block-jumps"] += 2
+        scope["block-settled"] += 5
+        assert kernel_summary() == {
+            "block": {"block-jumps": 2, "block-settled": 5}
+        }
+
+    def test_since_baseline_subtracts_and_drops_zero_deltas(self, registry):
+        from repro.experiments.acceptance import kernel_summary
+
+        registry.add_counters(
+            {"kernel.EY.qpa-accept": 4, "kernel.ECDF.qpa-accept": 1}
+        )
+        baseline = registry.counters("kernel.")
+        registry.add("kernel.EY.qpa-accept", 3)
+        assert kernel_summary(since=baseline) == {"EY": {"qpa-accept": 3}}
+
+    def test_descent_histogram_adds_a_row(self, registry):
+        from repro.experiments.acceptance import kernel_summary
+
+        assert "descent" not in kernel_summary()
+        for iterations in (1, 2, 2, 8):
+            registry.observe("descent.iterations", iterations)
+        row = kernel_summary()["descent"]
+        assert row["iters-count"] == 4
+        assert set(row) == {"iters-count", "iters-p50", "iters-p95", "iters-p99"}
+        assert row["iters-p50"] <= row["iters-p95"] <= row["iters-p99"]

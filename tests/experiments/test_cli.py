@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.util.env import DBF_KERNELS
 
 
 @pytest.fixture
@@ -230,3 +231,32 @@ class TestParser:
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig9"])
+
+    @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
+    def test_retired_vec_kernel_rejected(self, command, capsys):
+        """Every --demand-kernel flag reads the one kernel list, so the
+        retired ``vec`` kernel is a usage error naming the valid ones."""
+        target = ["--figures", "fig3"] if command == "campaign" else ["fig3"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *target, "--demand-kernel", "vec"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'vec'" in err
+        assert "'forward', 'qpa', 'block'" in err
+
+    @pytest.mark.parametrize("kernel", DBF_KERNELS)
+    @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
+    def test_every_kernel_accepted(self, command, kernel):
+        """Each name in the one kernel list parses on every subcommand
+        that takes --demand-kernel."""
+        target = ["--figures", "fig3"] if command == "campaign" else ["fig3"]
+        args = build_parser().parse_args(
+            [command, *target, "--demand-kernel", kernel]
+        )
+        assert args.demand_kernel == kernel
+
+    @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
+    def test_kernel_defaults_to_unset(self, command):
+        """Without the flag the CLI leaves the kernel to REPRO_DBF_KERNEL."""
+        target = ["--figures", "fig3"] if command == "campaign" else ["fig3"]
+        assert build_parser().parse_args([command, *target]).demand_kernel is None

@@ -2,15 +2,16 @@
 
 The obs benchmark writes the traced fig4 slice's snapshot (plus a
 ``bench`` overhead block) to the repo root so the documented
-``repro-obs-snapshot/1`` example travels with the code, next to
-``BENCH_dbf.json``; this check keeps a malformed or hand-mangled
-artifact from landing silently.
+``repro-obs-snapshot/1`` example travels with the code; this check
+keeps a malformed or hand-mangled artifact from landing silently.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+from repro.util.env import DBF_KERNELS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT = REPO_ROOT / "BENCH_obs.json"
@@ -35,7 +36,7 @@ def test_bench_obs_json_parses():
     assert not missing, f"snapshot missing {sorted(missing)}"
     assert data["schema"] == "repro-obs-snapshot/1"
     assert data["mode"] == "trace"
-    assert data["kernel"] in {"forward", "qpa", "vec", "block"}
+    assert data["kernel"] in DBF_KERNELS
 
     counters = data["counters"]
     assert list(counters) == sorted(counters)

@@ -9,7 +9,6 @@ from repro.util.env import (
     RUNNER_STORES,
     approx_k_from_env,
     demand_kernel_from_env,
-    spec_depth_from_env,
     heartbeat_interval_from_env,
     journal_flush_interval_from_env,
     journal_path_from_env,
@@ -21,10 +20,8 @@ from repro.util.env import (
     positive_int_env,
     runner_backend_from_env,
     runner_store_from_env,
-    rank_vec_min_from_env,
     samples_from_env,
     scan_chunk_from_env,
-    screen_valve_from_env,
     verdict_cache_dir_from_env,
     verdict_cache_from_env,
     verdict_cache_size_from_env,
@@ -64,7 +61,7 @@ class TestDbfKernelKnobs:
         ("REPRO_DBF_SCAN_CHUNK", scan_chunk_from_env),
         ("REPRO_DBF_APPROX_K", approx_k_from_env),
     ])
-    @pytest.mark.parametrize("bad", ["0", "-2", "many"])
+    @pytest.mark.parametrize("bad", ["0", "-2", "many", "2.5"])
     def test_rejects_invalid(self, monkeypatch, knob, reader, bad):
         monkeypatch.setenv(knob, bad)
         with pytest.raises(ValueError, match=knob):
@@ -94,32 +91,20 @@ class TestDemandKernelKnob:
         monkeypatch.setenv("REPRO_DBF_KERNEL", name)
         assert demand_kernel_from_env() == name
 
-    @pytest.mark.parametrize("bad", ["qpa2", "VEC", "fast", " qpa"])
+    @pytest.mark.parametrize(
+        "bad", ["qpa2", "VEC", "vec", "fast", " qpa", "Block", "forward,qpa"]
+    )
     def test_rejects_invalid(self, monkeypatch, bad):
         monkeypatch.setenv("REPRO_DBF_KERNEL", bad)
-        with pytest.raises(ValueError, match="REPRO_DBF_KERNEL"):
+        with pytest.raises(
+            ValueError, match="REPRO_DBF_KERNEL must be one of forward\\|qpa\\|block"
+        ):
             demand_kernel_from_env()
 
     def test_kernel_module_reads_knob(self):
         from repro.analysis import dbf
 
         assert dbf._KERNEL in DBF_KERNELS
-
-
-class TestSpecDepthKnob:
-    def test_default_is_four(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DBF_SPEC_K", raising=False)
-        assert spec_depth_from_env() == 4
-
-    def test_parses_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DBF_SPEC_K", "8")
-        assert spec_depth_from_env() == 8
-
-    @pytest.mark.parametrize("bad", ["0", "-1", "deep"])
-    def test_rejects_invalid(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_DBF_SPEC_K", bad)
-        with pytest.raises(ValueError, match="REPRO_DBF_SPEC_K"):
-            spec_depth_from_env()
 
 
 class TestObsMode:
@@ -271,49 +256,6 @@ class TestMValues:
         monkeypatch.setenv("REPRO_M", bad)
         with pytest.raises(ValueError, match="REPRO_M"):
             m_values_from_env()
-
-
-class TestRankVecMinKnob:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DBF_RANK_VEC_MIN", raising=False)
-        assert rank_vec_min_from_env() == 24
-
-    def test_parses_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DBF_RANK_VEC_MIN", "8")
-        assert rank_vec_min_from_env() == 8
-
-    @pytest.mark.parametrize("bad", ["0", "-1", "lots", "2.5"])
-    def test_rejects_invalid(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_DBF_RANK_VEC_MIN", bad)
-        with pytest.raises(ValueError, match="REPRO_DBF_RANK_VEC_MIN"):
-            rank_vec_min_from_env()
-
-    def test_vec_module_reads_knob(self):
-        """Consumed once at import, like the other kernel knobs."""
-        from repro.analysis import dbf_vec
-
-        assert dbf_vec.RANK_VEC_MIN == rank_vec_min_from_env()
-
-
-class TestScreenValveKnob:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DBF_SCREEN_VALVE", raising=False)
-        assert screen_valve_from_env() == 2
-
-    def test_parses_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DBF_SCREEN_VALVE", "5")
-        assert screen_valve_from_env() == 5
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "forever"])
-    def test_rejects_invalid(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_DBF_SCREEN_VALVE", bad)
-        with pytest.raises(ValueError, match="REPRO_DBF_SCREEN_VALVE"):
-            screen_valve_from_env()
-
-    def test_tuning_module_reads_knob(self):
-        from repro.analysis import vdtuning
-
-        assert vdtuning._SCREEN_VALVE == screen_valve_from_env()
 
 
 class TestVerdictCacheKnobs:
