@@ -59,6 +59,13 @@ class GeneratorConfig:
             )
         if not 0.0 < self.p_high < 1.0:
             raise ValueError(f"p_high must be in (0, 1), got {self.p_high}")
+        lo, hi = self.task_count_range
+        if not 2 <= lo <= hi:
+            raise ValueError(f"invalid task count range [{lo}, {hi}]")
+        if not 0 < self.t_min <= self.t_max:
+            raise ValueError(
+                f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]"
+            )
         if self.deadline_type not in ("implicit", "constrained"):
             raise ValueError(
                 "deadline_type must be 'implicit' or 'constrained', "
@@ -77,8 +84,6 @@ class GeneratorConfig:
         """Inclusive ``(n_min, n_max)`` with the paper's ``[m+1, 5m]`` default."""
         lo = self.n_min if self.n_min is not None else self.m + 1
         hi = self.n_max if self.n_max is not None else 5 * self.m
-        if not 2 <= lo <= hi:
-            raise ValueError(f"invalid task count range [{lo}, {hi}]")
         return lo, hi
 
 
@@ -252,20 +257,29 @@ class MCTaskSetGenerator:
         Tries unbiased random pairing first, then rank pairing (sort both
         descending), then the exact proportional fallback
         ``u_lo = u_hi * lh / sum(u_hi)``.
+
+        Both pairings are decided on Python lists: rank pairing succeeds
+        iff the k-th largest LO value is at most the k-th largest bound
+        for every k, whichever way argsort breaks ties (adding 1e-12 is
+        monotone, so it commutes with sorting).  The paired vector is
+        built with argsort only once it is accepted, so ties among
+        clipped randfixedsum values land where they always did.
         """
         cfg = self.config
         n = len(u_high)
+        bound = (u_high + 1e-12).tolist()
+        bound_desc = sorted(bound, reverse=True)
         for _ in range(20):
             u_low = self._draw_vector(rng, n, lh, cfg.u_max)
             if u_low is None:
                 break
-            if np.all(u_low <= u_high + 1e-12):
+            low = u_low.tolist()
+            if all(a <= b for a, b in zip(low, bound)):
                 return np.minimum(u_low, u_high)
-            order_low = np.argsort(-u_low)
-            order_high = np.argsort(-u_high)
-            paired = np.empty(n)
-            paired[order_high] = u_low[order_low]
-            if np.all(paired <= u_high + 1e-12):
+            low.sort(reverse=True)
+            if all(a <= b for a, b in zip(low, bound_desc)):
+                paired = np.empty(n)
+                paired[np.argsort(-u_high)] = u_low[np.argsort(-u_low)]
                 return np.minimum(paired, u_high)
         self.stats["coupling_fallbacks"] += 1
         scale = lh / u_high.sum()

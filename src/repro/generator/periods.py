@@ -8,6 +8,8 @@ magnitude instead of clustering at the large end.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["log_uniform_periods"]
@@ -28,6 +30,14 @@ def log_uniform_periods(
         raise ValueError(f"n must be non-negative, got {n}")
     if not 0 < t_min <= t_max:
         raise ValueError(f"need 0 < t_min <= t_max, got [{t_min}, {t_max}]")
-    raw = np.exp(rng.uniform(np.log(t_min), np.log(t_max), size=n))
+    low, high = _log_bounds(t_min, t_max)
+    raw = np.exp(rng.uniform(low, high, size=n))
     periods = np.rint(raw).astype(np.int64)
-    return np.clip(periods, t_min, t_max)
+    # Same result as np.clip (t_min <= t_max), without its argument checks.
+    return np.minimum(np.maximum(periods, t_min), t_max)
+
+
+@lru_cache(maxsize=None)
+def _log_bounds(t_min: int, t_max: int) -> tuple[float, float]:
+    """``np.log`` of the period range, computed once per range."""
+    return np.log(t_min), np.log(t_max)

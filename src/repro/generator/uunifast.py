@@ -18,9 +18,58 @@ Three standard techniques used by the real-time systems community to draw
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["uunifast", "uunifast_discard", "randfixedsum"]
+
+
+@lru_cache(maxsize=None)
+def _exponents(n: int) -> tuple[float, ...]:
+    """The fold exponents ``1 / (n-1-i)`` for ``i < n - 1``, computed once per ``n``."""
+    return tuple(1.0 / (n - 1 - i) for i in range(n - 1))
+
+
+def _fold(
+    rng: np.random.Generator,
+    exps: tuple[float, ...],
+    total: float,
+    u_min: float,
+    u_max: float,
+) -> np.ndarray | None:
+    """One UUniFast attempt over ``n = len(exps) + 1`` values (see
+    :func:`_exponents`), or None at the first value outside
+    ``[u_min, u_max]``.
+
+    Every attempt makes exactly one ``rng.random(n - 1)`` call, accepted or
+    not, so the stream is consumed as by the historical per-value loop
+    (array filling draws in per-call order).  The fold stays scalar on
+    Python floats: numpy's elementwise ``power`` is not guaranteed
+    ulp-identical to C ``pow``, and each step's rounding feeds the next.
+    Only an accepted vector becomes an ndarray.
+    """
+    values = []
+    remaining = total
+    for draw, exp in zip(rng.random(len(exps)).tolist(), exps):
+        nxt = remaining * draw**exp
+        value = remaining - nxt
+        if not u_min <= value <= u_max:
+            return None
+        values.append(value)
+        remaining = nxt
+    if not u_min <= remaining <= u_max:
+        return None
+    values.append(remaining)
+    return np.array(values)
+
+
+def _check_args(n: int, total: float) -> None:
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    if not 0 <= total < math.inf:
+        raise ValueError(f"total must be finite and non-negative, got {total}")
 
 
 def uunifast(rng: np.random.Generator, n: int, total: float) -> np.ndarray:
@@ -28,28 +77,11 @@ def uunifast(rng: np.random.Generator, n: int, total: float) -> np.ndarray:
 
     Uniformly distributed over the ``(n-1)``-simplex scaled by ``total``.
     """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    if total < 0:
-        raise ValueError(f"total must be non-negative, got {total}")
+    _check_args(n, total)
     if n == 1:
         return np.asarray([total])
-    # One batched draw replaces n-1 scalar generator calls.  Array filling
-    # consumes the underlying bit stream in exactly the per-call order, so
-    # the draws — and everything derived from them — are bit-identical to
-    # the historical loop (asserted by the generator exactness tests).  The
-    # arithmetic stays scalar: numpy's elementwise ``power`` is not
-    # guaranteed ulp-identical to C ``pow``, and the fold below feeds each
-    # step's rounding into the next.
-    draws = rng.random(n - 1)
-    values = np.empty(n)
-    remaining = total
-    for i in range(n - 1):
-        nxt = remaining * float(draws[i]) ** (1.0 / (n - 1 - i))
-        values[i] = remaining - nxt
-        remaining = nxt
-    values[n - 1] = remaining
-    return values
+    # Unbounded, the fold never rejects: a finite total keeps values finite.
+    return _fold(rng, _exponents(n), total, -math.inf, math.inf)
 
 
 def uunifast_discard(
@@ -64,13 +96,18 @@ def uunifast_discard(
 
     Returns None when no feasible vector was found within ``max_attempts``
     (also immediately when the box is infeasible: ``total > n*u_max`` or
-    ``total < n*u_min``).
+    ``total < n*u_min``).  Each attempt draws ``n - 1`` values, rejected
+    attempts included; ``n == 1`` draws nothing.
     """
-    if total > n * u_max + 1e-12 or total < n * u_min - 1e-12:
+    if total > n * u_max + 1e-12 or total < n * u_min - 1e-12 or max_attempts <= 0:
         return None
+    _check_args(n, total)
+    if n == 1:
+        return np.asarray([total]) if u_min <= total <= u_max else None
+    exps = _exponents(n)
     for _ in range(max_attempts):
-        values = uunifast(rng, n, total)
-        if values.max(initial=0.0) <= u_max and values.min(initial=1.0) >= u_min:
+        values = _fold(rng, exps, total, u_min, u_max)
+        if values is not None:
             return values
     return None
 

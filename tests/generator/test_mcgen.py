@@ -33,6 +33,10 @@ class TestGeneratorConfig:
             {"m": 2, "p_high": 0.0},
             {"m": 2, "p_high": 1.0},
             {"m": 2, "deadline_type": "arbitrary"},
+            {"m": 2, "t_min": 0},
+            {"m": 2, "t_min": -10},
+            {"m": 2, "t_min": 600, "t_max": 500},
+            {"m": 2, "n_min": 1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -40,8 +44,8 @@ class TestGeneratorConfig:
             GeneratorConfig(**kwargs)
 
     def test_bad_count_range_rejected(self):
-        with pytest.raises(ValueError):
-            GeneratorConfig(m=2, n_min=10, n_max=5).task_count_range
+        with pytest.raises(ValueError, match="task count range"):
+            GeneratorConfig(m=2, n_min=10, n_max=5)
 
 
 class TestGeneration:

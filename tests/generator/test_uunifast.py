@@ -33,6 +33,9 @@ class TestUUniFast:
             uunifast(rng(), 0, 1.0)
         with pytest.raises(ValueError):
             uunifast(rng(), 3, -0.1)
+        for total in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                uunifast(rng(), 3, total)
 
     @given(st.integers(min_value=1, max_value=20), st.floats(min_value=0.0, max_value=8.0))
     @settings(max_examples=50)
