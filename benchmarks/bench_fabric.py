@@ -1,8 +1,8 @@
-"""Campaign-fabric throughput: serial vs pool vs cluster, and retry cost.
+"""Campaign-fabric throughput: serial vs cluster, and retry cost.
 
 Drives the fig3 campaign slice (implicit deadlines, the paper's headline
-sweep, all three processor counts — 30 shards) through every executor
-backend, asserts the fabric contract — identical shard outcomes
+sweep, all three processor counts — 30 shards) through both executor
+backends, asserts the fabric contract — identical shard outcomes
 everywhere — and records wall-clock shard throughput in
 ``BENCH_fabric.json`` at the repo root (also uploaded as a CI artifact).
 A second pass measures the price of fault tolerance: the same cluster
@@ -10,16 +10,16 @@ run with 10% of units SIGKILLing their worker mid-shard (via
 :mod:`repro.runner.faults`, at-most-once markers so retries succeed),
 reported as an overhead factor over the clean cluster run.
 
-Wall time, not CPU time: the parallel backends spend their budget in
+Wall time, not CPU time: the parallel backend spends its budget in
 worker subprocesses, and the fault pass *is* latency (kill detection,
 respawn, backoff) rather than compute.  Speedups are bounded by the
 host's CPU count (recorded in the artifact) — on a one-CPU runner the
-parallel rows measure pure fabric overhead, which is the regression
+cluster row measures pure fabric overhead, which is the regression
 signal CI actually needs.
 
 Scale knob: ``REPRO_SAMPLES`` (task sets per UB bucket, default 50 here
-— large enough that worker startup amortizes and the parallel backends
-show real speedup).  The worker count is pinned at 4 so numbers stay
+— large enough that worker startup amortizes and the parallel backend
+shows real speedup).  The worker count is pinned at 4 so numbers stay
 comparable across runs.
 """
 
@@ -39,7 +39,7 @@ from conftest import RESULTS_DIR, bench_samples, emit
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Worker count for the parallel backends (pinned for comparability).
+#: Worker count for the parallel backend (pinned for comparability).
 JOBS = 4
 
 #: The fig3 processor sweep — one campaign-shaped batch of shards.
@@ -77,9 +77,8 @@ def doomed_rate(units) -> tuple[float, int]:
 
 
 def cluster_backend() -> ClusterBackend:
-    # Tight failure-detection timings so the fault pass measures the
-    # machinery, not a production-scale 300s lease.
-    return ClusterBackend(JOBS, heartbeat_interval=0.2, lease_timeout=60.0)
+    # A tight heartbeat so the fault pass measures the machinery.
+    return ClusterBackend(JOBS, heartbeat_interval=0.2)
 
 
 def timed_units(units, *, backend, jobs, repeats=2):
@@ -106,10 +105,8 @@ def test_bench_fabric_report(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_RUNNER_FAULT_DIR", raising=False)
 
     t_serial, r_serial = timed_units(units, backend="serial", jobs=1)
-    t_pool, r_pool = timed_units(units, backend="pool", jobs=JOBS)
     t_cluster, r_cluster = timed_units(units, backend="cluster", jobs=JOBS)
     # The non-negotiable fabric contract: identical results everywhere.
-    assert r_pool == r_serial, "pool backend diverged from serial"
     assert r_cluster == r_serial, "cluster backend diverged from serial"
 
     # Fault pass: ~10% of units kill their worker once, then succeed.
@@ -125,11 +122,9 @@ def test_bench_fabric_report(tmp_path, monkeypatch):
 
     backends = {
         "serial": {"jobs": 1, "seconds": round(t_serial, 4)},
-        "pool": {"jobs": JOBS, "seconds": round(t_pool, 4)},
         "cluster": {"jobs": JOBS, "seconds": round(t_cluster, 4)},
     }
-    for row, seconds in (("serial", t_serial), ("pool", t_pool),
-                         ("cluster", t_cluster)):
+    for row, seconds in (("serial", t_serial), ("cluster", t_cluster)):
         backends[row]["shards_per_sec"] = round(shards / seconds, 2)
         backends[row]["speedup_vs_serial"] = round(t_serial / seconds, 3)
 
@@ -140,7 +135,7 @@ def test_bench_fabric_report(tmp_path, monkeypatch):
         "shards": shards,
         "algorithms": list(FIG3_ALGORITHMS),
         # cpus matters for reading the speedups: on a single-CPU host the
-        # parallel backends can only measure their overhead, never a gain.
+        # parallel backend can only measure its overhead, never a gain.
         "host": {
             "python": platform.python_version(),
             "cpus": len(os.sched_getaffinity(0))
@@ -161,7 +156,7 @@ def test_bench_fabric_report(tmp_path, monkeypatch):
     }
 
     lines = [f"backend   jobs   {shards} shards    shards/s   vs serial"]
-    for row in ("serial", "pool", "cluster"):
+    for row in ("serial", "cluster"):
         b = backends[row]
         lines.append(
             f"{row:<9} {b['jobs']:<6} {b['seconds']:>9.3f}s "

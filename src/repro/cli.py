@@ -12,7 +12,7 @@ Commands
     Validate an accepted task set against the adversarial scenario battery.
 ``figure``
     Run one of the paper's figure experiments and print its tables
-    (``--jobs N`` fans buckets out over a worker pool; ``--cache-dir``
+    (``--jobs N`` fans buckets out over worker processes; ``--cache-dir``
     makes the run resumable).  With ``REPRO_OBS`` set, the collected
     metrics snapshot (and, under ``trace``, the Chrome-trace span dump)
     are written alongside the tables.
@@ -51,7 +51,7 @@ from repro.analysis import get_test, registered_tests
 from repro.core import get_strategy, partition, registered_strategies
 from repro.generator import MCTaskSetGenerator
 from repro.model import TaskSet
-from repro.util.env import DBF_KERNELS
+from repro.util.env import DBF_KERNELS, RUNNER_BACKENDS
 from repro.util.rng import derive_rng
 
 __all__ = ["main", "build_parser"]
@@ -138,12 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figure.add_argument(
         "--backend",
-        choices=("serial", "pool", "cluster"),
+        choices=RUNNER_BACKENDS,
         default=None,
         help=(
             "executor backend (default: REPRO_RUNNER_BACKEND, else serial "
-            "for --jobs 1 and pool otherwise); 'cluster' adds work-stealing "
-            "with heartbeat/lease fault recovery — results are identical"
+            "for --jobs 1 and cluster otherwise); 'cluster' runs worker "
+            "processes with heartbeat fault recovery — results are identical"
         ),
     )
     figure.add_argument(
@@ -239,12 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--backend",
-        choices=("serial", "pool", "cluster"),
+        choices=RUNNER_BACKENDS,
         default=None,
         help=(
             "executor backend (default: REPRO_RUNNER_BACKEND, else serial "
-            "for --jobs 1 and pool otherwise); 'cluster' adds work-stealing "
-            "with heartbeat/lease fault recovery — results are identical"
+            "for --jobs 1 and cluster otherwise); 'cluster' runs worker "
+            "processes with heartbeat fault recovery — results are identical"
         ),
     )
     campaign.add_argument(
@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--backend",
-        choices=("serial", "pool", "cluster"),
+        choices=RUNNER_BACKENDS,
         default=None,
         help="executor backend (default: REPRO_RUNNER_BACKEND, else auto)",
     )
@@ -515,7 +515,7 @@ def _resolve_jobs(jobs: int) -> int:
 def _apply_demand_kernel(kernel: str | None) -> None:
     """Apply ``--demand-kernel`` to this process and its future workers.
 
-    Exporting ``REPRO_DBF_KERNEL`` makes pool/cluster workers (fork or
+    Exporting ``REPRO_DBF_KERNEL`` makes cluster workers (fork or
     spawn) initialise on the requested kernel; ``set_demand_kernel``
     switches the conductor process itself.  ``None`` (flag not passed)
     leaves the env/default resolution untouched, so the documented order

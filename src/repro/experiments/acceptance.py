@@ -167,7 +167,7 @@ def merge_outcomes(
 ) -> SweepResult:
     """Assemble per-bucket shards into the result the serial sweep produces.
 
-    Outcomes may arrive in any order (e.g. from a worker pool); they are
+    Outcomes may arrive in any order (e.g. from worker processes); they are
     sorted by bucket and empty buckets are dropped, exactly mirroring the
     serial loop, so the merged result is bit-identical to a serial run.
     """
@@ -238,7 +238,7 @@ def kernel_summary(
 
     The batched shard runner records per-algorithm ``kernel.<algorithm>.
     <counter>`` deltas into :data:`repro.obs.REGISTRY` (workers ship theirs
-    through the pool), and this folds them back into the report shape the
+    back to the parent), and this folds them back into the report shape the
     ``--pipeline`` diagnostics print: the ``qpa-accept`` /
     ``approx-accept`` / ``approx-reject`` settle counters, with the
     run/iteration totals collapsed to ``qpa-iter-mean`` (mean backward

@@ -37,8 +37,8 @@ _FORMAT_VERSION = 1
 def sweep_config_to_dict(config: SweepConfig) -> dict[str, Any]:
     """JSON-compatible dict form of a sweep config.
 
-    Also the canonical config serialization the runner's shard cache hashes
-    (see :mod:`repro.runner.cache`), so a config field added here
+    Also the canonical config serialization the runner's shard store hashes
+    (see :mod:`repro.runner.store`), so a config field added here
     automatically invalidates stale cached shards.
     """
     data = {

@@ -9,7 +9,7 @@ see :func:`default_samples`.
 Every figure is planned declaratively (:func:`figure_plan` returns the
 sweeps it needs as :class:`SweepJob` entries) and executed through the
 campaign runner (:mod:`repro.runner`): pass ``jobs=N`` to fan buckets out
-over a worker pool and ``cache=ShardCache(...)`` to make runs resumable —
+over worker processes and ``cache=FsStore(...)`` to make runs resumable —
 results are bit-identical to a serial, uncached run either way.
 """
 

@@ -17,7 +17,7 @@ Chrome-trace export.  Design rules, relied on everywhere:
   dict increments, exactly their historical cost — because the CLI
   pipeline diagnostics must work without any knob.)
 * **Mergeable.**  Worker processes ship their registry snapshot and spans
-  back through the pool (:func:`capture_payload` / :func:`absorb_payload`)
+  back to the parent (:func:`capture_payload` / :func:`absorb_payload`)
   and the parent folds them in associatively, so parallel runs report the
   same totals as serial ones.
 

@@ -7,7 +7,7 @@ negative spans and oscillating ETAs.  Funnelling all reads through this
 module keeps that rule greppable and gives tests a single seam to patch.
 
 ``CLOCK_MONOTONIC`` is system-wide on Linux, so timestamps taken in
-forked pool workers are directly comparable with the parent's — which is
+forked worker processes are directly comparable with the parent's — which is
 what lets the Chrome-trace export lay worker shard spans on the same time
 axis as the campaign span that contains them.
 """

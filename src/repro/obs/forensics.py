@@ -83,7 +83,8 @@ def assemble_postmortem(source, key: str) -> dict:
     retries = [event for event in timeline if event["ev"] == "retry"]
     # Dispatch attempts: every retry re-dispatches once on top of the
     # initial dispatch; claims undercount when a worker dies between
-    # stealing and claiming, so take whichever chain saw more.
+    # receiving a unit and journaling its claim, so take whichever chain
+    # saw more.
     attempts = max(len(claims), len(retries) + 1 if retries else 1)
     for event in retries:
         if isinstance(event.get("attempt"), int):

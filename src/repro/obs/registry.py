@@ -3,7 +3,7 @@
 One :class:`MetricsRegistry` lives per process (``repro.obs.REGISTRY``).
 Everything it stores is plain picklable data, and every aggregate is
 *mergeable*: a worker process can snapshot its registry, ship the snapshot
-through the pool, and the parent folds it in with :meth:`MetricsRegistry.
+to the parent, and the parent folds it in with :meth:`MetricsRegistry.
 merge` — addition for counters, element-wise max for gauges, bucket-wise
 addition for histograms — so the merged result is independent of worker
 count and arrival order (merge is associative and commutative; the test

@@ -7,18 +7,17 @@ exactly those shards and runs them fast, restartably and survivably:
 * :mod:`repro.runner.units` — decompose a sweep into picklable
   :class:`~repro.runner.units.WorkUnit` shards; ``run_unit`` executes one.
 * :mod:`repro.runner.executor` — the ``ExecutorBackend`` protocol
-  (``submit``/``as_completed``/``shutdown``) with in-process
-  :class:`~repro.runner.executor.SerialBackend` and fork-pool
-  :class:`~repro.runner.executor.ProcessPoolBackend` implementations;
-  worker failures surface as typed
+  (``submit``/``as_completed``/``shutdown``), the in-process
+  :class:`~repro.runner.executor.SerialBackend` reference and backend
+  resolution; worker failures surface as typed
   :class:`~repro.runner.executor.WorkerCrashError`\\ s.
-* :mod:`repro.runner.cluster` — the work-stealing
-  :class:`~repro.runner.cluster.ClusterBackend`: lease-based claims,
-  heartbeat liveness, re-dispatch of units lost to killed/hung workers,
-  exactly-once merge.
+* :mod:`repro.runner.cluster` — the one parallel backend,
+  :class:`~repro.runner.cluster.ClusterBackend`: parent-assigned units,
+  heartbeat liveness, re-dispatch of units lost to killed workers, an
+  opt-in lease for hung ones, exactly-once merge.
 * :mod:`repro.runner.store` — the ``ShardStore`` interface over the
   content-addressed shard layout: :class:`~repro.runner.store.FsStore`
-  (PR 1's ``ShardCache``) and the flat multi-host
+  and the flat multi-host
   :class:`~repro.runner.store.ObjectStore`; interrupted campaigns
   resume, re-renders never recompute.
 * :mod:`repro.runner.pool` — ``run_sweep``/``execute_units`` conduct
@@ -47,7 +46,6 @@ from repro.runner.cluster import ClusterBackend
 from repro.runner.executor import (
     ExecutorBackend,
     FabricObserver,
-    ProcessPoolBackend,
     SerialBackend,
     UnitResult,
     WorkerCrashError,
@@ -61,7 +59,6 @@ from repro.runner.store import (
     SHARD_FORMAT_VERSION,
     FsStore,
     ObjectStore,
-    ShardCache,
     ShardStore,
     create_store,
     unit_key,
@@ -71,7 +68,6 @@ from repro.runner.units import WorkUnit, decompose_sweep, run_unit
 __all__ = [
     "SHARD_FORMAT_VERSION",
     "ShardStore",
-    "ShardCache",
     "FsStore",
     "ObjectStore",
     "create_store",
@@ -82,7 +78,6 @@ __all__ = [
     "run_campaign",
     "ExecutorBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
     "ClusterBackend",
     "UnitResult",
     "WorkerCrashError",

@@ -186,10 +186,10 @@ def run_campaign(
 
     The shard store defaults to ``<out_dir>/cache`` so simply re-running
     the same command resumes/finishes an interrupted campaign; point
-    ``cache_dir`` at shared storage to pool shards across campaigns and
+    ``cache_dir`` at shared storage to share shards across campaigns and
     hosts.  ``pipeline`` selects the shard execution path (columnar
     ``"batched"`` by default), ``backend`` the executor (``serial`` /
-    ``pool`` / ``cluster``; default consults ``REPRO_RUNNER_BACKEND``)
+    ``cluster``; default consults ``REPRO_RUNNER_BACKEND``)
     and ``store`` the shard-store layout (``fs`` / ``object``; default
     consults ``REPRO_RUNNER_STORE``) — outputs and shard payloads are
     identical under every combination.

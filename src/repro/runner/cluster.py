@@ -1,23 +1,28 @@
-"""Fault-tolerant work-stealing execution: the ``cluster`` backend.
+"""Fault-tolerant parallel execution: the ``cluster`` backend.
 
-:class:`ClusterBackend` runs a batch of work units over *independent*
-worker subprocesses — no ``multiprocessing.Pool`` machinery, no shared
-fate.  The parent owns a work queue that idle workers steal from, and
-three cooperating mechanisms make the run survive anything short of the
-parent itself dying:
+:class:`ClusterBackend` is the fabric's one parallel backend.  It runs a
+batch of work units over *independent* worker subprocesses — no
+``multiprocessing.Pool`` machinery, no shared fate.  The parent assigns
+every unit itself: each worker has its own task pipe and is sent one
+unit when it starts and the next one whenever it reports the last, so
+the parent always knows exactly which unit every worker holds.  Three
+mechanisms make the run survive anything short of the parent itself
+dying:
 
-* **Lease-based claims.**  A worker announces each unit it pulls
-  (``claim``) before touching it; the parent records a lease.  A unit
-  whose lease outlives ``lease_timeout`` is presumed stuck — its worker
-  is killed and the unit is re-dispatched with exponential backoff.
 * **Heartbeat liveness.**  Every worker stamps a shared heartbeat slot
   from a daemon thread; a worker whose process is gone (``SIGKILL``,
-  OOM) or whose stamp goes stale is declared lost, its leased units are
-  re-dispatched immediately, and a replacement worker is spawned into
-  the same slot.  Detection of a killed worker is driven by process
-  liveness, well inside one heartbeat interval.
-* **Exactly-once merge.**  Re-dispatch can race a slow-but-alive
-  original attempt, so completions are deduplicated by unit: the first
+  OOM) or whose stamp goes stale is declared lost, the unit it held is
+  re-dispatched with exponential backoff, and a replacement worker is
+  spawned into the same slot.  Detection of a killed worker is driven
+  by process liveness, well inside one heartbeat interval.
+* **Opt-in lease.**  A hung worker keeps heartbeating, so only a
+  wall-clock budget catches it.  With ``lease_timeout`` (or
+  ``REPRO_RUNNER_LEASE``) set, a worker holding one unit longer than the
+  lease is put down like a lost one.  Unset — the default — a unit whose
+  worker is alive and heartbeating is never killed: a budget cannot tell
+  a slow shard from a hung one.
+* **Exactly-once merge.**  A worker declared lost may already have sent
+  its outcome, so completions are deduplicated by unit: the first
   outcome wins, later duplicates are counted (``stats["duplicates"]``)
   and dropped.  Outcomes are pure functions of their unit, so *which*
   attempt wins is immaterial — the merged result is bit-identical to a
@@ -26,32 +31,34 @@ parent itself dying:
 A unit that keeps failing (``max_attempts`` worker deaths, hangs or
 exceptions) raises a typed :class:`~repro.runner.executor.
 WorkerCrashError` carrying the unit's content key, attempt count and the
-last heartbeat age — never a raw traceback from pool internals.
+last heartbeat age — never a raw traceback from worker internals.
 
-Results travel over a ``SimpleQueue``, whose sends complete in the
-calling thread before ``put`` returns — a worker killed *between* sends
-can never leave a half-written claim behind.  Claims carry a per-slot
-*generation* stamp: a claim drained after its sender was already reaped
-(the conductor reaps before it polls, and a replacement may occupy the
-slot) is recognized as stale and its unit re-dispatched immediately
-instead of leased to a worker that never took it.  (A worker killed in
-the middle of a send is the one residual race; its units still recover
-through the lease timeout.)  Worker deaths injected for testing go
-through :mod:`repro.runner.faults`, which SIGKILLs mid-shard — after
-the claim, before the outcome — precisely the window the lease/
-heartbeat machinery exists for.
+Results travel over one shared ``SimpleQueue``.  Observability rides the
+same wire: a worker clears the process :data:`repro.obs.REGISTRY` before
+each unit and ships its contribution back next to the outcome
+(:func:`repro.obs.capture_payload`); the conductor folds payloads in
+associatively, so counters, histograms and (under ``REPRO_OBS=trace``)
+spans carry the totals a serial run reports.  Payloads are always
+shipped, because the demand-kernel counters behind the CLI
+``--pipeline`` diagnostics must keep working with ``REPRO_OBS`` off.
+Worker deaths injected for testing go through :mod:`repro.runner.
+faults`, which SIGKILLs or hangs a worker mid-shard — after it journals
+its claim, before the outcome.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import multiprocessing
 import threading
 import time
 import traceback
+from collections import deque
 from typing import Iterator, Sequence
 
 from repro import obs
+from repro.experiments.acceptance import BucketOutcome
 from repro.obs import clock
 from repro.obs.forensics import (
     assemble_postmortem,
@@ -65,9 +72,7 @@ from repro.runner.executor import (
     FabricObserver,
     UnitResult,
     WorkerCrashError,
-    payload_busy_seconds,
-    pool_context,
-    run_unit_observed,
+    timed_unit,
 )
 from repro.runner.store import unit_key
 from repro.runner.units import WorkUnit
@@ -83,23 +88,50 @@ __all__ = ["ClusterBackend"]
 BACKOFF_CAP = 2.0
 
 
+def worker_context() -> multiprocessing.context.BaseContext:
+    # fork keeps worker start-up negligible next to shard runtimes; fall
+    # back to spawn where fork does not exist (Windows).
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context("spawn")
+
+
+def run_unit_observed(unit: WorkUnit, backend: str) -> tuple[BucketOutcome, dict]:
+    """Worker entry point: the outcome plus this unit's obs payload.
+
+    Clearing first makes the payload exactly the unit's contribution, so
+    the parent can absorb payloads in any completion order without double
+    counting (registry merge is associative and commutative).
+    """
+    obs.clear()
+    outcome = timed_unit(unit, backend)
+    return outcome, obs.capture_payload()
+
+
+def payload_busy_seconds(payload: dict | None) -> float:
+    """Worker-side shard seconds carried by one obs payload (0.0 when the
+    worker recorded none, i.e. recording is off)."""
+    if not payload:
+        return 0.0
+    histograms = payload.get("registry", {}).get("histograms", {})
+    state = histograms.get("runner.shard-seconds")
+    return float(state["total"]) if state else 0.0
+
+
 def _cluster_worker_main(
     slot: int,
     units: list[WorkUnit],
-    task_q,
+    tasks,
     result_q,
     heartbeats,
     beat_every: float,
-    generation: int,
 ) -> None:
-    """Worker entry point: steal, claim, run, report — until the sentinel.
+    """Worker entry point: receive, run, report — until the parent stops us.
 
-    The claim is sent *before* the unit runs (and before the
-    fault-injection hook fires) so the parent always knows which unit a
-    lost worker took down with it.  Each claim carries this worker's
-    ``generation`` stamp so the parent can tell a claim drained *after*
-    the sender was reaped (and a replacement spawned into the slot)
-    from a claim by the slot's current occupant.
+    Units arrive one at a time on this worker's own ``tasks`` pipe as
+    ``(seq, pos)``; the worker reports each on the shared result queue
+    and then waits for the next.
 
     With ``REPRO_OBS_JOURNAL`` set (inherited from the conductor's
     environment), the worker also journals each claim and a heartbeat
@@ -126,11 +158,10 @@ def _cluster_worker_main(
     threading.Thread(target=beat, daemon=True).start()
     try:
         while True:
-            item = task_q.get()
-            if item is None:
+            try:
+                seq, pos = tasks.recv()
+            except EOFError:
                 return
-            seq, pos = item
-            result_q.put(("claim", slot, seq, pos, generation))
             unit = units[pos]
             journal = active_journal()
             if journal is not None:
@@ -155,7 +186,7 @@ def _cluster_worker_main(
 
 
 class ClusterBackend(ExecutorBackend):
-    """Work-stealing queue over independent, expendable worker processes."""
+    """Parent-assigned units over independent, expendable worker processes."""
 
     name = "cluster"
 
@@ -176,6 +207,7 @@ class ClusterBackend(ExecutorBackend):
             if heartbeat_interval is not None
             else heartbeat_interval_from_env()
         )
+        #: wall-clock budget per held unit; ``None`` means no budget.
         self.lease_timeout = (
             lease_timeout if lease_timeout is not None else lease_timeout_from_env()
         )
@@ -192,19 +224,16 @@ class ClusterBackend(ExecutorBackend):
             "worker_errors": 0,
         }
         self._units: list[WorkUnit] = []
-        self._ctx = pool_context()
+        self._ctx = worker_context()
         self._procs: list = []
-        self._task_q = None
+        self._pipes: list = []  # slot -> (read end, write end) of its task pipe
         self._result_q = None
         self._heartbeats = None
         self._shutdown = False
         # dispatch bookkeeping (all parent-side, all per-run)
         self._seq = itertools.count()
-        self._inflight: dict[int, int] = {}  # seq -> pos
-        self._dispatched_at: dict[int, float] = {}  # seq -> enqueue time
-        self._leases: dict[int, tuple[int, float]] = {}  # seq -> (slot, t)
-        self._claims: dict[int, set[int]] = {}  # slot -> claimed seqs
-        self._generations: dict[int, int] = {}  # slot -> spawn count
+        self._held: dict[int, tuple[int, int, float]] = {}  # slot -> (seq, pos, t)
+        self._ready: deque[int] = deque()  # positions awaiting an idle worker
         self._attempts: dict[int, int] = {}  # pos -> dispatch count
         self._redispatch: list[tuple[float, int]] = []  # (due, pos) heap
         self._done: set[int] = set()
@@ -217,41 +246,47 @@ class ClusterBackend(ExecutorBackend):
     def as_completed(self) -> Iterator[UnitResult]:
         if not self._units:
             return
-        self._task_q = self._ctx.Queue()
         self._result_q = self._ctx.SimpleQueue()
         self._heartbeats = self._ctx.Array("d", self.workers, lock=False)
         now = clock.monotonic()
         self._procs = [None] * self.workers
+        self._pipes = [None] * self.workers
         for slot in range(self.workers):
             self._spawn(slot, now)
         self.observer.workers_changed(self.workers, self.workers)
-        for pos in range(len(self._units)):
-            self._attempts[pos] = 1
-            self._dispatch(pos, now)
+        self._attempts = dict.fromkeys(range(len(self._units)), 1)
+        self._ready.extend(range(len(self._units)))
 
         busy = 0.0
         started = now
         while len(self._done) < len(self._units):
             now = clock.monotonic()
             self._reap_lost_workers(now)
-            self._expire_leases(now)
+            if self.lease_timeout is not None:
+                self._expire_leases(now)
             self._flush_redispatch(now)
+            self._assign(now)
             message = self._poll_result(self.poll_interval)
             if message is None:
                 continue
             kind, slot, seq, pos = message[0], message[1], message[2], message[3]
-            if kind == "claim":
-                self._record_claim(slot, seq, message[4])
-            elif kind == "done":
-                self._release(seq, slot)
+            # A report from a worker already declared lost finds its slot
+            # re-assigned (or empty); its unit was re-dispatched then.
+            held = self._held.get(slot)
+            current = held is not None and held[0] == seq
+            if current:
+                # Hand the freed worker its next unit before the caller
+                # spends time on this one's outcome.
+                del self._held[slot]
+                self._assign(clock.monotonic())
+            if kind == "done":
                 if pos in self._done:
                     self.stats["duplicates"] += 1
                     continue
                 self._done.add(pos)
                 busy += payload_busy_seconds(message[5])
                 yield UnitResult(pos, message[4], message[5])
-            elif kind == "error":
-                self._release(seq, slot)
+            elif current:
                 self.stats["worker_errors"] += 1
                 self._retry_or_fail(pos, detail=message[4])
 
@@ -277,35 +312,43 @@ class ClusterBackend(ExecutorBackend):
                     proc.kill()
                     proc.join(timeout=2.0)
         self._procs = []
-        if self._task_q is not None:
-            self._task_q.cancel_join_thread()
-            self._task_q.close()
-            self._task_q = None
+        for slot in range(len(self._pipes)):
+            self._close_pipe(slot)
+        self._pipes = []
         self._result_q = None
         self.observer.workers_changed(0, self.workers)
 
     # -- worker lifecycle -------------------------------------------------------
     def _spawn(self, slot: int, now: float) -> None:
+        # The parent keeps the read end open too, so a unit sent to a
+        # worker that has just died sits in the pipe instead of raising;
+        # the next reap reclaims it from ``_held``.
+        self._close_pipe(slot)
+        self._pipes[slot] = self._ctx.Pipe(duplex=False)
         self._heartbeats[slot] = now
-        self._generations[slot] = self._generations.get(slot, 0) + 1
         proc = self._ctx.Process(
             target=_cluster_worker_main,
             args=(
                 slot,
                 self._units,
-                self._task_q,
+                self._pipes[slot][0],
                 self._result_q,
                 self._heartbeats,
                 self.heartbeat_interval / 4.0,
-                self._generations[slot],
             ),
             daemon=True,
         )
         proc.start()
         self._procs[slot] = proc
 
+    def _close_pipe(self, slot: int) -> None:
+        pipe, self._pipes[slot] = self._pipes[slot], None
+        if pipe is not None:
+            for end in pipe:
+                end.close()
+
     def _reap_lost_workers(self, now: float) -> None:
-        """Declare dead/stale workers lost; re-dispatch their claims fast."""
+        """Declare dead/stale workers lost; re-dispatch their units fast."""
         max_age = 0.0
         for slot, proc in enumerate(self._procs):
             if proc is None:
@@ -328,15 +371,11 @@ class ClusterBackend(ExecutorBackend):
             1 for p in self._procs if p is not None and p.is_alive()
         )
         self.observer.workers_changed(alive, self.workers)
-        for seq in sorted(self._claims.pop(slot, ())):
-            pos = self._inflight.pop(seq, None)
-            self._leases.pop(seq, None)
-            self._dispatched_at.pop(seq, None)
-            if pos is not None and pos not in self._done:
-                self.observer.unit_reclaimed(
-                    self._units[pos], slot, heartbeat_age
-                )
-                self._retry_or_fail(pos, heartbeat_age=heartbeat_age)
+        held = self._held.pop(slot, None)
+        if held is not None and held[1] not in self._done:
+            pos = held[1]
+            self.observer.unit_reclaimed(self._units[pos], slot, heartbeat_age)
+            self._retry_or_fail(pos, heartbeat_age=heartbeat_age)
         if not self._shutdown:
             self._spawn(slot, now)
             self.observer.workers_changed(
@@ -345,69 +384,30 @@ class ClusterBackend(ExecutorBackend):
             )
 
     # -- dispatch / retry -------------------------------------------------------
-    def _dispatch(self, pos: int, now: float) -> None:
-        seq = next(self._seq)
-        self._inflight[seq] = pos
-        self._dispatched_at[seq] = now
-        self._task_q.put((seq, pos))
-
-    def _record_claim(self, slot: int, seq: int, generation: int) -> None:
-        """Lease the unit to its claimer — unless the claimer is dead.
-
-        A claim can be drained from the result channel *after* its
-        sender was reaped and a replacement spawned into the same slot
-        (the conductor reaps before it polls).  Leasing it then would
-        park the unit on a worker that never took it, stalling the run
-        until the lease times out.  A stale generation stamp identifies
-        that wreck: the unit died with its claimer, so reclaim it on
-        the spot.
-        """
-        pos = self._inflight.get(seq)
-        if pos is None:
-            return
-        if generation == self._generations.get(slot):
-            self._leases[seq] = (slot, clock.monotonic())
-            self._claims.setdefault(slot, set()).add(seq)
-            return
-        self._inflight.pop(seq, None)
-        self._leases.pop(seq, None)
-        self._dispatched_at.pop(seq, None)
-        if pos not in self._done:
-            self.observer.unit_reclaimed(self._units[pos], slot, 0.0)
-            self._retry_or_fail(pos)
-
-    def _release(self, seq: int, slot: int) -> None:
-        self._inflight.pop(seq, None)
-        self._leases.pop(seq, None)
-        self._dispatched_at.pop(seq, None)
-        claimed = self._claims.get(slot)
-        if claimed is not None:
-            claimed.discard(seq)
+    def _assign(self, now: float) -> None:
+        """Send the next ready unit to every idle worker."""
+        for slot in range(len(self._procs)):
+            if slot in self._held:
+                continue
+            while self._ready and self._ready[0] in self._done:
+                self._ready.popleft()
+            if not self._ready:
+                return
+            pos = self._ready.popleft()
+            seq = next(self._seq)
+            self._held[slot] = (seq, pos, now)
+            self._pipes[slot][1].send((seq, pos))
 
     def _expire_leases(self, now: float) -> None:
-        """Reclaim units stuck past their lease — hung workers included.
+        """Put down every worker holding one unit past the lease.
 
-        A claimed unit whose lease expired means its worker is wedged:
-        the worker is put down like any lost one (which also re-dispatches
-        everything else it claimed).  An *unclaimed* dispatch this old
-        means the claim was lost with a dying worker — re-dispatch it.
+        A heartbeating worker that overstays is presumed hung; it is
+        lost like any other, which re-dispatches the unit it held.
         """
-        expired_slots = set()
-        for seq, (slot, since) in self._leases.items():
+        for slot, (_, pos, since) in list(self._held.items()):
             if now - since > self.lease_timeout:
-                expired_slots.add(slot)
-                pos = self._inflight.get(seq)
-                if pos is not None:
-                    self.observer.lease_expired(self._units[pos], slot)
-        for slot in expired_slots:
-            self._lose_worker(slot, now - self._heartbeats[slot], now)
-        for seq, since in list(self._dispatched_at.items()):
-            if seq in self._leases or now - since <= 2.0 * self.lease_timeout:
-                continue
-            pos = self._inflight.pop(seq, None)
-            self._dispatched_at.pop(seq, None)
-            if pos is not None and pos not in self._done:
-                self._retry_or_fail(pos)
+                self.observer.lease_expired(self._units[pos], slot)
+                self._lose_worker(slot, now - self._heartbeats[slot], now)
 
     def _retry_or_fail(
         self,
@@ -451,7 +451,7 @@ class ClusterBackend(ExecutorBackend):
         while self._redispatch and self._redispatch[0][0] <= now:
             _, pos = heapq.heappop(self._redispatch)
             if pos not in self._done:
-                self._dispatch(pos, now)
+                self._ready.append(pos)
 
     # -- result intake ----------------------------------------------------------
     def _poll_result(self, timeout: float):

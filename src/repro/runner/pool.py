@@ -9,9 +9,9 @@ Determinism comes for free from the per-replicate RNG derivation (see
 and merge in bucket order.
 
 The heavy lifting lives one layer down: :mod:`repro.runner.executor`
-defines the ``ExecutorBackend`` protocol (serial / pool / cluster — the
-latter in :mod:`repro.runner.cluster`) and :mod:`repro.runner.store` the
-``ShardStore`` persistence interface.  This module is the conductor:
+defines the ``ExecutorBackend`` protocol (in-process ``serial`` and the
+parallel ``cluster`` of :mod:`repro.runner.cluster`) and
+:mod:`repro.runner.store` the ``ShardStore`` persistence interface.  This module is the conductor:
 load what the store already has, hand the rest to a backend, absorb obs
 payloads, record outcomes and progress.
 """
@@ -56,12 +56,12 @@ def execute_units(
 ) -> list[BucketOutcome]:
     """Run every unit, preferring stored shards, and return them in order.
 
-    ``backend`` picks the executor (``"serial"`` / ``"pool"`` /
-    ``"cluster"``, a ready instance, or ``None`` to consult
-    ``REPRO_RUNNER_BACKEND`` and fall back to the historical auto rule:
-    in-process serial unless ``jobs > 1``).  Every backend produces
-    bit-identical outcomes; the serial path is what the others are
-    verified against.
+    ``backend`` picks the executor (``"serial"`` / ``"cluster"``, a
+    ready instance, or ``None`` to consult ``REPRO_RUNNER_BACKEND`` and
+    fall back to the auto rule: ``cluster`` when ``jobs`` and the
+    pending unit count both exceed one, in-process serial otherwise).
+    Every backend produces bit-identical outcomes; the serial path is
+    what ``cluster`` is verified against.
 
     With ``REPRO_OBS_JOURNAL`` set, the conductor journals the sweep's
     shape (``sweep-start`` with unit/cached counts), each merged outcome

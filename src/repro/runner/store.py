@@ -18,8 +18,7 @@ canonical payload serialization (:func:`encode_outcome`).  A
 Two layouts implement the interface:
 
 * :class:`FsStore` — the original two-level ``<key[:2]>/<key>.json``
-  fan-out (à la git objects).  ``ShardCache`` is this class under its
-  historical name.
+  fan-out (à la git objects).
 * :class:`ObjectStore` — a flat ``objects/<key>`` bucket shaped like a
   put/get/exists object store; point it at shared (e.g. network) storage
   and independent campaign processes on different hosts pool shards.
@@ -56,7 +55,6 @@ __all__ = [
     "ShardStore",
     "FsStore",
     "ObjectStore",
-    "ShardCache",
     "STORES",
     "create_store",
     "unit_describe",
@@ -307,9 +305,6 @@ class ObjectStore(ShardStore):
     def discard(self, key: str) -> None:
         self._blob_path(key).unlink(missing_ok=True)
 
-
-#: The historical name: PR 1's cache class *is* the filesystem store.
-ShardCache = FsStore
 
 #: Registered layouts, by the name the CLI/env knob uses.
 STORES: dict[str, type[ShardStore]] = {

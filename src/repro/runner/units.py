@@ -5,8 +5,8 @@ A sweep over the utilization grid is an embarrassingly parallel job: each
 from ``(label, m, deadline_type, p_high, bucket, replicate)``, so one
 :class:`WorkUnit` — one ``(sweep config, bucket)`` shard — can run in any
 process, in any order, and still produce the exact outcome the serial
-sweep would.  :func:`run_unit` is the picklable entry point the worker
-pool ships to subprocesses.
+sweep would.  :func:`run_unit` is the entry point every backend runs,
+in the calling process or in a worker subprocess.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def decompose_sweep(
 def run_unit(unit: WorkUnit) -> BucketOutcome:
     """Execute one work unit (in this process).
 
-    Deterministic in the unit alone — the pool relies on this both for
+    Deterministic in the unit alone — the runner relies on this both for
     order-independent merging and for content-addressed caching.
     """
     sweep = AcceptanceSweep(unit.config, pipeline=unit.pipeline)

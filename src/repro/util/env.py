@@ -57,15 +57,17 @@ Three configure the durable telemetry plane of :mod:`repro.obs.journal`:
 
 Four configure the campaign fabric of :mod:`repro.runner`:
 
-* ``REPRO_RUNNER_BACKEND`` — ``serial``, ``pool`` or ``cluster``
-  executor backend; empty (default) auto-selects from ``jobs`` exactly
-  as before the backend layer existed.
+* ``REPRO_RUNNER_BACKEND`` — ``serial`` or ``cluster`` executor
+  backend; empty (default) auto-selects ``cluster`` when more than one
+  job and more than one pending unit are in play, ``serial`` otherwise.
 * ``REPRO_RUNNER_STORE`` — ``fs`` (default, the two-level fan-out
   layout) or ``object`` (flat content-keyed bucket) shard-store layout.
 * ``REPRO_RUNNER_HEARTBEAT`` — cluster worker heartbeat interval in
   seconds (default 2.0).
-* ``REPRO_RUNNER_LEASE`` — cluster work-unit lease timeout in seconds
-  (default 300.0); a unit not finished within its lease is re-dispatched.
+* ``REPRO_RUNNER_LEASE`` — cluster work-unit lease in seconds; a worker
+  holding one unit longer is presumed hung, put down and its unit
+  re-dispatched.  Empty (default) sets no lease, so a slow shard on a
+  live, heartbeating worker is never killed.
 
 This module is the single parsing/validation point; the figure defaults,
 the benchmark harness and the analysis kernel all delegate here so a
@@ -105,8 +107,9 @@ OBS_MODES = ("off", "metrics", "trace")
 #: are trajectory-identical; ``block`` is verdict-identical only.
 DBF_KERNELS = ("forward", "qpa", "block")
 
-#: Valid executor backends, in increasing machinery order ("" = auto).
-RUNNER_BACKENDS = ("serial", "pool", "cluster")
+#: Valid executor backends, in increasing machinery order ("" = auto) —
+#: the one list the runner, the env knob and the CLI all read.
+RUNNER_BACKENDS = ("serial", "cluster")
 
 #: Valid shard-store layouts.
 RUNNER_STORES = ("fs", "object")
@@ -130,7 +133,7 @@ def positive_int_env(name: str, fallback: int) -> int:
     return value
 
 
-def positive_float_env(name: str, fallback: float) -> float:
+def positive_float_env(name: str, fallback: float | None) -> float | None:
     """Read a positive float from the environment, or ``fallback``.
 
     Same contract as :func:`positive_int_env`: malformed values raise
@@ -288,8 +291,8 @@ def straggler_factor_from_env(fallback: float = 4.0) -> float:
 def runner_backend_from_env(fallback: str = "") -> str:
     """Executor backend: ``REPRO_RUNNER_BACKEND`` or ``fallback``.
 
-    ``""`` means "auto": pick ``pool`` or ``serial`` from the ``jobs``
-    argument like the pre-fabric runner did.  Anything other than
+    ``""`` means "auto": pick ``cluster`` or ``serial`` from the
+    ``jobs`` and pending-unit counts.  Anything other than
     :data:`RUNNER_BACKENDS` raises — running a campaign on the wrong
     backend because of a typo would waste hours, not milliseconds.
     """
@@ -322,9 +325,9 @@ def heartbeat_interval_from_env(fallback: float = 2.0) -> float:
     return positive_float_env("REPRO_RUNNER_HEARTBEAT", fallback)
 
 
-def lease_timeout_from_env(fallback: float = 300.0) -> float:
-    """Cluster unit-lease timeout (s): ``REPRO_RUNNER_LEASE`` or ``fallback``."""
-    return positive_float_env("REPRO_RUNNER_LEASE", fallback)
+def lease_timeout_from_env() -> float | None:
+    """Cluster unit lease (s): ``REPRO_RUNNER_LEASE``, or ``None`` (no lease)."""
+    return positive_float_env("REPRO_RUNNER_LEASE", None)
 
 
 def m_values_from_env(fallback: tuple[int, ...] = (2, 4, 8)) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from repro.experiments.acceptance import (
 )
 from repro.experiments.algorithms import get_algorithm
 from repro.experiments.weighted import weighted_acceptance_ratio
-from repro.runner import ShardCache, decompose_sweep, run_sweep, run_unit
+from repro.runner import FsStore, decompose_sweep, run_sweep, run_unit
 
 #: Mini versions of the paper's figure configurations (every test family,
 #: both deadline types, a degraded-service fig7 slice).
@@ -88,7 +88,7 @@ class TestCacheInteraction:
     def test_cache_keys_ignore_pipeline(self, tmp_path):
         config = config_for("fig3", "implicit", "full-drop")
         names = ("cu-udp-edf-vd",)
-        cache = ShardCache(tmp_path)
+        cache = FsStore(tmp_path)
         scalar_units = decompose_sweep(config, names, pipeline="scalar")
         batched_units = decompose_sweep(config, names, pipeline="batched")
         for a, b in zip(scalar_units, batched_units):
@@ -97,7 +97,7 @@ class TestCacheInteraction:
     def test_shards_interchangeable_between_pipelines(self, tmp_path):
         config = config_for("fig3", "implicit", "full-drop")
         names = ("cu-udp-edf-vd",)
-        cache = ShardCache(tmp_path)
+        cache = FsStore(tmp_path)
         unit_b = decompose_sweep(config, names, pipeline="batched")[3]
         outcome = run_unit(unit_b)
         cache.store(unit_b, outcome)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.util.env import DBF_KERNELS
+from repro.util.env import DBF_KERNELS, RUNNER_BACKENDS
 
 
 @pytest.fixture
@@ -260,3 +260,22 @@ class TestParser:
         """Without the flag the CLI leaves the kernel to REPRO_DBF_KERNEL."""
         target = ["--figures", "fig3"] if command == "campaign" else ["fig3"]
         assert build_parser().parse_args([command, *target]).demand_kernel is None
+
+    @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
+    def test_retired_pool_backend_rejected(self, command, capsys):
+        """Every --backend flag reads the one backend list, so the
+        retired ``pool`` backend is a usage error naming the valid ones."""
+        target = ["--figures", "fig3"] if command == "campaign" else ["fig3"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *target, "--backend", "pool"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'pool'" in err
+        assert "'serial', 'cluster'" in err
+
+    @pytest.mark.parametrize("backend", RUNNER_BACKENDS)
+    @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
+    def test_every_backend_accepted(self, command, backend):
+        target = ["--figures", "fig3"] if command == "campaign" else ["fig3"]
+        args = build_parser().parse_args([command, *target, "--backend", backend])
+        assert args.backend == backend

@@ -28,7 +28,7 @@ def traced_killed_run(tmp_path, monkeypatch):
     obs.clear()
     previous = obs.set_recorder(obs.TraceRecorder(obs.REGISTRY))
     try:
-        backend = ClusterBackend(2, heartbeat_interval=0.2, lease_timeout=30.0)
+        backend = ClusterBackend(2, heartbeat_interval=0.2)
         with obs.span("campaign", campaign="trace-test"):
             run_sweep(CONFIG, ALGOS, jobs=2, backend=backend)
         assert backend.stats["lost_workers"] >= 1, "fault must really fire"

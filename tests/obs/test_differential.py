@@ -13,7 +13,7 @@ import pytest
 
 from repro import obs
 from repro.experiments.acceptance import SweepConfig
-from repro.runner.cache import ShardCache
+from repro.runner.store import FsStore
 from repro.runner.pool import run_sweep
 
 #: one (config, algorithms) slice per figure family the repo reproduces;
@@ -61,7 +61,7 @@ def run_with_mode(config, algorithms, recorder_factory, cache_dir=None):
     obs.clear()
     previous = obs.set_recorder(recorder_factory(obs.REGISTRY))
     try:
-        cache = ShardCache(cache_dir) if cache_dir else None
+        cache = FsStore(cache_dir) if cache_dir else None
         diagnostics = []
         result = run_sweep(
             config, list(algorithms), jobs=1, cache=cache,

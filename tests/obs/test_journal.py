@@ -4,7 +4,7 @@ Two contracts matter.  Mechanically, the journal must be a durable
 JSONL stream — one atomic line per event, readable while half-written,
 tolerant of a damaged tail, followable from a second process.
 Scientifically, it must be *observe-only*: the ISSUE's differential bar
-is that serial, pool and cluster runs with the journal on produce
+is that serial and cluster runs with the journal on produce
 ``SweepResult``s, WAR tables and shard-cache bytes bit-identical to the
 same runs with it off.
 """

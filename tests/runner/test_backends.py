@@ -1,12 +1,12 @@
 """Differential contract of the campaign fabric.
 
-The ISSUE acceptance bar: every executor backend (``serial`` / ``pool``
-/ ``cluster``) crossed with every shard store (``fs`` / ``object``)
-must produce **bit-identical** ``SweepResult``s, WAR tables and shard
-payload bytes on fig3-style (implicit) and fig5-style (constrained)
-slices — including cluster runs where workers are SIGKILLed mid-shard.
-Backends decide *where* units run and stores decide *how* shards
-persist; neither may leave a fingerprint on the science.
+Every executor backend (``serial`` / ``cluster``) crossed with every
+shard store (``fs`` / ``object``) must produce **bit-identical**
+``SweepResult``s, WAR tables and shard payload bytes on fig3-style
+(implicit) and fig5-style (constrained) slices — including cluster runs
+where workers are SIGKILLed mid-shard.  Backends decide *where* units
+run and stores decide *how* shards persist; neither may leave a
+fingerprint on the science.
 """
 
 import json
@@ -19,7 +19,6 @@ from repro.experiments.weighted import weighted_acceptance_ratio
 from repro.runner import (
     ClusterBackend,
     ExecutorBackend,
-    ProcessPoolBackend,
     SerialBackend,
     create_store,
     registered_backends,
@@ -27,6 +26,7 @@ from repro.runner import (
     run_sweep,
 )
 from repro.runner.store import STORES
+from repro.util.env import RUNNER_BACKENDS
 
 #: One implicit-deadline (fig3-style) and one constrained-deadline
 #: (fig5-style) slice, small enough that the full matrix stays fast.
@@ -91,7 +91,7 @@ def reference_blobs(reference, tmp_path_factory):
 
 
 class TestBackendStoreMatrix:
-    """3 backends x 2 stores, each slice: results, WARs and bytes agree."""
+    """2 backends x 2 stores, each slice: results, WARs and bytes agree."""
 
     @pytest.mark.parametrize("slice_name", sorted(SLICES))
     @pytest.mark.parametrize("store_kind", sorted(STORES))
@@ -135,7 +135,7 @@ class TestKilledWorkers:
         monkeypatch.setenv("REPRO_RUNNER_FAULT", "crash:rate=0.3")
         monkeypatch.setenv("REPRO_RUNNER_FAULT_DIR", str(tmp_path / "markers"))
         store = create_store(store_kind, tmp_path / "store")
-        backend = ClusterBackend(2, heartbeat_interval=0.2, lease_timeout=30.0)
+        backend = ClusterBackend(2, heartbeat_interval=0.2)
         result = run_sweep(config, algos, jobs=2, cache=store, backend=backend)
         expected, expected_war = reference["fig3"]
         assert result == expected
@@ -147,11 +147,11 @@ class TestKilledWorkers:
 
 
 class TestResolution:
-    """Backend selection: instance > name > env knob > pre-fabric auto."""
+    """Backend selection: instance > name > env knob > auto."""
 
     def test_explicit_instance_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUNNER_BACKEND", "serial")
-        instance = ProcessPoolBackend(2)
+        instance = ClusterBackend(2)
         assert resolve_backend(instance, jobs=1, pending=1) is instance
 
     def test_explicit_name_beats_env(self, monkeypatch):
@@ -165,11 +165,11 @@ class TestResolution:
         assert isinstance(backend, ClusterBackend)
         assert backend.workers == 4
 
-    def test_auto_matches_prefabric_rule(self, monkeypatch):
+    def test_auto_picks_cluster_for_parallel_work(self, monkeypatch):
         monkeypatch.delenv("REPRO_RUNNER_BACKEND", raising=False)
-        assert isinstance(
-            resolve_backend(None, jobs=4, pending=10), ProcessPoolBackend
-        )
+        backend = resolve_backend(None, jobs=4, pending=10)
+        assert isinstance(backend, ClusterBackend)
+        assert backend.workers == 4
         # single job, or a single pending unit, stays in-process
         assert isinstance(
             resolve_backend(None, jobs=1, pending=10), SerialBackend
@@ -185,6 +185,13 @@ class TestResolution:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown executor backend"):
             resolve_backend("threads", jobs=2, pending=2)
+
+    def test_retired_pool_backend_names_the_valid_ones(self):
+        with pytest.raises(ValueError, match=r"'pool'; known: serial\|cluster"):
+            resolve_backend("pool", jobs=2, pending=2)
+
+    def test_registered_backends_is_the_env_list(self):
+        assert registered_backends() == RUNNER_BACKENDS == ("serial", "cluster")
 
     def test_every_registered_backend_instantiates(self):
         for name in registered_backends():

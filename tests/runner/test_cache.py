@@ -3,7 +3,7 @@
 import json
 
 from repro.experiments.acceptance import SweepConfig
-from repro.runner import ShardCache, decompose_sweep, execute_units, run_unit
+from repro.runner import FsStore, decompose_sweep, execute_units, run_unit
 
 CONFIG = SweepConfig(label="cache-test", m=2, samples_per_bucket=2)
 ALGOS = ("cu-udp-edf-vd",)
@@ -15,7 +15,7 @@ def make_unit(index: int = 4):
 
 class TestRoundTrip:
     def test_store_then_load(self, tmp_path):
-        cache = ShardCache(tmp_path)
+        cache = FsStore(tmp_path)
         unit = make_unit()
         outcome = run_unit(unit)
         cache.store(unit, outcome)
@@ -23,12 +23,12 @@ class TestRoundTrip:
         assert (cache.hits, cache.misses, cache.stored) == (1, 0, 1)
 
     def test_cold_cache_misses(self, tmp_path):
-        cache = ShardCache(tmp_path)
+        cache = FsStore(tmp_path)
         assert cache.load(make_unit()) is None
         assert (cache.hits, cache.misses) == (0, 1)
 
     def test_key_is_stable_and_config_sensitive(self, tmp_path):
-        cache = ShardCache(tmp_path)
+        cache = FsStore(tmp_path)
         unit = make_unit()
         assert cache.key(unit) == cache.key(make_unit())
         other_cfg = SweepConfig(label="cache-test", m=4, samples_per_bucket=2)
@@ -42,7 +42,7 @@ class TestCorruption:
     """A damaged shard must be detected and silently recomputed."""
 
     def _primed(self, tmp_path):
-        cache = ShardCache(tmp_path)
+        cache = FsStore(tmp_path)
         unit = make_unit()
         cache.store(unit, run_unit(unit))
         return cache, unit
@@ -88,7 +88,7 @@ class TestCorruption:
 
 class TestResume:
     def test_partial_campaign_only_computes_missing_shards(self, tmp_path):
-        cache = ShardCache(tmp_path)
+        cache = FsStore(tmp_path)
         units = decompose_sweep(CONFIG, ALGOS)
         # interrupted run: only the first three shards landed
         for unit in units[:3]:

@@ -3,18 +3,18 @@
 The env-triggered hook in the cluster worker entry point
 (:mod:`repro.runner.faults`) SIGKILLs or hangs workers *after* they
 claim a unit and *before* they report its outcome — the exact window
-the lease/heartbeat machinery exists for.  These tests assert the
+the heartbeat/lease machinery exists for.  These tests assert the
 ISSUE's fault-tolerance criteria end to end:
 
 * a crashed worker's units are re-dispatched and the run converges to
   results bit-identical to a serial sweep, merged exactly once;
 * a SIGKILLed worker is detected and replaced well within one heartbeat
   interval (process liveness, not heartbeat staleness, drives it);
-* a hung worker is reclaimed through lease expiry;
+* a hung worker is reclaimed through the opt-in lease, while healthy
+  shards — running or waiting for a worker — are never retried;
 * a unit that keeps failing surfaces as a typed
   :class:`~repro.runner.executor.WorkerCrashError` naming the unit's
-  content key, attempt count and last heartbeat age — on the pool
-  backend too, where a unit exception is a one-attempt crash.
+  content key, attempt count and last heartbeat age.
 """
 
 import io
@@ -32,6 +32,7 @@ from repro.runner import (
     decompose_sweep,
     execute_units,
     run_sweep,
+    run_unit,
     unit_key,
 )
 from repro.runner.faults import FaultSpec, parse_fault_spec
@@ -72,7 +73,7 @@ class TestCrashRecovery:
         """
         monkeypatch.setenv("REPRO_RUNNER_FAULT", f"crash:bucket={doomed_bucket}")
         monkeypatch.setenv("REPRO_RUNNER_FAULT_DIR", str(tmp_path / "markers"))
-        backend = ClusterBackend(2, heartbeat_interval=10.0, lease_timeout=60.0)
+        backend = ClusterBackend(2, heartbeat_interval=10.0)
         started = time.monotonic()
         result = run_sweep(CONFIG, ALGOS, jobs=2, backend=backend)
         elapsed = time.monotonic() - started
@@ -89,7 +90,7 @@ class TestCrashRecovery:
         monkeypatch.setenv("REPRO_RUNNER_FAULT_DIR", str(tmp_path / "markers"))
         store = FsStore(tmp_path / "store")
         progress = ProgressReporter(stream=io.StringIO(), clock=lambda: 0.0)
-        backend = ClusterBackend(2, heartbeat_interval=0.5, lease_timeout=30.0)
+        backend = ClusterBackend(2, heartbeat_interval=0.5)
         result = run_sweep(
             CONFIG, ALGOS, jobs=2, cache=store, backend=backend, progress=progress
         )
@@ -107,49 +108,35 @@ class TestCrashRecovery:
         """A 30% deterministic-random unit kill rate still converges."""
         monkeypatch.setenv("REPRO_RUNNER_FAULT", "crash:rate=0.3")
         monkeypatch.setenv("REPRO_RUNNER_FAULT_DIR", str(tmp_path / "markers"))
-        backend = ClusterBackend(3, heartbeat_interval=0.2, lease_timeout=30.0)
+        backend = ClusterBackend(3, heartbeat_interval=0.2)
         result = run_sweep(CONFIG, ALGOS, jobs=3, backend=backend)
         assert result == serial
         assert backend.stats["retries"] >= 1
 
 
-class TestStaleClaims:
-    def test_stale_generation_claim_is_reclaimed_not_leased(self):
-        """The orphaned-claim race, pinned at the conductor's claim
-        handler: a claim drained after its sender was reaped arrives
-        stamped with the dead worker's generation while a replacement
-        (same slot, newer generation) is already running.  Leasing it
-        would stall the unit until the lease timeout — it must instead
-        re-dispatch immediately.
+class TestSlowShards:
+    def test_healthy_shards_on_one_worker_are_never_retried(self):
+        """A lease times only the unit a worker holds, never a queued one.
+
+        One worker, twelve real shards, and a lease longer than any shard
+        but shorter than half the batch: the later units wait longer than
+        the lease before a worker takes them, and nothing may count that
+        wait against them.
         """
-        backend = ClusterBackend(2)
-        backend._units = decompose_sweep(CONFIG, ALGOS)[:2]
-        backend._generations = {0: 2, 1: 1}  # slot 0 was respawned once
-        backend._attempts = {0: 1, 1: 1}
-        backend._inflight = {5: 0, 6: 1}
-        backend._dispatched_at = {5: 0.0, 6: 0.0}
-
-        backend._record_claim(0, 5, 1)  # generation 1 < current 2: stale
-        assert 5 not in backend._leases
-        assert 5 not in backend._inflight, "stale claim must release the seq"
-        assert backend.stats["retries"] == 1
-        assert backend._redispatch, "the orphaned unit must re-dispatch"
-
-        backend._record_claim(1, 6, 1)  # current generation: normal lease
-        assert backend._leases[6][0] == 1
-        assert 6 in backend._claims[1]
-
-    def test_workers_carry_their_generation_in_claims(self, tmp_path, monkeypatch):
-        """End-to-end: a journaled faulted run finishes without waiting
-        out any lease — every lost claim is recovered promptly."""
-        monkeypatch.setenv("REPRO_RUNNER_FAULT", "crash:rate=0.5")
-        monkeypatch.setenv("REPRO_RUNNER_FAULT_DIR", str(tmp_path / "markers"))
-        backend = ClusterBackend(2, heartbeat_interval=0.2, lease_timeout=30.0)
+        config = SweepConfig(label="slow-shards", m=4, samples_per_bucket=4)
+        unit = decompose_sweep(config, ("cu-udp-ecdf", "ca-f-f-ey"))[2]
+        expected = run_unit(unit)
         start = time.monotonic()
-        run_sweep(CONFIG, ALGOS, jobs=2, backend=backend)
-        assert backend.stats["lost_workers"] >= 1
-        # well under the 30s lease: no unit sat out a timeout
-        assert time.monotonic() - start < 15.0
+        run_unit(unit)
+        shard = time.monotonic() - start
+        units = [unit] * 12
+        backend = ClusterBackend(1, lease_timeout=4.0 * shard)
+        assert backend.lease_timeout < len(units) * shard / 2
+        outcomes = execute_units(units, jobs=1, backend=backend)
+        assert outcomes == [expected] * len(units)
+        assert backend.stats["retries"] == 0
+        assert backend.stats["duplicates"] == 0
+        assert backend.stats["lost_workers"] == 0
 
 
 class TestHangRecovery:
@@ -174,9 +161,7 @@ class TestGiveUp:
         WorkerCrashError names the missing shard."""
         monkeypatch.setenv("REPRO_RUNNER_FAULT", f"crash:bucket={doomed_bucket}")
         monkeypatch.delenv("REPRO_RUNNER_FAULT_DIR", raising=False)
-        backend = ClusterBackend(
-            2, heartbeat_interval=0.2, lease_timeout=30.0, max_attempts=2
-        )
+        backend = ClusterBackend(2, heartbeat_interval=0.2, max_attempts=2)
         doomed = [u for u in decompose_sweep(CONFIG, ALGOS)
                   if u.bucket == doomed_bucket]
         with pytest.raises(WorkerCrashError) as excinfo:
@@ -189,24 +174,15 @@ class TestGiveUp:
         assert err.unit_key[:12] in str(err)
 
     def test_unit_exception_on_cluster_carries_traceback(self):
-        backend = ClusterBackend(
-            1, heartbeat_interval=0.5, lease_timeout=30.0, max_attempts=2
-        )
-        with pytest.raises(WorkerCrashError) as excinfo:
-            execute_units([bad_unit()], jobs=1, backend=backend)
-        assert excinfo.value.attempts == 2
-        assert "ValueError" in excinfo.value.detail
-        assert backend.stats["worker_errors"] == 2
-
-    def test_unit_exception_on_pool_is_typed_not_raw(self):
-        """The pool backend wraps worker exceptions the same way."""
         unit = bad_unit()
+        backend = ClusterBackend(1, heartbeat_interval=0.5, max_attempts=2)
         with pytest.raises(WorkerCrashError) as excinfo:
-            execute_units([unit, unit], jobs=2, backend="pool")
+            execute_units([unit], jobs=1, backend=backend)
         err = excinfo.value
-        assert err.attempts == 1
+        assert err.attempts == 2
         assert err.unit_key == unit_key(unit)
         assert "ValueError" in err.detail
+        assert backend.stats["worker_errors"] == 2
 
 
 class TestForensics:
@@ -222,9 +198,7 @@ class TestForensics:
         monkeypatch.setenv("REPRO_RUNNER_FAULT", fault)
         monkeypatch.delenv("REPRO_RUNNER_FAULT_DIR", raising=False)
         monkeypatch.setenv("REPRO_OBS_JOURNAL", str(journal_path))
-        backend = ClusterBackend(
-            2, heartbeat_interval=0.2, lease_timeout=30.0, max_attempts=2
-        )
+        backend = ClusterBackend(2, heartbeat_interval=0.2, max_attempts=2)
         doomed = [u for u in decompose_sweep(CONFIG, ALGOS)
                   if u.bucket == doomed_bucket]
         with pytest.raises(WorkerCrashError) as excinfo:
@@ -261,7 +235,7 @@ class TestForensics:
         monkeypatch.setenv("REPRO_RUNNER_FAULT", f"crash:bucket={doomed_bucket}")
         monkeypatch.setenv("REPRO_RUNNER_FAULT_DIR", str(tmp_path / "markers"))
         monkeypatch.setenv("REPRO_OBS_JOURNAL", str(journal_path))
-        backend = ClusterBackend(2, heartbeat_interval=0.2, lease_timeout=30.0)
+        backend = ClusterBackend(2, heartbeat_interval=0.2)
         result = run_sweep(CONFIG, ALGOS, jobs=2, backend=backend)
         assert result == serial  # journaling + forensics stay observe-only
 

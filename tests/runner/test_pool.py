@@ -13,7 +13,7 @@ from repro.experiments.acceptance import AcceptanceSweep, SweepConfig
 from repro.experiments.algorithms import get_algorithm
 from repro.experiments.export import figure_result_to_dict
 from repro.experiments.figures import fig3
-from repro.runner import ProgressReporter, ShardCache, run_sweep
+from repro.runner import FsStore, ProgressReporter, run_sweep
 
 CONFIG = SweepConfig(label="pool-test", m=2, samples_per_bucket=3)
 ALGOS = ("cu-udp-edf-vd", "ca-nosort-f-f-edf-vd")
@@ -34,7 +34,7 @@ class TestRunSweep:
         assert parallel == serial
 
     def test_cache_roundtrip_matches_fresh_run(self, tmp_path):
-        cache = ShardCache(tmp_path)
+        cache = FsStore(tmp_path)
         fresh = run_sweep(CONFIG, ALGOS, cache=cache)
         assert cache.hits == 0 and cache.stored > 0
         cached = run_sweep(CONFIG, ALGOS, cache=cache)
@@ -44,7 +44,7 @@ class TestRunSweep:
     def test_progress_sees_every_shard(self, tmp_path):
         import io
 
-        cache = ShardCache(tmp_path)
+        cache = FsStore(tmp_path)
         progress = ProgressReporter(stream=io.StringIO(), clock=lambda: 0.0)
         run_sweep(CONFIG, ALGOS, cache=cache, progress=progress)
         assert progress.completed == progress.total > 0
@@ -66,7 +66,7 @@ class TestFig3Equivalence:
         assert parallel == serial_bytes
 
     def test_cached_fig3_byte_identical(self, serial_bytes, tmp_path):
-        cache = ShardCache(tmp_path)
+        cache = FsStore(tmp_path)
         first = json.dumps(
             figure_result_to_dict(fig3(samples=20, jobs=2, cache=cache))
         )

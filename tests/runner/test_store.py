@@ -1,7 +1,7 @@
 """ShardStore interface: both layouts validate, quarantine and recompute.
 
-``tests/runner/test_cache.py`` pins the historical ``ShardCache``
-(filesystem) behavior; this suite runs the same corruption battery
+``tests/runner/test_cache.py`` pins the :class:`~repro.runner.store.
+FsStore` (filesystem) behavior; this suite runs the same corruption battery
 through the :class:`~repro.runner.store.ShardStore` interface against
 *every* registered layout, plus the ObjectStore-specific semantics
 (flat put/get/exists blobs, first-writer-wins puts) and the cross-layout

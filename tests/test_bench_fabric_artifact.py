@@ -36,7 +36,7 @@ def test_bench_fabric_json_parses():
     assert data["host"]["cpus"] >= 1
 
     backends = data["backends"]
-    assert set(backends) == {"serial", "pool", "cluster"}
+    assert set(backends) == {"serial", "cluster"}
     for name, row in backends.items():
         missing = REQUIRED_BACKEND_KEYS - set(row)
         assert not missing, f"{name} missing {sorted(missing)}"

@@ -140,6 +140,11 @@ class TestRunnerBackendKnob:
         with pytest.raises(ValueError, match="REPRO_RUNNER_BACKEND"):
             runner_backend_from_env()
 
+    def test_retired_pool_backend_names_the_valid_ones(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RUNNER_BACKEND", "pool")
+        with pytest.raises(ValueError, match=r"serial\|cluster, got 'pool'"):
+            runner_backend_from_env()
+
 
 class TestRunnerStoreKnob:
     def test_default_is_fs(self, monkeypatch):
@@ -163,7 +168,8 @@ class TestClusterTimingKnobs:
         monkeypatch.delenv("REPRO_RUNNER_HEARTBEAT", raising=False)
         monkeypatch.delenv("REPRO_RUNNER_LEASE", raising=False)
         assert heartbeat_interval_from_env() == 2.0
-        assert lease_timeout_from_env() == 300.0
+        # unset: no lease, so a slow shard on a live worker is never killed
+        assert lease_timeout_from_env() is None
 
     def test_parses_values(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUNNER_HEARTBEAT", "0.5")
