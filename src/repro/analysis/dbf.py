@@ -268,6 +268,7 @@ _COUNTERS = _OBS_REGISTRY.counter_scope(
         "approx-reject",  # probes settled by a point-violation reject screen
         "qpa-iterations",  # total backward fixed-point iterations
         "qpa-runs",  # number of QPA searches started
+        "floor-reject",  # unrefined tuning stages rejected at the V* floor
     ),
 )
 

@@ -13,10 +13,17 @@ The engine implements the descent loop both published algorithms share:
 
 1. start from ``Dv_i = D_i``; if LO already fails, reject (shrinking only
    makes LO worse);
-2. while the HI check fails at its earliest violation ``l*``: pick one HC
+2. unrefined stages only: put every HC task at its V* — its minimal
+   LO-feasible ``Dv`` with every other task at ``D_j`` — and reject if the
+   HI check fails there.  Lemma: any assignment a stage can accept is
+   LO-feasible, hence at or above every task's V* (LO demand only grows as
+   other deadlines shrink), and unrefined HI demand only grows with each
+   ``Dv_i``, so it fails the HI check too
+   (:func:`_vstar_floor_violation`);
+3. while the HI check fails at its earliest violation ``l*``: pick one HC
    task by a *policy* and shrink its ``Dv`` just enough to clear the
    deficit at ``l*`` (or as far as LO-mode feasibility allows);
-3. accept when the HI check passes; reject when no task can make progress.
+4. accept when the HI check passes; reject when no task can make progress.
 
 Policies (see DESIGN.md §5 for fidelity notes):
 
@@ -250,6 +257,16 @@ def _hi_demand_columns(tasks: list[_ModeTask]) -> tuple[np.ndarray, ...]:
     return deadline, period, wcet, wcet_lo
 
 
+def _meta_columns(meta: list, tasks: list[_ModeTask]) -> tuple[np.ndarray, ...]:
+    """The demand columns of a :meth:`DemandEngine._hi_meta` entry, built
+    on first use — most signatures are settled by the scalar peek or a QPA
+    search and never evaluate a window."""
+    columns = meta[0]
+    if columns is None:
+        columns = meta[0] = _hi_demand_columns(tasks)
+    return columns
+
+
 def _hi_demand_2d(
     columns: tuple[np.ndarray, ...],
     points: np.ndarray,
@@ -300,12 +317,12 @@ def _windowed_hi_check(
     forward) never pays for constructing and sorting the full breakpoint
     set.  ``tasks`` is the HI-mode :class:`_ModeTask` list exactly as
     :class:`DemandScenario` would build it; ``meta`` is the cached
-    ``(columns, horizon state, density)`` triple from
+    ``[columns, horizon state, density]`` entry from
     :meth:`DemandEngine._hi_meta`.
     """
     if not tasks:
         return (None, None)
-    columns, state, density = meta
+    _, state, density = meta
     if state[0] == "raise":
         raise state[1]
     horizon = state[1]
@@ -320,7 +337,9 @@ def _windowed_hi_check(
     while start <= horizon:
         points = _window_points(tasks, horizon, start, start + width, ramps=True)
         if len(points):
-            demand = _hi_demand_2d(columns, points, refine, n_trigger)
+            demand = _hi_demand_2d(
+                _meta_columns(meta, tasks), points, refine, n_trigger
+            )
             mask = demand > points
             if mask.any():
                 where = int(np.argmax(mask))
@@ -580,13 +599,14 @@ class DemandEngine:
         probe_at = np.where(x >= 0, (x // probe.period + 1) * probe.wcet_lo, 0)
         return not np.any(committed_at + probe_at > points)
 
-    def _hi_meta(self, sig: tuple, tasks: list[_ModeTask]) -> tuple:
-        """Cached ``(demand columns, horizon state, density)`` for ``sig``.
+    def _hi_meta(self, sig: tuple, tasks: list[_ModeTask]) -> list:
+        """Cached ``[demand columns, horizon state, density]`` for ``sig``.
 
         The horizon state is ``("h", horizon-or-None)`` or ``("raise",
         exc)`` — precomputing it once per virtual-deadline signature lets
         both refinement variants of the HI check share the float-summing
-        horizon bound and the per-task numpy columns.
+        horizon bound and the per-task numpy columns.  The columns start
+        as None and are built by :func:`_meta_columns` on first use.
         """
         meta = self._memo.get(("cols", sig))
         if meta is None:
@@ -601,11 +621,7 @@ class DemandEngine:
                 state = ("h", horizon)
             except HorizonExceeded as exc:
                 state = ("raise", exc)
-            meta = (
-                _hi_demand_columns(tasks),
-                state,
-                sum(2.0 / t.period for t in tasks),
-            )
+            meta = [None, state, sum(2.0 / t.period for t in tasks)]
             self._memo[("cols", sig)] = meta
         return meta
 
@@ -696,7 +712,7 @@ class DemandEngine:
            (whose tiling covers the same check-point multiset).
         """
         n_trigger = len(self._high)
-        columns, state, density = meta
+        _, state, density = meta
         if state[0] == "raise":
             raise state[1]
         horizon = state[1]
@@ -726,7 +742,9 @@ class DemandEngine:
         width = max(int(64 / density), 1)
         points = _window_points(tasks, horizon, resume, resume + width, ramps=True)
         if len(points):
-            demand = _hi_demand_2d(columns, points, refine, n_trigger)
+            demand = _hi_demand_2d(
+                _meta_columns(meta, tasks), points, refine, n_trigger
+            )
             mask = demand > points
             if mask.any():
                 where = int(np.argmax(mask))
@@ -874,7 +892,7 @@ class DemandEngine:
         tasks = self._hi_tasks(vd)
         try:
             meta = self._hi_meta(sig, tasks)
-            columns, state, density = meta
+            state = meta[1]
             if state[0] == "raise":
                 raise state[1]
         except HorizonExceeded as exc:
@@ -1142,21 +1160,25 @@ class DemandEngine:
     ) -> int | None:
         """Smallest LO-feasible virtual deadline ``V*`` for ``task``; None
         when even the task's full deadline is infeasible under the probe's
-        verdicts.  Memoized per surrounding assignment (requires the warm
-        engine) — the scalar descent's :meth:`max_lo_feasible_shrink` and
-        the block planner share the entry.
+        verdicts.  On the warm engine it is memoized per surrounding
+        assignment — the scalar descent's :meth:`max_lo_feasible_shrink`,
+        the block planner and the V* floor reject share the entry; the
+        memo-free engine builds the :class:`LoShrinkProbe` from scratch.
 
         Both halves of the probe's verdict invert in closed form
         (:meth:`LoShrinkProbe.min_feasible_deadline`), so the value is the
         minimum a ``feasible(v)`` bisection settles on, without the
         probe evaluations.
         """
-        if sig_o is None:
+        if sig_o is None and self._memo is not None:
             sig_o = self._sig_others(vd, task.task_id)
 
         def compute() -> int | None:
             try:
-                probe = self._lo_probe_fast(vd, task, sig_o)
+                if self._memo is None:
+                    probe = self.lo_shrink_probe(vd, task)
+                else:
+                    probe = self._lo_probe_fast(vd, task, sig_o)
             except HorizonExceeded:
                 return None
             return probe.min_feasible_deadline()
@@ -1265,6 +1287,16 @@ def _tune_virtual_deadlines_impl(
         uniform = _uniform_scaling_search(high_tasks, refine, engine)
         if uniform is not None:
             return uniform
+
+    # V* floor reject (unrefined stages only): one HI check at the per-task
+    # minimal LO-feasible deadlines settles descents that cannot accept.
+    if high_tasks and not refine:
+        violation = _vstar_floor_violation(high_tasks, vd, engine)
+        if violation is not None:
+            _dbf._COUNTERS["floor-reject"] += 1
+            return TuningOutcome(
+                False, vd, 0, f"HI infeasible at V* floor (l*={violation})"
+            )
 
     if _dbf._KERNEL == "block" and engine._memo is not None:
         return _descend_block(high_tasks, vd, policy, refine, engine)
@@ -1438,6 +1470,44 @@ def _uniform_hi_phase(
     else:
         best = _scaled_deadlines(high_tasks, hi_x)
     return store(best)
+
+
+def _vstar_floor_violation(
+    high_tasks: list[MCTask],
+    vd: dict[int, int],
+    engine: DemandEngine,
+) -> int | None:
+    """Earliest unrefined HI violation at the V* floor, or None.
+
+    The floor ``F`` puts every HC task at its V* with every other task at
+    its full deadline ``vd`` (``C_L`` when V* is None).  A violation
+    there proves that neither the uniform-scaling search nor the descent
+    (scalar or block) can accept with ``refine=False``:
+
+    * every assignment either of them accepts is LO-feasible — the
+      uniform search checks it, the descent and the block planner only
+      commit deadlines at or above the V* of the surrounding assignment;
+    * LO demand only grows as other deadlines shrink, and LO feasibility
+      in ``v_i`` is a suffix above V*, so any such assignment has
+      ``vd_i >= F_i`` for every task (and V* never exceeds ``D_i``);
+    * unrefined HI demand is non-decreasing in every ``vd_i`` (shrinking
+      a deadline only removes demand), and its violations sit at
+      breakpoints at or below the horizon, so a violation at ``F`` is a
+      violation at every assignment that dominates ``F``.
+
+    Refined demand is not monotone under deadline domination (the
+    trigger cut moves with the residual deadlines), so refined stages
+    never take this reject.  None also covers a HI check that overruns
+    the horizon cap: the caller then descends as before.
+    """
+    floor = {}
+    for task in high_tasks:
+        v_min = engine.lo_min_deadline(vd, task)
+        floor[task.task_id] = task.wcet_lo if v_min is None else v_min
+    try:
+        return engine.hi_violation(floor, False)
+    except HorizonExceeded:
+        return None
 
 
 def _descend(

@@ -78,7 +78,10 @@ _COUNTERS = _OBS_REGISTRY.counter_scope(
 )
 
 #: Schema stamp inside every persistent payload; a mismatch is a miss.
-_SCHEMA = "repro-verdict-cache/1"
+#: Tuning payloads carry ``iterations`` and ``detail``, so the stamp moves
+#: whenever the tuning path changes them for an unchanged verdict (``/2``:
+#: unrefined stages reject at the V* floor, after zero iterations).
+_SCHEMA = "repro-verdict-cache/2"
 
 
 class _Config:

@@ -275,6 +275,75 @@ class TestKernelEquivalence:
                 assert other.detail == first.detail
                 assert other.iterations == first.iterations
 
+    @pytest.mark.parametrize(
+        "params, service",
+        [
+            # (period, HC?, C_L, C_H, D) per task; each pin's scalar
+            # descent ran 28-40 iterations before the V* floor settled it.
+            (
+                [(37, True, 6, 6, 24), (32, True, 5, 12, 32),
+                 (36, True, 4, 14, 27), (5, False, 1, 1, 1)],
+                "full-drop",
+            ),
+            (
+                [(20, True, 2, 3, 20), (39, True, 6, 15, 39),
+                 (9, True, 2, 4, 9), (34, False, 8, 8, 34),
+                 (14, False, 4, 4, 14)],
+                "full-drop",
+            ),
+            (
+                [(35, True, 4, 16, 33), (28, True, 1, 5, 23),
+                 (21, True, 5, 5, 19), (28, False, 1, 1, 26),
+                 (17, False, 5, 5, 6)],
+                "imprecise:0.5",
+            ),
+            (
+                [(38, True, 10, 19, 38), (7, True, 1, 2, 7),
+                 (9, False, 3, 3, 9), (12, False, 2, 2, 12)],
+                "imprecise:0.5",
+            ),
+        ],
+    )
+    def test_floor_reject_identical(self, params, service):
+        """Pinned V* floor rejects: the unrefined stage of both chains
+        stops at the floor with the identical outcome (detail, iteration
+        count, virtual deadlines) under every kernel, fresh and
+        memo-backed engines alike."""
+        tagged = attach(
+            TaskSet(
+                [
+                    MCTask(
+                        period=period,
+                        criticality=Criticality.HC if high else Criticality.LC,
+                        wcet_lo=wcet_lo,
+                        wcet_hi=wcet_hi,
+                        deadline=deadline,
+                    )
+                    for period, high, wcet_lo, wcet_hi, deadline in params
+                ]
+            ),
+            service,
+        )
+        chains = (
+            (("steepest", False),),
+            (("ratio", True), ("steepest", True), ("steepest", False)),
+        )
+        for stages in chains:
+            outcomes = []
+            for kernel in DBF_KERNELS:
+                for memo in (None, {}):
+                    def run():
+                        engine = DemandEngine(tagged, 100_000, memo=memo)
+                        return run_tuning_stages(
+                            tagged, stages, 100_000, engine=engine
+                        )
+                    outcomes.append(run_with_kernel(kernel, run))
+            first = outcomes[0]
+            assert not first.schedulable
+            assert first.detail.startswith("HI infeasible at V* floor (l*=")
+            assert first.iterations == 0
+            assert all(other == first for other in outcomes[1:])
+
     def test_anchor_dominance_regression(self, qpa_kernel):
         """Pinned regression: QPA's witness is the largest *breakpoint*
         violation, but a dominated assignment's breakpoints differ — the
@@ -601,6 +670,7 @@ class TestKernelControls:
             "approx-reject",
             "qpa-iterations",
             "qpa-runs",
+            "floor-reject",
         }
         assert sum(counters.values()) > 0
         dbf.reset_kernel_counters()

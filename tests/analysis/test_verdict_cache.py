@@ -54,6 +54,20 @@ def make_tied_tasks():
     return tasks
 
 
+#: A set whose EY stage stops at the V* floor (the scalar descent it
+#: replaces ran 40 iterations to "no shrinkable task at l*=22").
+FLOOR_TASKS = [
+    MCTask(period=37, criticality=Criticality.HC, wcet_lo=6, wcet_hi=6,
+           deadline=24),
+    MCTask(period=32, criticality=Criticality.HC, wcet_lo=5, wcet_hi=12,
+           deadline=32),
+    MCTask(period=36, criticality=Criticality.HC, wcet_lo=4, wcet_hi=14,
+           deadline=27),
+    MCTask(period=5, criticality=Criticality.LC, wcet_lo=1, wcet_hi=1,
+           deadline=1),
+]
+
+
 def reordered_clone(tasks):
     """The same parameter multiset as fresh task objects in another order
     — new task ids, reversed submission order."""
@@ -250,6 +264,38 @@ class TestPersistentTier:
         run_tuning_stages(ts, STAGES, 100_000)
         assert vc.cache_counters()["hit"] == 1
         assert vc.cache_counters()["disk-hit"] == 0
+
+    def test_schema_1_payloads_are_ignored(
+        self, cache_on, monkeypatch, tmp_path
+    ):
+        """``/1`` entries predate the V* floor reject: their ``iterations``
+        and ``detail`` describe the old descent, so neither their keys nor
+        a ``/1`` payload at a current key may serve a lookup."""
+        monkeypatch.setenv("REPRO_VERDICT_CACHE_DIR", str(tmp_path))
+        vc.reconfigure()
+        ts = TaskSet(FLOOR_TASKS)
+        fresh = run_tuning_stages(ts, STAGES, 100_000)
+        assert fresh.detail.startswith("HI infeasible at V* floor")
+        blob = next((tmp_path / "objects").iterdir())
+        stale = json.loads(blob.read_text())
+        stale.update(
+            schema="repro-verdict-cache/1",
+            iterations=40,
+            detail="no shrinkable task at l*=22",
+        )
+        with monkeypatch.context() as old:  # written by the /1 code
+            old.setattr(vc, "_SCHEMA", "repro-verdict-cache/1")
+            vc.reconfigure()
+            vc.store_tuning(ts, STAGES, 100_000, fresh)
+        assert len(list((tmp_path / "objects").iterdir())) == 2
+        blob.write_text(json.dumps(stale))  # a /1 payload at a /2 key
+
+        vc.reconfigure()
+        vc.reset_cache_counters()
+        assert vc.lookup_tuning(ts, STAGES, 100_000) is None
+        assert vc.cache_counters()["disk-reject"] == 1
+        again = run_tuning_stages(ts, STAGES, 100_000)
+        assert (again.iterations, again.detail) == (0, fresh.detail)
 
     @pytest.mark.parametrize(
         "damage",

@@ -241,6 +241,17 @@ class TestKernelSummary:
         registry.add("kernel.EY.qpa-accept", 3)
         assert kernel_summary(since=baseline) == {"EY": {"qpa-accept": 3}}
 
+    def test_floor_rejects_reach_the_summary(self, registry):
+        """A batched EY sweep folds the ``dbf`` scope's ``floor-reject``
+        delta into ``kernel.<algorithm>.floor-reject``, reported raw."""
+        from repro.experiments.acceptance import kernel_summary
+
+        config = SweepConfig(label="floor", m=2, samples_per_bucket=4)
+        grid = UtilizationGrid(u_hh_values=(0.6,), inner_step=0.3)
+        AcceptanceSweep(config, grid=grid).run([get_algorithm("ca-f-f-ey")])
+        assert registry.counters("kernel.")["kernel.ca-f-f-ey.floor-reject"] > 0
+        assert kernel_summary()["ca-f-f-ey"]["floor-reject"] > 0
+
     def test_descent_histogram_adds_a_row(self, registry):
         from repro.experiments.acceptance import kernel_summary
 
