@@ -307,12 +307,7 @@ class DemandContext(AnalysisContext):
                 detail="plain-EDF reserve (a + c <= 1)",
             )
         candidate = self._candidate_taskset(task)
-        engine = DemandEngine(
-            candidate,
-            self.horizon_cap,
-            memo=self._memo,
-            committed=len(self._tasks),
-        )
+        engine = DemandEngine(candidate, self.horizon_cap, memo=self._memo)
         outcome = run_tuning_stages(
             candidate, self.stages, self.horizon_cap, engine=engine
         )

@@ -69,14 +69,14 @@ Violation kernels
     stops on a violation — stops on the **largest** violating length
     (every iterate bounds all violations from above).  The earliest
     violation, which the tuning descent consumes, is then recovered by the
-    forward scan below the witness.  Monotonicity holds for the *refined*
-    HI demand too: the trigger cut of task ``j`` grows only inside task
-    ``j``'s own carry-over ramp, where its dbf term grows at the same unit
-    rate, so ``dbf - cut_j`` is non-decreasing for every ``j`` and the
-    refined demand is their max.  :func:`set_demand_kernel` switches the
-    default; an O(n·k) Fisher–Baruah-style upper-bound screen
-    (:func:`approx_accepts`) settles clear passes before either kernel
-    runs.
+    forward scan below the witness; boolean consumers stop at the witness.
+    Monotonicity holds for the *refined* HI demand too: the trigger cut of
+    task ``j`` grows only inside task ``j``'s own carry-over ramp, where
+    its dbf term grows at the same unit rate, so ``dbf - cut_j`` is
+    non-decreasing for every ``j`` and the refined demand is their max.
+    :func:`set_demand_kernel` switches the default; an O(n·k)
+    Fisher–Baruah-style upper-bound screen (:func:`approx_accepts`)
+    settles clear passes before either kernel runs.
 """
 
 from __future__ import annotations
@@ -459,30 +459,28 @@ def qpa_violation_search(
     return ("pass", None, iterations)
 
 
-def _ub_screen_points(tasks, horizon: int, k: int, ramps: bool) -> np.ndarray:
+def _screen_points(tasks, horizon: int, k: int, ramps: bool) -> list[int]:
     """Candidate maxima of the k-step upper bound in ``[0, horizon]``.
 
     Every jump and kink of the bound: the first ``k+1`` step points of
     each task (the ``k+1``-th is the blend point where the staircase meets
     its utilization-slope chord), the ramp ends inside the exact region,
     and the horizon.  Between consecutive candidates the bound is linear,
-    so checking the bound at these points bounds it everywhere.
+    so checking the bound at these points bounds it everywhere.  Unsorted
+    and not deduplicated: every consumer only asks whether *some* point
+    fails.
     """
-    families = [np.asarray([horizon], dtype=np.int64)]
+    points = [horizon]
     for t in tasks:
-        if t.deadline > horizon:
+        d = t.deadline
+        if d > horizon:
             continue
-        jumps = np.arange(
-            t.deadline,
-            min(t.deadline + k * t.period, horizon) + 1,
-            t.period,
-            dtype=np.int64,
-        )
-        families.append(jumps)
+        jumps = range(d, min(d + k * t.period, horizon) + 1, t.period)
+        points.extend(jumps)
         if ramps and t.wcet_lo > 0:
-            ends = jumps + min(t.wcet_lo, t.period)
-            families.append(ends[ends <= horizon])
-    return np.concatenate(families)
+            ramp = min(t.wcet_lo, t.period)
+            points.extend([j + ramp for j in jumps if j + ramp <= horizon])
+    return points
 
 
 def approx_accepts(tasks, horizon: int, hi: bool, k: int | None = None) -> bool:
@@ -494,7 +492,9 @@ def approx_accepts(tasks, horizon: int, hi: bool, k: int | None = None) -> bool:
     ``ceil(C (l - d + T) / T)`` — the line through the staircase corners,
     an upper bound of the (unrefined) demand — above it.  The total bound
     is piecewise linear between the O(n·k) candidate points, so demand
-    fits everywhere iff the bound fits at each of them.  A False return
+    fits everywhere iff the bound fits at each of them.  The cores this
+    runs on hold a handful of tasks, so the bound is a scalar integer fold
+    that stops at the first point where it exceeds ``l``.  A False return
     proves nothing (the screen is an accept filter, not a decider); the
     unrefined bound also covers the refined HI demand, which only
     subtracts.
@@ -503,22 +503,24 @@ def approx_accepts(tasks, horizon: int, hi: bool, k: int | None = None) -> bool:
         return True  # empty region or no demand: nothing can violate
     if k is None:
         k = _APPROX_K
-    points = _ub_screen_points(tasks, horizon, k, ramps=hi)
-    deadline = np.array([t.deadline for t in tasks], dtype=np.int64)[:, None]
-    period = np.array([t.period for t in tasks], dtype=np.int64)[:, None]
-    wcet = np.array([t.wcet for t in tasks], dtype=np.int64)[:, None]
-    x = points[None, :] - deadline
-    active = x >= 0
-    xa = np.where(active, x, 0)
-    stair = (xa // period + 1) * wcet
-    if hi:
-        wcet_lo = np.array([t.wcet_lo for t in tasks], dtype=np.int64)[:, None]
-        stair = stair - np.minimum(wcet, np.maximum(0, wcet_lo - xa % period))
-    # Integer ceiling of the chord C (x + T) / T — exact, no float noise.
-    chord = -((-wcet * (xa + period)) // period)
-    exact = points[None, :] < deadline + k * period
-    total = np.where(active, np.where(exact, stair, chord), 0).sum(axis=0)
-    return bool((total <= points).all())
+    for point in _screen_points(tasks, horizon, k, ramps=hi):
+        bound = 0
+        for t in tasks:
+            x = point - t.deadline
+            if x < 0:
+                continue
+            c, p = t.wcet, t.period
+            if x < k * p:
+                bound += (x // p + 1) * c
+                if hi:
+                    carry = t.wcet_lo - x % p
+                    if carry > 0:
+                        bound -= min(c, carry)
+            else:
+                bound -= (-c * (x + p)) // p  # integer ceiling of the chord
+        if bound > point:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -531,13 +533,18 @@ class _ModeTask:
     wcet_lo: int  # carry-over reduction budget (HI mode only)
 
 
-def _lo_violation_scan(tasks: list["_ModeTask"], horizon: int) -> int | None:
-    """Earliest LO-mode violation in ``(0, horizon]``, kernel-dispatched.
+def _lo_violation_scan(
+    tasks: list["_ModeTask"], horizon: int, localize: bool = True
+) -> int | None:
+    """A LO-mode violation in ``(0, horizon]``, kernel-dispatched.
 
     Both kernels decide the same predicate over the same breakpoint
     multiset; the QPA path additionally settles clear passes with the
-    upper-bound screen, and hands a found witness back to the forward scan
-    for the earliest-point localization the callers' contract requires.
+    upper-bound screen.  With ``localize`` (the callers' default contract)
+    the result is the earliest violation: a found QPA witness goes back to
+    the forward scan for localization.  Boolean callers pass
+    ``localize=False`` and get the witness itself — the **largest**
+    violating breakpoint — with no forward scan.
     """
     if _KERNEL != "forward":
         if approx_accepts(tasks, horizon, hi=False):
@@ -550,6 +557,8 @@ def _lo_violation_scan(tasks: list["_ModeTask"], horizon: int) -> int | None:
             _COUNTERS["qpa-accept"] += 1
             return None
         if status == "violation":
+            if not localize:
+                return witness
             # The earliest violation is at most the witness (the largest
             # violating breakpoint), so the localizing forward scan only
             # needs the breakpoints up to there — usually a small prefix.
@@ -564,11 +573,13 @@ def _lo_violation_scan(tasks: list["_ModeTask"], horizon: int) -> int | None:
 def lo_feasible_exact(tasks: list["_ModeTask"], cap: int) -> bool:
     """Exact LO-mode feasibility of ``tasks`` under the horizon-cap gates.
 
-    The boolean twin of :meth:`DemandScenario.lo_violation` on an already
-    built mode-task list — same float-folded horizon bound, same
-    conservative False on overload or cap overrun — used by callers that
-    mirror ``engine.lo_feasible`` without materializing a scenario (the
-    batch probe screens).
+    The verdict of :meth:`DemandScenario.lo_violation` on an already built
+    mode-task list — same float-folded horizon bound, same conservative
+    False on overload or cap overrun — decided at witness level: a screen
+    accept or a QPA pass returns True and a QPA violation returns False
+    without localizing the earliest violating length.  Only an aborted
+    search, or the ``forward`` kernel, runs the forward oracle.  Used by
+    ``DemandEngine.lo_feasible`` and the batch probe screens.
     """
     try:
         horizon = DemandScenario._horizon(tasks, cap)
@@ -578,7 +589,7 @@ def lo_feasible_exact(tasks: list["_ModeTask"], cap: int) -> bool:
         return False  # utilization above 1: guaranteed violation
     if horizon == 0:
         return True
-    return _lo_violation_scan(tasks, horizon) is None
+    return _lo_violation_scan(tasks, horizon, localize=False) is None
 
 
 class DemandScenario:

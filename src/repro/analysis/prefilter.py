@@ -308,18 +308,14 @@ class DemandPreScreen(ProbeScreen):
             DemandScenario,
             _first_violation,
             _hi_point_demand,
-            _ub_screen_points,
+            _screen_points,
             qpa_violation_search,
         )
-        from repro.analysis.vdtuning import _hi_demand_2d, _hi_demand_columns
 
         refine = self._reject_refine
-        points = _ub_screen_points(floor_tasks, horizon, _APPROX_K, ramps=True)
-        demand = _hi_demand_2d(
-            _hi_demand_columns(floor_tasks), points, refine, None
-        )
-        if bool((demand > points).any()):
-            return True
+        for point in _screen_points(floor_tasks, horizon, _APPROX_K, ramps=True):
+            if _hi_point_demand(floor_tasks, point, refine, None) > point:
+                return True
         status, _, _ = qpa_violation_search(
             floor_tasks,
             horizon,

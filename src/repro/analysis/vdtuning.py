@@ -74,6 +74,7 @@ from repro.analysis.dbf import (
     approx_accepts,
     hi_mode_dbf,
     lc_hi_mode_entries,
+    lo_feasible_exact,
     overload_marker,
     qpa_violation_search,
 )
@@ -373,12 +374,10 @@ class DemandEngine:
         taskset: TaskSet,
         horizon_cap: int,
         memo: dict | None = None,
-        committed: int = 0,
     ):
         self.taskset = taskset
         self.horizon_cap = horizon_cap
         self._memo = memo
-        self._committed = committed
         self._last: tuple[tuple[int, ...], DemandScenario] | None = None
         self._high = tuple(t for t in taskset if t.is_high)
         self._high_ids = tuple(t.task_id for t in self._high)
@@ -496,108 +495,13 @@ class DemandEngine:
         return payload
 
     def lo_feasible(self, vd: dict[int, int]) -> bool:
-        """LO-mode dbf check verdict (conservative False on horizon cap)."""
-
-        def compute() -> bool:
-            if (
-                self._committed
-                and len(self.taskset) == self._committed + 1
-                and all(
-                    vd.get(t.task_id, t.deadline) == t.deadline
-                    for t in self.taskset
-                )
-            ):
-                return self._lo_feasible_overlay()
-            try:
-                return self.scenario(vd).lo_violation() is None
-            except HorizonExceeded:
-                return False
-
-        return self._cached(("lo", self._sig_all(vd)), compute)
-
-    def _lo_feasible_overlay(self) -> bool:
-        """Full-deadline LO check via the cached committed-demand profile.
-
-        The opening LO check of every tuning run evaluates the candidate at
-        untouched deadlines, where the committed tasks' contribution is a
-        fixed step function; the context caches its breakpoints and demand
-        values once per commit state and each probe only overlays its own
-        task.  Horizon bookkeeping (fold order of the float sums, the
-        ``U > 1`` marker, the cap) transcribes
-        :meth:`DemandScenario._horizon` / :meth:`~DemandScenario.
-        lo_violation` term by term, and the committed step values at the
-        probe's check points equal the joint evaluation exactly, so the
-        verdict is identical to the scenario path.
-        """
-        import math
-
-        memo = self._memo
-        committed = self.taskset[: self._committed]
-        probe = self.taskset[self._committed]
-        cids = tuple(t.task_id for t in committed)
-
-        sums = memo.get(("lou", cids))
-        if sums is None:
-            total_u_c = sum(t.wcet_lo / t.period for t in committed)
-            numer_c = sum(
-                (t.wcet_lo / t.period) * max(0, t.period - t.deadline)
-                for t in committed
-            )
-            sums = (total_u_c, numer_c)
-            memo[("lou", cids)] = sums
-        total_u = sums[0] + probe.wcet_lo / probe.period
-        numerator = sums[1] + (probe.wcet_lo / probe.period) * max(
-            0, probe.period - probe.deadline
+        """LO-mode dbf check verdict (conservative False on horizon cap),
+        decided at witness level by :func:`~repro.analysis.dbf.
+        lo_feasible_exact`."""
+        return self._cached(
+            ("lo", self._sig_all(vd)),
+            lambda: lo_feasible_exact(self.scenario(vd)._lo, self.horizon_cap),
         )
-        if total_u > 1.0 + 1e-12:
-            return False  # guaranteed violation (marker path)
-        if numerator == 0:
-            return True  # horizon 0: implicit-deadline EDF, nothing to check
-        if total_u >= 1.0 - 1e-12:
-            return False  # diverging bound: HorizonExceeded, conservative
-        horizon = math.ceil(numerator / (1.0 - total_u))
-        if horizon > self.horizon_cap:
-            return False  # HorizonExceeded, conservative
-
-        profile = memo.get(("loprof", cids))
-        if profile is None or profile[0] < horizon:
-            store = min(max(4 * horizon, 4096), self.horizon_cap)
-            mode = [
-                _ModeTask(t.wcet_lo, t.deadline, t.period, t.wcet_lo)
-                for t in committed
-            ]
-            families = [
-                np.arange(t.deadline, store + 1, t.period, dtype=np.int64)
-                for t in mode
-                if t.deadline <= store
-            ]
-            if families:
-                points_c = np.sort(np.concatenate(families))
-            else:
-                points_c = np.empty(0, dtype=np.int64)
-            profile = (store, points_c, DemandScenario._lo_demand(mode, points_c))
-            memo[("loprof", cids)] = profile
-        _, points_c, demand_c = profile
-        keep = np.searchsorted(points_c, horizon, side="right")
-        points_c = points_c[:keep]
-        demand_c = demand_c[:keep]
-
-        if probe.deadline <= horizon:
-            own = np.arange(probe.deadline, horizon + 1, probe.period, dtype=np.int64)
-        else:
-            own = np.empty(0, dtype=np.int64)
-        points = np.concatenate(
-            [points_c, own, np.asarray([horizon], dtype=np.int64)]
-        )
-        points.sort()
-        if len(points_c):
-            idx = np.searchsorted(points_c, points, side="right") - 1
-            committed_at = np.where(idx >= 0, demand_c[np.maximum(idx, 0)], 0)
-        else:
-            committed_at = np.zeros(len(points), dtype=np.int64)
-        x = points - probe.deadline
-        probe_at = np.where(x >= 0, (x // probe.period + 1) * probe.wcet_lo, 0)
-        return not np.any(committed_at + probe_at > points)
 
     def _hi_meta(self, sig: tuple, tasks: list[_ModeTask]) -> list:
         """Cached ``[demand columns, horizon state, density]`` for ``sig``.

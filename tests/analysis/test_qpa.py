@@ -121,6 +121,14 @@ def attach(ts, service):
     return TaskSet(list(ts), service_model=parse_service_model(service))
 
 
+def lo_verdict(ts, vd, cap):
+    """The scenario's LO verdict, a horizon-cap overrun counting as False."""
+    try:
+        return DemandScenario(ts, vd, horizon_cap=cap).lo_violation() is None
+    except dbf.HorizonExceeded:
+        return False
+
+
 # -- kernel primitives -------------------------------------------------------
 
 class TestQPASearch:
@@ -369,18 +377,72 @@ class TestKernelEquivalence:
         assert fast == (scenario.hi_violation(refine=False) is None)
         assert fast is False
 
+    @pytest.mark.parametrize("kernel", DBF_KERNELS)
     @given(mc_taskset(implicit=False))
     @settings(max_examples=40, deadline=None)
-    def test_lo_feasible_exact_matches_scenario(self, ts):
+    def test_lo_feasible_exact_matches_scenario(self, kernel, ts):
+        """The witness-level boolean returns the forward oracle's verdict
+        under every kernel."""
         tasks = [
             _ModeTask(t.wcet_lo, t.deadline, t.period, t.wcet_lo) for t in ts
         ]
         scenario = DemandScenario(ts, {})
-        try:
-            expected = scenario.lo_violation() is None
-        except dbf.HorizonExceeded:
-            expected = False
-        assert lo_feasible_exact(tasks, scenario.horizon_cap) == expected
+        expected = run_with_kernel(
+            "forward", lambda: lo_verdict(ts, {}, scenario.horizon_cap)
+        )
+        assert run_with_kernel(
+            kernel, lambda: lo_feasible_exact(tasks, scenario.horizon_cap)
+        ) == expected
+
+    @pytest.mark.parametrize("kernel", DBF_KERNELS)
+    @given(scenario_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_engine_lo_feasible_matches_scenario(self, kernel, inputs):
+        """``DemandEngine.lo_feasible`` is the scenario's LO verdict, on
+        memo-free engines and on one memo shared across probes.
+
+        Each prefix of the set is probed the way a core's analysis context
+        probes it — the committed tasks plus one candidate, on a memo
+        shared across candidates — at full deadlines and at the drawn
+        virtual deadlines, with constrained deadlines and degraded service
+        in the mix."""
+        ts, vd, service = inputs
+        shared: dict = {}
+        for size in range(1, len(ts) + 1):
+            candidate = attach(TaskSet(list(ts)[:size]), service)
+            high = [t for t in candidate if t.is_high]
+            full = {t.task_id: t.deadline for t in high}
+            drawn = {t.task_id: vd[t.task_id] for t in high}
+            for assignment in (full, drawn):
+                expected = run_with_kernel(
+                    "forward", lambda: lo_verdict(candidate, assignment, 100_000)
+                )
+                for memo in (None, shared):
+                    engine = DemandEngine(candidate, 100_000, memo=memo)
+                    assert run_with_kernel(
+                        kernel, lambda: engine.lo_feasible(assignment)
+                    ) == expected
+
+    @pytest.mark.parametrize("kernel", DBF_KERNELS)
+    def test_engine_lo_feasible_horizon_cap_is_false(self, kernel):
+        """A LO horizon past the cap counts as infeasible, memo or not."""
+        ts = TaskSet(
+            [
+                MCTask(period=50, criticality=Criticality.HC, wcet_lo=10,
+                       wcet_hi=12, deadline=30),
+                MCTask(period=40, criticality=Criticality.LC, wcet_lo=10,
+                       wcet_hi=10, deadline=25),
+            ]
+        )
+        full = {ts[0].task_id: 30}
+        with pytest.raises(dbf.HorizonExceeded):
+            DemandScenario(ts, full, horizon_cap=10).lo_violation()
+        for memo in (None, {}):
+            engine = DemandEngine(ts, 10, memo=memo)
+            assert run_with_kernel(
+                kernel, lambda: engine.lo_feasible(full)
+            ) is False
+        assert DemandEngine(ts, 100_000).lo_feasible(full)
 
 
 # -- closed-form shrink inversion --------------------------------------------
