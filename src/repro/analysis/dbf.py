@@ -58,9 +58,10 @@ Check points
 
 Violation kernels
     The predicate both checks decide — ``exists l: dbf(l) > l`` — has two
-    exact deciders here.  The **forward kernel** enumerates every
-    breakpoint up to the horizon in chunks (the historical path, kept as
-    the differential oracle).  The **QPA kernel** (after Zhang & Burns'
+    exact deciders here.  The **forward kernel** walks the check points
+    up to the horizon in order, one scalar evaluation each, and stops at
+    the first violation (:func:`first_violation`, the differential
+    oracle).  The **QPA kernel** (after Zhang & Burns'
     Quick Processor-demand Analysis) runs the backward fixed-point
     iteration ``l <- dbf(l)`` / ``l <- max breakpoint < l`` from the
     horizon down; because every demand function here is a monotone
@@ -69,7 +70,7 @@ Violation kernels
     stops on a violation — stops on the **largest** violating length
     (every iterate bounds all violations from above).  The earliest
     violation, which the tuning descent consumes, is then recovered by the
-    forward scan below the witness; boolean consumers stop at the witness.
+    forward walk up to the witness; boolean consumers stop at the witness.
     Monotonicity holds for the *refined* HI demand too: the trigger cut of
     task ``j`` grows only inside task ``j``'s own carry-over ramp, where
     its dbf term grows at the same unit rate, so ``dbf - cut_j`` is
@@ -83,17 +84,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.model import MCTask, TaskSet
 from repro.obs import REGISTRY as _OBS_REGISTRY
-from repro.util.env import (
-    DBF_KERNELS,
-    approx_k_from_env,
-    demand_kernel_from_env,
-    scan_chunk_from_env,
-)
+from repro.util.env import DBF_KERNELS, demand_kernel_from_env
 
 __all__ = [
     "DEFAULT_HORIZON_CAP",
@@ -102,6 +99,7 @@ __all__ = [
     "LoShrinkProbe",
     "approx_accepts",
     "demand_kernel",
+    "first_violation",
     "kernel_counters",
     "lo_feasible_exact",
     "overload_marker",
@@ -138,8 +136,8 @@ def hi_mode_dbf(task: MCTask, virtual_deadline: int, length: int) -> int:
     """EY HI-mode demand bound of one HC task (scalar reference version).
 
     ``virtual_deadline`` is the LO-mode deadline ``Dv_i``; see module
-    docstring.  Used by tests and as a readable specification — the batch
-    path in :class:`DemandScenario` is vectorized.
+    docstring.  Used by tests and as a readable specification of the
+    per-point sum :func:`_hi_point_demand` evaluates.
     """
     if not task.is_high:
         return 0
@@ -160,7 +158,7 @@ def lc_hi_mode_dbf(
     ``budget``/``period`` are the HI-mode sporadic parameters the service
     model assigns (see module docstring); ``wcet_lo`` is the LO-mode budget
     whose guaranteed progress discharges the carry-over job.  Used by tests
-    as the readable specification of the batch path.
+    as the readable specification of :func:`_hi_point_demand`'s LC terms.
     """
     if budget <= 0 or length < 0:
         return 0
@@ -210,45 +208,27 @@ def overload_marker(tasks) -> int:
     Callers must treat any non-None violation as "infeasible here" and may
     only use the returned length as a monotone scan hint, never as the
     exact violation front.  Both :meth:`DemandScenario.lo_violation` and
-    :meth:`DemandScenario.hi_violation` (and the windowed scan in
+    :meth:`DemandScenario.hi_violation` (and the engine's HI checks in
     :mod:`repro.analysis.vdtuning`) share this one definition so the
     convention cannot drift between the modes.
     """
     return min((t.deadline for t in tasks), default=0)
 
 
-#: Breakpoint chunk size for the early-exit violation scan (the
-#: ``REPRO_DBF_SCAN_CHUNK`` knob, see :mod:`repro.util.env`).  During
-#: virtual-deadline tuning, violations typically sit near the front of the
-#: horizon; scanning in chunks avoids evaluating demand over the full
-#: breakpoint set just to find them.  Both knobs are consumed **once at
-#: import** — the kernel's inner loops must not re-read the environment —
-#: so later changes to the variables have no effect on a running process.
-_SCAN_CHUNK = scan_chunk_from_env()
+#: Exact-step depth of the dbf upper-bound accept screens.  Sound for
+#: every positive value; larger values trade screen cost for coverage.
+_APPROX_K = 3
 
-#: Exact-step depth of the dbf upper-bound accept screens (the
-#: ``REPRO_DBF_APPROX_K`` knob).  Sound for every positive value.
-_APPROX_K = approx_k_from_env()
-
-#: QPA iteration budget per search before falling back to the forward scan
+#: QPA iteration budget per search before falling back to the forward walk
 #: (a cost valve, not a correctness bound: an aborted search simply hands
-#: the decision to the oracle kernel).
+#: the rest of the decision to the oracle kernel).
 _QPA_ITER_CAP = 256
-
-
-def _first_violation(points: np.ndarray, demand_fn) -> int | None:
-    """Smallest check point where ``demand_fn(chunk) > chunk``, or None."""
-    for start in range(0, len(points), _SCAN_CHUNK):
-        chunk = points[start : start + _SCAN_CHUNK]
-        mask = demand_fn(chunk) > chunk
-        if mask.any():
-            return int(chunk[np.argmax(mask)])
-    return None
 
 
 # -- kernel selection and diagnostics ---------------------------------------
 
-# Consumed once at import, like the scan-chunk/approx-k knobs; the CLI's
+# Consumed once at import (the kernel's inner loops must not re-read the
+# environment); the CLI's
 # ``--demand-kernel`` both exports the env var (for spawned workers) and
 # calls :func:`set_demand_kernel` (for this process), so the effective
 # resolution order is instance > CLI > env > default.
@@ -289,7 +269,7 @@ def set_demand_kernel(name: str) -> str:
     *verdicts* (same accept/reject, acceptance ratios, WAR tables and
     shard-cache bytes; iteration counts and committed virtual deadlines
     on accepted sets may differ);
-    ``"forward"`` restores the pure chunked breakpoint enumeration — the
+    ``"forward"`` restores the pure in-order breakpoint walk — the
     differential oracle.  All kernels decide the violation predicate
     exactly, so every verdict, violation point and figure output is
     identical under any of them.  The startup default comes from
@@ -333,9 +313,17 @@ def _hi_point_demand(
     refine: bool,
     n_trigger: int | None = None,
 ) -> int:
-    """Scalar transcription of :meth:`DemandScenario._hi_demand` for one
-    point (same integer terms, same inactive-task-zero refinement min,
-    same HC-only trigger restriction)."""
+    """Total HI-mode demand of ``tasks`` at one length.
+
+    Per task the EY term of :func:`hi_mode_dbf`, with the carry-over
+    reduction clamped at the task's HI budget (inert for HC tasks, where
+    ``wcet >= wcet_lo``; load-bearing for degraded LC entries, whose
+    budget may undercut ``C^L``).  With ``refine`` the smallest trigger
+    cut is subtracted; a task whose window has not opened cuts 0.  Only
+    the first ``n_trigger`` tasks (default: all — correct whenever the
+    list is HC-only) can be the mode-switch trigger; degraded LC entries
+    never trigger, so callers mixing them in pass the HC count.
+    """
     if n_trigger is None:
         n_trigger = len(tasks)
     total = 0
@@ -384,9 +372,7 @@ def _next_breakpoint(tasks, length: int, ramps: bool) -> int | None:
     """Smallest demand breakpoint at or above ``length``, or None.
 
     The forward twin of :func:`_prev_breakpoint`, enumerating the same
-    jump/ramp-end families — used by the scalar micro-walk that checks the
-    first few breakpoints past a violation front before any vectorized
-    window is built.
+    jump/ramp-end families — the step of :func:`first_violation`.
     """
     best = None
     for t in tasks:
@@ -406,6 +392,39 @@ def _next_breakpoint(tasks, length: int, ramps: bool) -> int | None:
     return best
 
 
+def first_violation(
+    tasks,
+    start: int,
+    horizon: int,
+    demand_at,
+    ramps: bool,
+    stop: int | None = None,
+) -> tuple[int, int] | None:
+    """Earliest check point ``l >= start`` with ``demand_at(l) > l``.
+
+    Returns ``(l, demand_at(l))`` or None.  The check points are the
+    breakpoints in ``[start, horizon]`` plus the horizon itself — the
+    multiset :meth:`DemandScenario._breakpoints` enumerates, restricted to
+    ``l >= start`` — and, with ``stop``, only those below ``stop``.  They
+    are visited in order with :func:`_next_breakpoint`, one scalar demand
+    evaluation each, so an early violation costs a few points however far
+    the horizon lies.
+    """
+    end = horizon if stop is None else min(horizon, stop - 1)
+    point = start
+    while point <= end:
+        point = _next_breakpoint(tasks, point, ramps)
+        if point is None or point > horizon:
+            point = horizon
+        elif point > end:
+            return None
+        demand = demand_at(point)
+        if demand > point:
+            return (point, demand)
+        point += 1
+    return None
+
+
 def qpa_violation_search(
     tasks,
     horizon: int,
@@ -419,8 +438,9 @@ def qpa_violation_search(
     violation in ``[0, horizon]``), ``"violation"`` (``witness`` is the
     **largest** violating length — every iterate bounds all violations
     from above, so stopping on one proves the region above it clean), or
-    ``"abort"`` (iteration budget exhausted; the caller must fall back to
-    the forward oracle).
+    ``"abort"`` (iteration budget exhausted; ``witness`` is the current
+    iterate, which bounds every violating check point from above, so the
+    caller's forward fallback only needs to walk up to it).
 
     Exactness requires ``demand_at`` to be monotone non-decreasing with
     all violations at breakpoints — true for the LO demand, the unrefined
@@ -441,7 +461,7 @@ def qpa_violation_search(
         iterations += 1
         if iterations > limit:
             _COUNTERS["qpa-iterations"] += iterations
-            return ("abort", None, iterations)
+            return ("abort", t, iterations)
         demand = demand_at(t)
         if demand > t:
             _COUNTERS["qpa-iterations"] += iterations
@@ -542,32 +562,29 @@ def _lo_violation_scan(
     multiset; the QPA path additionally settles clear passes with the
     upper-bound screen.  With ``localize`` (the callers' default contract)
     the result is the earliest violation: a found QPA witness goes back to
-    the forward scan for localization.  Boolean callers pass
+    the forward walk for localization.  Boolean callers pass
     ``localize=False`` and get the witness itself — the **largest**
-    violating breakpoint — with no forward scan.
+    violating breakpoint — with no forward walk.
     """
+    demand_at = partial(_lo_point_demand, tasks)
     if _KERNEL != "forward":
         if approx_accepts(tasks, horizon, hi=False):
             _COUNTERS["approx-accept"] += 1
             return None
-        status, witness, _ = qpa_violation_search(
-            tasks, horizon, lambda t: _lo_point_demand(tasks, t), ramps=False
+        status, bound, _ = qpa_violation_search(
+            tasks, horizon, demand_at, ramps=False
         )
         if status == "pass":
             _COUNTERS["qpa-accept"] += 1
             return None
-        if status == "violation":
-            if not localize:
-                return witness
-            # The earliest violation is at most the witness (the largest
-            # violating breakpoint), so the localizing forward scan only
-            # needs the breakpoints up to there — usually a small prefix.
-            horizon = witness
-        # An aborted search hands the full question to the forward oracle.
-    points = DemandScenario._breakpoints(tasks, horizon, ramps=False)
-    return _first_violation(
-        points, lambda chunk: DemandScenario._lo_demand(tasks, chunk)
-    )
+        if status == "violation" and not localize:
+            return bound
+        # A witness or an aborted search's last iterate bounds every
+        # violation from above, so the forward walk stops there — usually
+        # a small prefix of the horizon.
+        horizon = bound
+    found = first_violation(tasks, 0, horizon, demand_at, ramps=False)
+    return None if found is None else found[0]
 
 
 def lo_feasible_exact(tasks: list["_ModeTask"], cap: int) -> bool:
@@ -578,7 +595,7 @@ def lo_feasible_exact(tasks: list["_ModeTask"], cap: int) -> bool:
     False on overload or cap overrun — decided at witness level: a screen
     accept or a QPA pass returns True and a QPA violation returns False
     without localizing the earliest violating length.  Only an aborted
-    search, or the ``forward`` kernel, runs the forward oracle.  Used by
+    search, or the ``forward`` kernel, runs the forward walk.  Used by
     ``DemandEngine.lo_feasible`` and the batch probe screens.
     """
     try:
@@ -672,9 +689,10 @@ class DemandScenario:
     def _breakpoints(tasks: list[_ModeTask], horizon: int, ramps: bool) -> np.ndarray:
         """All dbf breakpoints of ``tasks`` in ``[0, horizon]`` plus horizon.
 
-        Sorted but *not* deduplicated — duplicate check points are harmless
-        for the violation scan and skipping the dedup hash pass is a large
-        win in the tuning inner loop.
+        Sorted but *not* deduplicated — the whole-array form of the check
+        points :func:`first_violation` visits one by one, kept for
+        :class:`LoShrinkProbe`, whose closed-form V* needs every point at
+        once.
         """
         families = []
         for t in tasks:
@@ -691,50 +709,13 @@ class DemandScenario:
     # -- demand evaluation ----------------------------------------------------
     @staticmethod
     def _lo_demand(tasks: list[_ModeTask], points: np.ndarray) -> np.ndarray:
+        """:func:`_lo_point_demand` at every point of ``points``."""
         total = np.zeros(len(points), dtype=np.int64)
         for t in tasks:
             x = points - t.deadline
             active = x >= 0
             jobs = np.where(active, x // t.period + 1, 0)
             total += jobs * t.wcet
-        return total
-
-    @staticmethod
-    def _hi_demand(
-        tasks: list[_ModeTask],
-        points: np.ndarray,
-        refine: bool,
-        n_trigger: int | None = None,
-    ) -> np.ndarray:
-        """Total HI-mode demand of ``tasks`` at each point.
-
-        The per-task carry-over reduction is clamped at the task's HI
-        budget (inert for HC tasks, where ``wcet >= wcet_lo``; load-bearing
-        for degraded LC entries, whose budget may undercut ``C^L``).  Only
-        the first ``n_trigger`` tasks (default: all — correct whenever the
-        list is HC-only) can be the mode-switch trigger; degraded LC
-        entries never trigger, so callers mixing them in pass the HC count.
-        """
-        if n_trigger is None:
-            n_trigger = len(tasks)
-        total = np.zeros(len(points), dtype=np.int64)
-        min_trigger_cut = None
-        for index, t in enumerate(tasks):
-            x = points - t.deadline
-            active = x >= 0
-            xa = np.where(active, x, 0)
-            jobs = xa // t.period + 1
-            residue = xa % t.period
-            reduction = np.minimum(t.wcet, np.maximum(0, t.wcet_lo - residue))
-            total += np.where(active, jobs * t.wcet - reduction, 0)
-            if refine and index < n_trigger:
-                cut = np.where(active, np.minimum(t.wcet_lo, residue), 0)
-                if min_trigger_cut is None:
-                    min_trigger_cut = cut
-                else:
-                    min_trigger_cut = np.minimum(min_trigger_cut, cut)
-        if refine and min_trigger_cut is not None:
-            total -= min_trigger_cut
         return total
 
     # -- public checks ----------------------------------------------------------
@@ -782,28 +763,24 @@ class DemandScenario:
         horizon = max(horizon, max(t.deadline for t in tasks))
         if horizon > self.horizon_cap:
             raise HorizonExceeded(f"bound {horizon} exceeds cap {self.horizon_cap}")
-        n_trigger = len(self._hi)
+        demand_at = partial(
+            _hi_point_demand, tasks, refine=refine, n_trigger=len(self._hi)
+        )
         if _KERNEL != "forward":
             if approx_accepts(tasks, horizon, hi=True):
                 _COUNTERS["approx-accept"] += 1
                 return None
-            status, witness, _ = qpa_violation_search(
-                tasks,
-                horizon,
-                lambda t: _hi_point_demand(tasks, t, refine, n_trigger),
-                ramps=True,
+            status, bound, _ = qpa_violation_search(
+                tasks, horizon, demand_at, ramps=True
             )
             if status == "pass":
                 _COUNTERS["qpa-accept"] += 1
                 return None
-            if status == "violation":
-                # Earliest violation <= witness: scan only that prefix.
-                horizon = witness
-        points = self._breakpoints(tasks, horizon, ramps=True)
-        return _first_violation(
-            points,
-            lambda chunk: self._hi_demand(tasks, chunk, refine, n_trigger),
-        )
+            # Earliest violation <= witness (or the aborted search's last
+            # iterate): walk only that prefix.
+            horizon = bound
+        found = first_violation(tasks, 0, horizon, demand_at, ramps=True)
+        return None if found is None else found[0]
 
     def schedulable(self, refine: bool = False) -> bool:
         """LO and HI checks both pass (conservative False on horizon cap)."""
@@ -815,8 +792,7 @@ class DemandScenario:
     # -- introspection helpers (used by tuning algorithms) ---------------------
     def lo_demand_at(self, length: int) -> int:
         """Total LO-mode demand at one interval length."""
-        pts = np.asarray([length], dtype=np.int64)
-        return int(self._lo_demand(self._lo, pts)[0])
+        return _lo_point_demand(self._lo, length)
 
     def lo_shrink_probe(self, task: MCTask) -> "LoShrinkProbe":
         """Fast repeated LO checks while varying ``task``'s virtual deadline.
@@ -828,9 +804,9 @@ class DemandScenario:
 
     def hi_demand_at(self, length: int, refine: bool = False) -> int:
         """Total HI-mode demand at one interval length."""
-        pts = np.asarray([length], dtype=np.int64)
-        tasks = self._hi + self._hi_lc
-        return int(self._hi_demand(tasks, pts, refine, len(self._hi))[0])
+        return _hi_point_demand(
+            self._hi + self._hi_lc, length, refine, len(self._hi)
+        )
 
 
 class LoShrinkProbe:

@@ -63,6 +63,7 @@ see :func:`repro.analysis.dbf.set_demand_kernel`) analyzes the survivors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -305,35 +306,26 @@ class DemandPreScreen(ProbeScreen):
         """Exact floor-HI violation decision (point screen, then QPA)."""
         from repro.analysis.dbf import (
             _APPROX_K,
-            DemandScenario,
-            _first_violation,
             _hi_point_demand,
             _screen_points,
+            first_violation,
             qpa_violation_search,
         )
 
-        refine = self._reject_refine
+        demand_at = partial(
+            _hi_point_demand, floor_tasks, refine=self._reject_refine
+        )
         for point in _screen_points(floor_tasks, horizon, _APPROX_K, ramps=True):
-            if _hi_point_demand(floor_tasks, point, refine, None) > point:
+            if demand_at(point) > point:
                 return True
-        status, _, _ = qpa_violation_search(
-            floor_tasks,
-            horizon,
-            lambda t: _hi_point_demand(floor_tasks, t, refine, None),
-            ramps=True,
+        status, bound, _ = qpa_violation_search(
+            floor_tasks, horizon, demand_at, ramps=True
         )
         if status != "abort":
             return status == "violation"
-        points = DemandScenario._breakpoints(floor_tasks, horizon, ramps=True)
-        return (
-            _first_violation(
-                points,
-                lambda chunk: DemandScenario._hi_demand(
-                    floor_tasks, chunk, refine, None
-                ),
-            )
-            is not None
-        )
+        # The aborted search's last iterate bounds every violation.
+        found = first_violation(floor_tasks, 0, bound, demand_at, ramps=True)
+        return found is not None
 
 
 @dataclass

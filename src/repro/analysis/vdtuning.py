@@ -57,6 +57,7 @@ strings are bit-identical with or without a memo.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -71,7 +72,9 @@ from repro.analysis.dbf import (
     LoShrinkProbe,
     _ModeTask,
     _hi_point_demand,
+    _next_breakpoint,
     approx_accepts,
+    first_violation,
     hi_mode_dbf,
     lc_hi_mode_entries,
     lo_feasible_exact,
@@ -92,8 +95,8 @@ __all__ = [
 _MAX_ITERATIONS = 400
 
 #: Breakpoints the scalar peek checks past the violation front before the
-#: vectorized window / QPA machinery takes over (pure cost knob: every
-#: kernel decides the same predicate).
+#: first window walk and the QPA search take over (a pure cost policy:
+#: every kernel decides the same predicate).
 _MICRO_WALK = 2
 
 #: Screen calls per scaffolding entry before the descent stops screening
@@ -210,120 +213,23 @@ def _shrink_to_clear_bisect(
     return lo
 
 
-def _window_points(
-    tasks, horizon: int, lo: int, hi: int, ramps: bool
-) -> np.ndarray:
-    """Breakpoints of ``tasks`` in ``[lo, hi)`` ∩ ``[0, horizon]``, sorted.
-
-    Produces exactly the slice of :meth:`DemandScenario._breakpoints`
-    (same multiset, same appended horizon point) that falls inside the
-    window, without materializing the other windows — the windowed
-    violation scan below tiles the axis with these.
-    """
-    top = min(hi - 1, horizon)
-    families = []
-    for t in tasks:
-        if t.deadline > horizon:
-            continue
-        k0 = 0 if t.deadline >= lo else -((t.deadline - lo) // t.period)
-        if t.deadline + k0 * t.period <= top:
-            families.append(
-                np.arange(
-                    t.deadline + k0 * t.period, top + 1, t.period, dtype=np.int64
-                )
-            )
-        if ramps and t.wcet_lo > 0:
-            offset = t.deadline + min(t.wcet_lo, t.period)
-            k0 = 0 if offset >= lo else -((offset - lo) // t.period)
-            first = offset + k0 * t.period
-            # ``top`` is already ``min(hi - 1, horizon)``, so no further
-            # horizon clamp is needed for the ramp family either.
-            if first <= top:
-                families.append(
-                    np.arange(first, top + 1, t.period, dtype=np.int64)
-                )
-    if lo <= horizon < hi:
-        families.append(np.asarray([horizon], dtype=np.int64))
-    if not families:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(families))
-
-
-def _hi_demand_columns(tasks: list[_ModeTask]) -> tuple[np.ndarray, ...]:
-    """Per-task parameter columns for the 2D HI demand evaluation."""
-    deadline = np.array([t.deadline for t in tasks], dtype=np.int64)[:, None]
-    period = np.array([t.period for t in tasks], dtype=np.int64)[:, None]
-    wcet = np.array([t.wcet for t in tasks], dtype=np.int64)[:, None]
-    wcet_lo = np.array([t.wcet_lo for t in tasks], dtype=np.int64)[:, None]
-    return deadline, period, wcet, wcet_lo
-
-
-def _meta_columns(meta: list, tasks: list[_ModeTask]) -> tuple[np.ndarray, ...]:
-    """The demand columns of a :meth:`DemandEngine._hi_meta` entry, built
-    on first use — most signatures are settled by the scalar peek or a QPA
-    search and never evaluate a window."""
-    columns = meta[0]
-    if columns is None:
-        columns = meta[0] = _hi_demand_columns(tasks)
-    return columns
-
-
-def _hi_demand_2d(
-    columns: tuple[np.ndarray, ...],
-    points: np.ndarray,
-    refine: bool,
-    n_trigger: int | None = None,
-) -> np.ndarray:
-    """:meth:`DemandScenario._hi_demand` vectorized across tasks.
-
-    Same integer arithmetic on a (tasks × points) grid — the per-point
-    totals and the refinement min are sums/minima of the identical int64
-    terms, so the result array equals the per-task loop's exactly.  As in
-    the scenario path, the carry-over reduction is clamped at the HI
-    budget (inert for HC rows) and only the first ``n_trigger`` rows (the
-    HC tasks; degraded LC rows come after) feed the trigger-refinement min.
-    """
-    deadline, period, wcet, wcet_lo = columns
-    x = points[None, :] - deadline
-    active = x >= 0
-    xa = np.where(active, x, 0)
-    jobs = xa // period + 1
-    residue = xa % period
-    reduction = np.minimum(wcet, np.maximum(0, wcet_lo - residue))
-    total = np.where(active, jobs * wcet - reduction, 0).sum(axis=0)
-    if refine:
-        cut = np.where(active, np.minimum(wcet_lo, residue), 0)
-        if n_trigger is not None:
-            cut = cut[:n_trigger]
-        total -= cut.min(axis=0)
-    return total
-
-
-def _windowed_hi_check(
+def _forward_hi_check(
     tasks: list[_ModeTask],
     meta: tuple,
     refine: bool,
     not_before: int,
-    n_trigger: int | None = None,
+    n_trigger: int,
 ) -> tuple[int | None, int | None]:
-    """Fused :meth:`DemandScenario.hi_violation` + demand-at-violation via
-    lazily generated windows.
+    """Fused :meth:`DemandScenario.hi_violation` + demand-at-violation.
 
-    Identical results (same horizon handling, same check-point multiset,
-    same first-violation semantics, and the demand value is the very term
-    the violation comparison used); the difference is purely cost: points
-    are generated window by window from ``not_before`` onward — starting
-    narrow and widening geometrically — so an early violation (the common
-    case inside the tuning descent, whose violation front only ever moves
-    forward) never pays for constructing and sorting the full breakpoint
-    set.  ``tasks`` is the HI-mode :class:`_ModeTask` list exactly as
-    :class:`DemandScenario` would build it; ``meta`` is the cached
-    ``[columns, horizon state, density]`` entry from
-    :meth:`DemandEngine._hi_meta`.
+    The earliest violating check point at or after ``not_before`` (a scan
+    hint: the caller proves no violation lies below it) and the demand
+    there, or ``(None, None)``.  ``tasks`` is the HI-mode
+    :class:`_ModeTask` list exactly as :class:`DemandScenario` would build
+    it; ``meta`` is its cached :meth:`DemandEngine._hi_meta` entry, whose
+    horizon state replays the scenario's cap and overload outcomes.
     """
-    if not tasks:
-        return (None, None)
-    _, state, density = meta
+    state, _ = meta
     if state[0] == "raise":
         raise state[1]
     horizon = state[1]
@@ -333,21 +239,11 @@ def _windowed_hi_check(
         # the earliest violating length).
         violation = overload_marker(tasks)
         return (violation, _hi_point_demand(tasks, violation, refine, n_trigger))
-    width = max(int(64 / density), 1)
-    start = not_before
-    while start <= horizon:
-        points = _window_points(tasks, horizon, start, start + width, ramps=True)
-        if len(points):
-            demand = _hi_demand_2d(
-                _meta_columns(meta, tasks), points, refine, n_trigger
-            )
-            mask = demand > points
-            if mask.any():
-                where = int(np.argmax(mask))
-                return (int(points[where]), int(demand[where]))
-        start += width
-        width *= 8
-    return (None, None)
+    demand_at = partial(
+        _hi_point_demand, tasks, refine=refine, n_trigger=n_trigger
+    )
+    found = first_violation(tasks, not_before, horizon, demand_at, ramps=True)
+    return (None, None) if found is None else found
 
 
 class DemandEngine:
@@ -503,16 +399,16 @@ class DemandEngine:
             lambda: lo_feasible_exact(self.scenario(vd)._lo, self.horizon_cap),
         )
 
-    def _hi_meta(self, sig: tuple, tasks: list[_ModeTask]) -> list:
-        """Cached ``[demand columns, horizon state, density]`` for ``sig``.
+    def _hi_meta(self, sig: tuple, tasks: list[_ModeTask]) -> tuple:
+        """Cached ``(horizon state, density)`` for ``sig``.
 
         The horizon state is ``("h", horizon-or-None)`` or ``("raise",
         exc)`` — precomputing it once per virtual-deadline signature lets
         both refinement variants of the HI check share the float-summing
-        horizon bound and the per-task numpy columns.  The columns start
-        as None and are built by :func:`_meta_columns` on first use.
+        horizon bound.  The density sizes :meth:`_qpa_hi_check`'s first
+        window.
         """
-        meta = self._memo.get(("cols", sig))
+        meta = self._memo.get(("hmeta", sig))
         if meta is None:
             try:
                 horizon = DemandScenario._horizon(tasks, self.horizon_cap)
@@ -525,8 +421,8 @@ class DemandEngine:
                 state = ("h", horizon)
             except HorizonExceeded as exc:
                 state = ("raise", exc)
-            meta = [None, state, sum(2.0 / t.period for t in tasks)]
-            self._memo[("cols", sig)] = meta
+            meta = (state, sum(2.0 / t.period for t in tasks))
+            self._memo[("hmeta", sig)] = meta
         return meta
 
     def hi_check(
@@ -559,14 +455,14 @@ class DemandEngine:
             return hit[1]
         # Upgrade a boolean-level entry (left by hi_feasible): a pass is
         # already the full answer; a known violation needs only the
-        # earliest-point localization the forward scan provides.
+        # earliest-point localization the forward walk provides.
         banked = memo.get(("hib", sig, refine))
         if banked is not None:
             if banked:
                 value: tuple[int | None, int | None] = (None, None)
             else:
                 tasks = self._hi_tasks(vd)
-                value = _windowed_hi_check(
+                value = _forward_hi_check(
                     tasks,
                     self._hi_meta(sig, tasks),
                     refine,
@@ -585,7 +481,7 @@ class DemandEngine:
             tasks = self._hi_tasks(vd)
             meta = self._hi_meta(sig, tasks)
             if _dbf._KERNEL == "forward":
-                return _windowed_hi_check(
+                return _forward_hi_check(
                     tasks, meta, refine, not_before, len(self._high)
                 )
             return self._qpa_hi_check(sig, tasks, meta, refine, not_before)
@@ -600,23 +496,24 @@ class DemandEngine:
         refine: bool,
         not_before: int,
     ) -> tuple[int | None, int | None]:
-        """QPA-kerneled :func:`_windowed_hi_check` — identical results.
+        """QPA-kerneled :func:`_forward_hi_check` — identical results.
 
         Three layers, ordered so each call site pays its cheapest decider:
 
-        1. one forward window from ``not_before`` — the tuning descent's
+        1. a short forward walk from ``not_before`` — the tuning descent's
            violation front moves slowly, so most *violations* are caught
-           here at the historical cost;
+           within the first window of check points;
         2. the O(n·k) upper-bound screen, then the QPA backward search
            (warm-started from the full-deadline anchor) — most *passes*
-           settle here without ever materializing the breakpoint set;
+           settle here without walking the rest of the horizon;
         3. a QPA witness proves a violation exists but sits at its
            *largest* length, so the earliest one — the value the descent
-           consumes — is recovered by resuming the forward windowed scan
-           (whose tiling covers the same check-point multiset).
+           consumes — is recovered by resuming the forward walk up to the
+           witness (or up to an aborted search's last iterate, which
+           bounds every violation just the same).
         """
         n_trigger = len(self._high)
-        _, state, density = meta
+        state, density = meta
         if state[0] == "raise":
             raise state[1]
         horizon = state[1]
@@ -627,11 +524,11 @@ class DemandEngine:
                 _hi_point_demand(tasks, violation, refine, n_trigger),
             )
         # Scalar peek: ~30% of descent violations sit on the very next
-        # breakpoint past the front — check a couple of points scalar-ly
-        # before building any window.
+        # breakpoint past the front — check a couple of points before
+        # sizing the first window.
         resume = not_before
         for _ in range(_MICRO_WALK):
-            point = _dbf._next_breakpoint(tasks, resume, ramps=True)
+            point = _next_breakpoint(tasks, resume, ramps=True)
             if point is None or point > horizon:
                 demand = _hi_point_demand(tasks, horizon, refine, n_trigger)
                 if demand > horizon:
@@ -641,29 +538,24 @@ class DemandEngine:
             if demand > point:
                 return (point, demand)
             resume = point + 1
-        # One vectorized window from there: the bulk of the remaining
-        # violations land within the historical first window.
-        width = max(int(64 / density), 1)
-        points = _window_points(tasks, horizon, resume, resume + width, ramps=True)
-        if len(points):
-            demand = _hi_demand_2d(
-                _meta_columns(meta, tasks), points, refine, n_trigger
-            )
-            mask = demand > points
-            if mask.any():
-                where = int(np.argmax(mask))
-                return (int(points[where]), int(demand[where]))
-        resume = resume + width
-        if resume > horizon:
+        # One window of about 64 check points from there: the bulk of the
+        # remaining violations land within it.
+        demand_at = partial(
+            _hi_point_demand, tasks, refine=refine, n_trigger=n_trigger
+        )
+        stop = resume + max(int(64 / density), 1)
+        found = first_violation(
+            tasks, resume, horizon, demand_at, ramps=True, stop=stop
+        )
+        if found is not None:
+            return found
+        if stop > horizon:
             return (None, None)  # the window covered the whole region
-        status, _ = self._qpa_decide(sig, tasks, horizon, refine)
+        status, bound = self._qpa_decide(sig, tasks, horizon, refine)
         if status == "pass":
             return (None, None)
-        # Violation witness or aborted search: resume the forward windowed
-        # scan where the micro-walk left off — its tiling covers the same
-        # check-point multiset, so the earliest violation (which a witness
-        # only bounds from above) comes out identical.
-        return _windowed_hi_check(tasks, meta, refine, resume, n_trigger)
+        found = first_violation(tasks, stop, bound, demand_at, ramps=True)
+        return (None, None) if found is None else found
 
     def _qpa_decide(
         self, sig: tuple, tasks: list[_ModeTask], horizon: int, refine: bool
@@ -671,10 +563,11 @@ class DemandEngine:
         """Anchor-warmed QPA decision of the HI predicate on ``[0, horizon]``.
 
         Returns ``("pass", None)``, ``("violation", witness)`` or
-        ``("abort", None)`` — abort means the caller must fall back to the
-        forward oracle.  Cold searches give the upper-bound screen one
-        vectorized sweep first; warm searches start at the full-deadline
-        anchor, which bounds every assignment's violations from above.
+        ``("abort", t)`` — abort means the caller must fall back to the
+        forward walk, which only needs to reach the last iterate ``t``.
+        Cold searches give the upper-bound screen one sweep first; warm
+        searches start at the full-deadline anchor, which bounds every
+        assignment's violations from above.
         """
         self._ensure_anchor()
         start = horizon
@@ -684,7 +577,7 @@ class DemandEngine:
             _dbf._COUNTERS["approx-accept"] += 1
             return ("pass", None)
         n_trigger = len(self._high)
-        status, witness, _ = qpa_violation_search(
+        status, bound, _ = qpa_violation_search(
             tasks,
             start,
             lambda t: _hi_point_demand(tasks, t, refine, n_trigger),
@@ -692,7 +585,7 @@ class DemandEngine:
         )
         if status == "pass":
             _dbf._COUNTERS["qpa-accept"] += 1
-        return (status, witness)
+        return (status, bound)
 
     def _ensure_anchor(self) -> None:
         """Learn the unrefined full-deadline QPA anchor once per engine.
@@ -716,8 +609,7 @@ class DemandEngine:
         self._qpa_anchor = -1
         vd_full = {t.task_id: t.deadline for t in self._high}
         tasks = self._hi_tasks(vd_full)
-        meta = self._hi_meta(self._full_sig_high, tasks)
-        state = meta[1]
+        state, _ = self._hi_meta(self._full_sig_high, tasks)
         if state[0] == "raise" or state[1] is None:
             return
         horizon = state[1]
@@ -795,8 +687,7 @@ class DemandEngine:
             return True
         tasks = self._hi_tasks(vd)
         try:
-            meta = self._hi_meta(sig, tasks)
-            state = meta[1]
+            state, _ = self._hi_meta(sig, tasks)
             if state[0] == "raise":
                 raise state[1]
         except HorizonExceeded as exc:
@@ -807,13 +698,17 @@ class DemandEngine:
             # Overload: a violation is guaranteed (the marker contract).
             memo[("hib", sig, refine)] = False
             return False
-        status, _ = self._qpa_decide(sig, tasks, horizon, refine)
+        status, bound = self._qpa_decide(sig, tasks, horizon, refine)
         if status == "abort":
-            # Hand the whole question to the forward oracle and keep its
-            # earliest-form answer.
-            value = _windowed_hi_check(tasks, meta, refine, 0, len(self._high))
+            # Hand the rest of the question to the forward walk, up to the
+            # last iterate, and keep its earliest-form answer.
+            demand_at = partial(
+                _hi_point_demand, tasks, refine=refine, n_trigger=len(self._high)
+            )
+            found = first_violation(tasks, 0, bound, demand_at, ramps=True)
+            value = (None, None) if found is None else found
             memo[key] = ("value", value)
-            return value[0] is None
+            return found is None
         feasible = status == "pass"
         memo[("hib", sig, refine)] = feasible
         return feasible

@@ -23,7 +23,7 @@ Chrome-trace export.  Design rules, relied on everywhere:
 
 The ``REPRO_OBS`` env knob (``off`` | ``metrics`` | ``trace``, parsed by
 :func:`repro.util.env.obs_mode_from_env`) selects the recorder once at
-import, mirroring the ``REPRO_DBF_*`` knob pattern; :func:`set_recorder`
+import, mirroring the ``REPRO_DBF_KERNEL`` knob pattern; :func:`set_recorder`
 overrides it at runtime (tests, the ``repro trace`` command).
 """
 

@@ -5,7 +5,7 @@ Two knobs control experiment scale everywhere (figures, benchmarks, CI):
 * ``REPRO_SAMPLES`` — task sets per ``UB`` bucket (the paper used 1000).
 * ``REPRO_M`` — comma-separated processor counts (the paper swept 2,4,8).
 
-Three more tune the demand kernel of :mod:`repro.analysis.dbf`:
+One more selects the demand kernel of :mod:`repro.analysis.dbf`:
 
 * ``REPRO_DBF_KERNEL`` — one of :data:`DBF_KERNELS`: ``forward``,
   ``qpa`` (default) or ``block``, the demand-kernel stack used for
@@ -15,11 +15,6 @@ Three more tune the demand kernel of :mod:`repro.analysis.dbf`:
   :func:`repro.analysis.dbf.set_demand_kernel`).  The resolution order
   is instance (``set_demand_kernel``) > CLI (``--demand-kernel``) >
   this knob > default.
-* ``REPRO_DBF_SCAN_CHUNK`` — breakpoint chunk size of the forward
-  violation scan (default 4096).
-* ``REPRO_DBF_APPROX_K`` — exact-step depth ``k`` of the Fisher–Baruah
-  style dbf upper-bound screens (default 3); the screens stay sound for
-  every positive ``k``, larger values trade screen cost for coverage.
 
 Three configure the canonical verdict cache of
 :mod:`repro.analysis.verdict_cache` (opt-in; default off):
@@ -83,8 +78,6 @@ __all__ = [
     "positive_float_env",
     "samples_from_env",
     "m_values_from_env",
-    "scan_chunk_from_env",
-    "approx_k_from_env",
     "demand_kernel_from_env",
     "verdict_cache_from_env",
     "verdict_cache_size_from_env",
@@ -154,16 +147,6 @@ def positive_float_env(name: str, fallback: float | None) -> float | None:
 def samples_from_env(fallback: int = 100) -> int:
     """Samples per ``UB`` bucket: ``REPRO_SAMPLES`` or ``fallback``."""
     return positive_int_env("REPRO_SAMPLES", fallback)
-
-
-def scan_chunk_from_env(fallback: int = 4096) -> int:
-    """Forward-scan chunk size: ``REPRO_DBF_SCAN_CHUNK`` or ``fallback``."""
-    return positive_int_env("REPRO_DBF_SCAN_CHUNK", fallback)
-
-
-def approx_k_from_env(fallback: int = 3) -> int:
-    """Approximation-screen depth ``k``: ``REPRO_DBF_APPROX_K`` or ``fallback``."""
-    return positive_int_env("REPRO_DBF_APPROX_K", fallback)
 
 
 def demand_kernel_from_env(fallback: str = "qpa") -> str:

@@ -1,4 +1,4 @@
-"""Differential suite for the QPA demand kernel (PR 5).
+"""Differential suite for the QPA demand kernel.
 
 The QPA backward fixed-point search, the Fisher–Baruah-style upper-bound
 screens and the descent warm starts are all *cost* layers: every verdict,
@@ -6,8 +6,10 @@ violation point and tuning outcome must equal the forward breakpoint
 oracle's.  These tests assert that equivalence — across random task sets,
 service models, refinement on/off, scenario- and engine-level entry points
 — plus the closed-form shrink inversion and the closed-form V* against
-the historical bisections, and the window-tiling regression of
-``_window_points``.
+the historical bisections.  The forward walk itself (``first_violation``)
+is anchored to a whole-array reference scan: ``_breakpoints`` with
+``_lo_demand`` / :func:`reference_hi_demand`, including when an aborted
+QPA search bounds the walk by its last iterate.
 """
 
 from __future__ import annotations
@@ -21,24 +23,24 @@ from repro.analysis.dbf import (
     DemandScenario,
     LoShrinkProbe,
     _ModeTask,
-    _first_violation,
     _hi_point_demand,
     _lo_point_demand,
     _next_breakpoint,
     _prev_breakpoint,
     approx_accepts,
     demand_kernel,
+    first_violation,
     lo_feasible_exact,
     qpa_violation_search,
     set_demand_kernel,
 )
+from repro.analysis.prefilter import DemandPreScreen
 from repro.analysis.vdtuning import (
     DemandEngine,
     _hi_gain,
     _invert_shrink,
     _shrink_to_clear,
     _shrink_to_clear_bisect,
-    _window_points,
     run_tuning_stages,
 )
 from repro.degradation.service import parse_service_model
@@ -115,10 +117,117 @@ def scenario_inputs(draw):
     return ts, vd, service
 
 
+@st.composite
+def saturated_inputs(draw):
+    """Scenario inputs whose HC tasks load HI mode to 85-99%, so the check
+    horizon spans hundreds of breakpoints and violations sit far from 0."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    periods = [draw(st.integers(min_value=10, max_value=40)) for _ in range(n)]
+    weights = [draw(st.integers(min_value=1, max_value=10)) for _ in range(n)]
+    target = draw(st.floats(min_value=0.9, max_value=0.99))
+    tasks, vd = [], {}
+    for period, weight in zip(periods, weights):
+        wcet_hi = max(1, int(period * target * weight / sum(weights)))
+        wcet_lo = draw(st.integers(min_value=1, max_value=wcet_hi))
+        deadline = draw(st.integers(min_value=wcet_hi, max_value=period))
+        task = MCTask(
+            period=period,
+            criticality=Criticality.HC,
+            wcet_lo=wcet_lo,
+            wcet_hi=wcet_hi,
+            deadline=deadline,
+        )
+        tasks.append(task)
+        vd[task.task_id] = draw(st.integers(min_value=wcet_lo, max_value=deadline))
+    if draw(st.booleans()):
+        tasks.append(
+            MCTask(
+                period=40,
+                criticality=Criticality.LC,
+                wcet_lo=1,
+                wcet_hi=1,
+                deadline=draw(st.integers(min_value=1, max_value=40)),
+            )
+        )
+    service = draw(
+        st.sampled_from(["full-drop", "imprecise:0.5", "elastic:1.5"])
+    )
+    return TaskSet(tasks), vd, service
+
+
 def attach(ts, service):
     if service == "full-drop":
         return ts
     return TaskSet(list(ts), service_model=parse_service_model(service))
+
+
+def reference_hi_demand(
+    tasks: list[_ModeTask],
+    points: np.ndarray,
+    refine: bool,
+    n_trigger: int | None = None,
+) -> np.ndarray:
+    """Total HI-mode demand of ``tasks`` at each point.
+
+    The per-task carry-over reduction is clamped at the task's HI
+    budget (inert for HC tasks, where ``wcet >= wcet_lo``; load-bearing
+    for degraded LC entries, whose budget may undercut ``C^L``).  Only
+    the first ``n_trigger`` tasks (default: all — correct whenever the
+    list is HC-only) can be the mode-switch trigger; degraded LC
+    entries never trigger, so callers mixing them in pass the HC count.
+    """
+    if n_trigger is None:
+        n_trigger = len(tasks)
+    total = np.zeros(len(points), dtype=np.int64)
+    min_trigger_cut = None
+    for index, t in enumerate(tasks):
+        x = points - t.deadline
+        active = x >= 0
+        xa = np.where(active, x, 0)
+        jobs = xa // t.period + 1
+        residue = xa % t.period
+        reduction = np.minimum(t.wcet, np.maximum(0, t.wcet_lo - residue))
+        total += np.where(active, jobs * t.wcet - reduction, 0)
+        if refine and index < n_trigger:
+            cut = np.where(active, np.minimum(t.wcet_lo, residue), 0)
+            if min_trigger_cut is None:
+                min_trigger_cut = cut
+            else:
+                min_trigger_cut = np.minimum(min_trigger_cut, cut)
+    if refine and min_trigger_cut is not None:
+        total -= min_trigger_cut
+    return total
+
+
+def reference_violations(tasks, horizon, ramps, demand_fn) -> list[int]:
+    """Every violating check point of the whole-array scan, ascending."""
+    points = DemandScenario._breakpoints(tasks, horizon, ramps=ramps)
+    return [int(p) for p in points[demand_fn(points) > points]]
+
+
+def demand_modes(scenario):
+    """``(tasks, ramps, array demand, point demand)`` for LO, HI and
+    refined HI.  The HI rows carry the scenario's degraded LC entries
+    after the HC ones, so ``n_trigger < len(tasks)`` whenever a service
+    model keeps LC tasks alive."""
+    lo = scenario._lo
+    yield (
+        lo,
+        False,
+        lambda points: DemandScenario._lo_demand(lo, points),
+        lambda length: _lo_point_demand(lo, length),
+    )
+    if not scenario._hi:
+        return
+    hi = scenario._hi + scenario._hi_lc
+    n = len(scenario._hi)
+    for refine in (False, True):
+        yield (
+            hi,
+            True,
+            lambda points, r=refine: reference_hi_demand(hi, points, r, n),
+            lambda length, r=refine: _hi_point_demand(hi, length, r, n),
+        )
 
 
 def lo_verdict(ts, vd, cap):
@@ -200,10 +309,10 @@ class TestQPASearch:
                     continue
                 points = DemandScenario._breakpoints(tasks, horizon, ramps=hi)
                 if hi:
-                    demand = DemandScenario._hi_demand(
+                    demand = reference_hi_demand(
                         tasks, points, False, len(scenario._hi)
                     )
-                    refined = DemandScenario._hi_demand(
+                    refined = reference_hi_demand(
                         tasks, points, True, len(scenario._hi)
                     )
                     assert not (refined > points).any()
@@ -650,36 +759,6 @@ class TestVstarOwn:
         assert run_with_kernel(kernel, query) == (None, 0, 0)
 
 
-# -- window tiling regression (satellite) ------------------------------------
-
-class TestWindowTiling:
-    @given(scenario_inputs(), st.integers(min_value=1, max_value=40))
-    @settings(max_examples=80, deadline=None)
-    def test_window_tiles_reproduce_breakpoint_multiset(self, inputs, width):
-        """Tiling the axis with _window_points reproduces the exact
-        _breakpoints multiset — the property the windowed scan's
-        correctness (and the simplified clamps) rests on."""
-        ts, vd, service = inputs
-        scenario = DemandScenario(attach(ts, service), vd)
-        for tasks, ramps in (
-            (scenario._lo, False),
-            (scenario._hi + scenario._hi_lc, True),
-        ):
-            if not tasks:
-                continue
-            horizon = 120
-            tiles = []
-            start = 0
-            while start <= horizon:
-                tiles.append(
-                    _window_points(tasks, horizon, start, start + width, ramps)
-                )
-                start += width
-            tiled = np.sort(np.concatenate(tiles))
-            reference = DemandScenario._breakpoints(tasks, horizon, ramps)
-            assert tiled.tolist() == reference.tolist()
-
-
 # -- kernel switch / counters -------------------------------------------------
 
 class TestKernelControls:
@@ -739,21 +818,257 @@ class TestKernelControls:
         assert sum(dbf.kernel_counters().values()) == 0
 
 
-class TestForwardOracle:
-    @given(scenario_inputs())
-    @settings(max_examples=60, deadline=None)
-    def test_first_violation_agrees_with_pointwise_scan(self, inputs):
-        """The chunked forward scan (the oracle itself) equals a naive
-        full-array evaluation — anchoring the whole differential chain."""
+# -- the forward walk ---------------------------------------------------------
+
+class TestFirstViolation:
+    @given(
+        scenario_inputs(),
+        st.integers(min_value=0, max_value=150),
+        st.integers(min_value=0, max_value=160),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=170)),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_scan(self, inputs, horizon, start, stop, ramps):
+        """The walk returns the first violating check point of the whole
+        array scan at or after ``start`` and below ``stop``, with the demand
+        there — LO, HI and refined HI, ramps on and off, degraded LC rows
+        (``n_trigger < len(tasks)``) included."""
         ts, vd, service = inputs
         scenario = DemandScenario(attach(ts, service), vd)
-        tasks = scenario._lo
-        horizon = 100
-        points = DemandScenario._breakpoints(tasks, horizon, ramps=False)
-        found = _first_violation(
-            points, lambda chunk: DemandScenario._lo_demand(tasks, chunk)
+        for tasks, _, demand_fn, demand_at in demand_modes(scenario):
+            points = DemandScenario._breakpoints(tasks, horizon, ramps=ramps)
+            demand = demand_fn(points)
+            mask = (points >= start) & (demand > points)
+            if stop is not None:
+                mask &= points < stop
+            expected = None
+            if mask.any():
+                where = int(np.argmax(mask))
+                expected = (int(points[where]), int(demand[where]))
+            found = first_violation(tasks, start, horizon, demand_at, ramps, stop)
+            assert found == expected
+
+    @pytest.mark.parametrize("horizon", [36, 37, 40])
+    @pytest.mark.parametrize("ramps", [False, True])
+    def test_visits_each_check_point_once_in_order(self, horizon, ramps):
+        """Without a violation the walk evaluates exactly the distinct
+        reference check points, ascending — the horizon once, whether or
+        not it is itself a breakpoint (36 is a jump, 37 a ramp end)."""
+        tasks = [_ModeTask(3, 6, 10, 2), _ModeTask(1, 4, 16, 1)]
+        seen = []
+
+        def demand_at(length):
+            seen.append(length)
+            return 0
+
+        assert first_violation(tasks, 0, horizon, demand_at, ramps) is None
+        reference = DemandScenario._breakpoints(tasks, horizon, ramps)
+        assert seen == sorted(set(reference.tolist()))
+        assert seen[-1] == horizon
+
+    def test_violation_at_horizon_breakpoint(self):
+        tasks = [_ModeTask(3, 6, 10, 2)]
+        demand_at = lambda length: length + 1 if length == 26 else 0
+        assert first_violation(tasks, 0, 26, demand_at, True) == (26, 27)
+        assert first_violation(tasks, 0, 26, demand_at, True, stop=26) is None
+
+    def test_start_past_horizon_finds_nothing(self):
+        tasks = [_ModeTask(5, 3, 10, 5)]
+        demand_at = lambda length: _lo_point_demand(tasks, length)
+        assert first_violation(tasks, 0, 20, demand_at, False) == (3, 5)
+        assert first_violation(tasks, 21, 20, demand_at, False) is None
+        assert first_violation(tasks, 0, 20, demand_at, False, stop=3) is None
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_zero_wcet_lo_has_no_ramp_family(self, refine):
+        """``wcet_lo = 0`` contributes jumps only, like ``_breakpoints``,
+        and no carry-over reduction or trigger cut."""
+        tasks = [_ModeTask(7, 2, 9, 0), _ModeTask(4, 5, 12, 3)]
+        horizon = 60
+        reference = reference_violations(
+            tasks, horizon, True,
+            lambda points: reference_hi_demand(tasks, points, refine),
         )
-        demand = DemandScenario._lo_demand(tasks, points)
-        mask = demand > points
-        expected = int(points[np.argmax(mask)]) if mask.any() else None
-        assert found == expected
+        found = first_violation(
+            tasks, 0, horizon,
+            lambda length: _hi_point_demand(tasks, length, refine),
+            ramps=True,
+        )
+        assert reference and found[0] == reference[0]
+        seen = []
+        first_violation(
+            tasks, 0, horizon, lambda length: seen.append(length) or 0, True
+        )
+        assert seen == sorted(
+            set(DemandScenario._breakpoints(tasks, horizon, True).tolist())
+        )
+
+
+# -- aborted QPA searches bound the forward fallback --------------------------
+
+class TestAbortBound:
+    @given(
+        st.one_of(scenario_inputs(), saturated_inputs()),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_last_iterate_bounds_every_violation(self, inputs, cap):
+        """An aborted search's last iterate lies at or above every violating
+        check point, so the walk up to it finds the earliest violation."""
+        ts, vd, service = inputs
+        scenario = DemandScenario(attach(ts, service), vd)
+        horizon = 400
+        for tasks, ramps, demand_fn, demand_at in demand_modes(scenario):
+            status, bound, _ = qpa_violation_search(
+                tasks, horizon, demand_at, ramps=ramps, max_iters=cap
+            )
+            if status != "abort":
+                continue
+            violating = reference_violations(tasks, horizon, ramps, demand_fn)
+            assert all(point <= bound for point in violating)
+            found = first_violation(tasks, 0, bound, demand_at, ramps)
+            assert (found and found[0]) == (violating[0] if violating else None)
+
+    @pytest.mark.parametrize("narrow", [False, True])
+    @given(
+        st.one_of(scenario_inputs(), saturated_inputs()),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_capped_checks_equal_forward(self, narrow, inputs, cap):
+        """With QPA forced to abort after 1-3 iterations, the scenario- and
+        engine-level checks still return the forward kernel's answers.
+
+        ``narrow`` shrinks the engine's first window to one point (its
+        width is a cost choice only), so most HI checks reach the QPA
+        search and the forward fallback behind it."""
+        ts, vd, service = inputs
+        tagged = attach(ts, service)
+        hi_meta = DemandEngine._hi_meta
+
+        def narrow_meta(engine, sig, tasks):
+            state, _ = hi_meta(engine, sig, tasks)
+            return (state, float("inf"))
+
+        def outcome(fn):
+            try:
+                return fn()
+            except dbf.HorizonExceeded:
+                return "raise"
+
+        def checks():
+            scenario = DemandScenario(tagged, vd)
+            out = [outcome(scenario.lo_violation)]
+            banked = DemandEngine(tagged, 100_000, memo={})
+            fresh = DemandEngine(tagged, 100_000, memo={})
+            out.append(outcome(lambda: banked.lo_feasible(vd)))
+            for refine in (False, True):
+                out.append(outcome(lambda: scenario.hi_violation(refine=refine)))
+                out.append(outcome(lambda: banked.hi_feasible(vd, refine)))
+                out.append(outcome(lambda: banked.hi_check(vd, refine)))
+                out.append(outcome(lambda: fresh.hi_check(vd, refine)))
+            return out
+
+        expected = run_with_kernel("forward", checks)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dbf, "_QPA_ITER_CAP", cap)
+            if narrow:
+                patch.setattr(DemandEngine, "_hi_meta", narrow_meta)
+            assert run_with_kernel("qpa", checks) == expected
+
+    @pytest.mark.parametrize(
+        "params, deadlines, service, cap, refine, expected",
+        [
+            # (period, HC?, C_L, C_H, D) per task; Dv per HC task
+            (
+                [(16, True, 3, 5, 9), (21, True, 2, 13, 21),
+                 (40, False, 1, 1, 18)],
+                [5, 4], "full-drop", 3, False, (39, 40),
+            ),
+            (
+                [(31, True, 1, 3, 18), (10, True, 1, 8, 8)],
+                [1, 1], "imprecise:0.5", 1, False, (18, 19),
+            ),
+        ],
+    )
+    def test_fallback_walks_up_to_the_last_iterate(
+        self, params, deadlines, service, cap, refine, expected
+    ):
+        """Pinned: behind a one-point first window and an aborted search,
+        the earliest violation lies above half the search's last iterate,
+        so a fallback walk cut short of that iterate would miss it."""
+        ts = attach(
+            TaskSet(
+                [
+                    MCTask(
+                        period=period,
+                        criticality=Criticality.HC if high else Criticality.LC,
+                        wcet_lo=wcet_lo,
+                        wcet_hi=wcet_hi,
+                        deadline=deadline,
+                    )
+                    for period, high, wcet_lo, wcet_hi, deadline in params
+                ]
+            ),
+            service,
+        )
+        vd = {
+            t.task_id: v for t, v in zip([t for t in ts if t.is_high], deadlines)
+        }
+        hi_meta = DemandEngine._hi_meta
+
+        def narrow_meta(engine, sig, tasks):
+            state, _ = hi_meta(engine, sig, tasks)
+            return (state, float("inf"))
+
+        def check():
+            return DemandEngine(ts, 100_000, memo={}).hi_check(vd, refine)
+
+        assert run_with_kernel("forward", check) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dbf, "_QPA_ITER_CAP", cap)
+            patch.setattr(DemandEngine, "_hi_meta", narrow_meta)
+            assert run_with_kernel("qpa", check) == expected
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_floor_fallback_finds_violation_past_screen_points(self, cap):
+        """Pinned: the refined floor demand first violates at 49, which no
+        screen point hits and the capped search does not reach, so only
+        the forward fallback up to the last iterate settles it."""
+        floor_tasks = [_ModeTask(6, 1, 12, 6), _ModeTask(13, 13, 27, 8)]
+        assert reference_violations(
+            floor_tasks, 400, True,
+            lambda points: reference_hi_demand(floor_tasks, points, True),
+        )[0] == 49
+        screen = DemandPreScreen(stages=(("ratio", True),))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dbf, "_QPA_ITER_CAP", cap)
+            assert screen._floor_hi_infeasible(floor_tasks, 400)
+
+    @given(
+        st.one_of(mc_taskset(), saturated_inputs().map(lambda inputs: inputs[0])),
+        st.integers(min_value=1, max_value=3),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_capped_floor_check_equals_reference(self, ts, cap, refine):
+        """The prefilter's floor-HI decision under an aborting QPA."""
+        high = [t for t in ts if t.is_high]
+        if not high:
+            return
+        floor_tasks = [
+            _ModeTask(t.wcet_hi, t.deadline - t.wcet_lo, t.period, t.wcet_lo)
+            for t in high
+        ]
+        horizon = 400
+        expected = bool(
+            reference_violations(
+                floor_tasks, horizon, True,
+                lambda points: reference_hi_demand(floor_tasks, points, refine),
+            )
+        )
+        screen = DemandPreScreen(stages=(("ratio", refine),))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dbf, "_QPA_ITER_CAP", cap)
+            assert screen._floor_hi_infeasible(floor_tasks, horizon) == expected

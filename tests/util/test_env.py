@@ -1,4 +1,4 @@
-"""Validated env-knob parsing (REPRO_SAMPLES / REPRO_M / dbf kernel knobs)."""
+"""Validated env-knob parsing (REPRO_SAMPLES / REPRO_M / the dbf kernel knob)."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.util.env import (
     OBS_MODES,
     RUNNER_BACKENDS,
     RUNNER_STORES,
-    approx_k_from_env,
     demand_kernel_from_env,
     heartbeat_interval_from_env,
     journal_flush_interval_from_env,
@@ -21,7 +20,6 @@ from repro.util.env import (
     runner_backend_from_env,
     runner_store_from_env,
     samples_from_env,
-    scan_chunk_from_env,
     verdict_cache_dir_from_env,
     verdict_cache_from_env,
     verdict_cache_size_from_env,
@@ -42,42 +40,6 @@ class TestPositiveIntEnv:
         monkeypatch.setenv("REPRO_SAMPLES", bad)
         with pytest.raises(ValueError, match="REPRO_SAMPLES"):
             samples_from_env()
-
-
-class TestDbfKernelKnobs:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DBF_SCAN_CHUNK", raising=False)
-        monkeypatch.delenv("REPRO_DBF_APPROX_K", raising=False)
-        assert scan_chunk_from_env() == 4096
-        assert approx_k_from_env() == 3
-
-    def test_parses_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DBF_SCAN_CHUNK", "512")
-        monkeypatch.setenv("REPRO_DBF_APPROX_K", "7")
-        assert scan_chunk_from_env() == 512
-        assert approx_k_from_env() == 7
-
-    @pytest.mark.parametrize("knob,reader", [
-        ("REPRO_DBF_SCAN_CHUNK", scan_chunk_from_env),
-        ("REPRO_DBF_APPROX_K", approx_k_from_env),
-    ])
-    @pytest.mark.parametrize("bad", ["0", "-2", "many", "2.5"])
-    def test_rejects_invalid(self, monkeypatch, knob, reader, bad):
-        monkeypatch.setenv(knob, bad)
-        with pytest.raises(ValueError, match=knob):
-            reader()
-
-    def test_kernel_module_reads_knobs(self):
-        """The dbf module's constants agree with the validated parsers.
-
-        The knobs are consumed once at import (the kernel's inner loops
-        must not re-read the environment), so the invariant testable here
-        is consistency with whatever the ambient environment says.
-        """
-        from repro.analysis import dbf
-
-        assert dbf._SCAN_CHUNK == scan_chunk_from_env()
-        assert dbf._APPROX_K == approx_k_from_env()
 
 
 class TestDemandKernelKnob:
