@@ -416,7 +416,7 @@ def first_violation(
         point = _next_breakpoint(tasks, point, ramps)
         if point is None or point > horizon:
             point = horizon
-        elif point > end:
+        if point > end:
             return None
         demand = demand_at(point)
         if demand > point:

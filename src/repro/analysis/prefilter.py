@@ -47,11 +47,14 @@ Probe screens
 Beyond whole-batch rejects, tests can expose a :class:`ProbeScreen` — the
 O(1) utilization region in which a single admission probe's verdict is
 already determined.  :func:`repro.core.batch.partition_batch` replays the
-allocation loop through these screens ("utilization-ledger replay") and
-settles every set whose walk never leaves the decided region; the EDF-VD
-screen is complete (every probe decides), the EY/ECDF screen mirrors the
-pre-screen of :class:`repro.analysis.context.DemandContext` and reports
-``None`` for probes that would need dbf work.
+allocation loop of every pending set in lockstep through these screens
+("utilization-ledger replay"), asking :meth:`ProbeScreen.decide_many` for
+the codes of one step's probes on all sets and cores at once, and settles
+every set whose walk never leaves the decided region.  The EDF-VD screen
+is complete (every probe decides); the EY/ECDF screen mirrors the
+pre-screen of :class:`repro.analysis.context.DemandContext` and leaves
+probes that would need dbf work undecided, for the scalar
+:meth:`~ProbeScreen.decide_rows` of that one set to settle or abandon.
 
 Every filter and screen here is demand-kernel independent: the conditions
 are utilization arithmetic over the batch columns and never evaluate a
@@ -127,7 +130,8 @@ class ProbeScreen:
     parameters set ``uses_rows`` and override :meth:`decide_rows`, which
     additionally receives the committed rows of the candidate core (in
     commit order), the probed row and a :class:`RowView` — the same
-    verdict contract applies.
+    verdict contract applies.  :meth:`decide_many` is ``decide`` over
+    arrays, the form the lockstep replay calls once per step.
     """
 
     #: whether the replay should build a :class:`RowView` and call
@@ -157,6 +161,34 @@ class ProbeScreen:
     ) -> bool | None:
         return self.decide(a, b, c, u_res, implicit)
 
+    def decide_many(self, a, b, c, u_res, implicit) -> np.ndarray:
+        """:meth:`decide` over equal-shape float arrays, as int8 codes.
+
+        ``implicit`` is a bool array of the same shape or the scalar
+        ``True``.  Codes: 1 admit, 0 reject, -1 undecided (None), -2
+        invalid input (``decide`` raises ``ValueError``; the replay
+        re-runs the scalar probe where a walk would evaluate it, so the
+        error surfaces unchanged).  This loop over :meth:`decide` is the
+        reference; subclasses override it with vectorized transcriptions.
+        """
+        shape = np.shape(a)
+        implicit = np.broadcast_to(implicit, shape).ravel().tolist()
+        codes = []
+        for args in zip(
+            np.ravel(a).tolist(),
+            np.ravel(b).tolist(),
+            np.ravel(c).tolist(),
+            np.ravel(u_res).tolist(),
+            implicit,
+        ):
+            try:
+                verdict = self.decide(*args)
+            except ValueError:
+                codes.append(-2)
+                continue
+            codes.append(-1 if verdict is None else int(verdict))
+        return np.array(codes, dtype=np.int8).reshape(shape)
+
 
 class EDFVDScreen(ProbeScreen):
     """The EDF-VD utilization test *is* an O(1) screen.
@@ -177,6 +209,32 @@ class EDFVDScreen(ProbeScreen):
         if not implicit:
             return None
         return self._admits(a, b, c, u_res)
+
+    def decide_many(self, a, b, c, u_res, implicit):
+        """``edfvd_admits`` transcribed term by term onto arrays.
+
+        Every ``+ - * /`` is the same IEEE double operation, in the same
+        expression order, as the scalar function, so each code equals its
+        verdict bit for bit (for finite inputs).
+        """
+        one = 1.0 + _EPS
+        reject = (a + b > one) | (c > one) | (a >= 1.0 - _EPS)
+        # x = b / (1 - a) only matters where a < 1 - 1e-9; elsewhere the
+        # denominator is replaced so no division by zero can occur.
+        denominator = 1.0 - a
+        denominator[reject] = 1.0
+        x = b / denominator
+        hi_mode = x * a + (1.0 - x) * u_res + c <= one
+        admit = (a + c <= one) | (~reject & hi_mode)
+        codes = admit.view(np.int8)
+        codes[
+            (np.minimum(np.minimum(a, b), c) < -_EPS)
+            | (b > c + _EPS)
+            | ~((-_EPS <= u_res) & (u_res <= a + _EPS))
+        ] = -2
+        if implicit is not True:
+            codes[~implicit] = -1
+        return codes
 
 
 class DemandPreScreen(ProbeScreen):
@@ -234,6 +292,14 @@ class DemandPreScreen(ProbeScreen):
         if implicit and a + c <= 1.0 + _EPS:
             return True
         return None
+
+    def decide_many(self, a, b, c, u_res, implicit):
+        """The utilization gates of :meth:`decide` over arrays."""
+        one = 1.0 + _EPS
+        accept = (a + c <= one) & implicit
+        codes = np.where(accept, np.int8(1), np.int8(-1))
+        codes[(a + b > one) | (c > one)] = 0
+        return codes
 
     def decide_rows(self, a, b, c, u_res, implicit, members, probe, view):
         from repro.analysis import dbf as _dbf

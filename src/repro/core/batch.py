@@ -8,34 +8,45 @@ possible from the utilization columns alone:
 1. the exact prefilter bank (:mod:`repro.analysis.prefilter`) rejects sets
    whose column sums prove partition failure for *any* allocation order;
 2. the **utilization-ledger replay** walks the actual allocation loop —
-   same task order, same fit order, same probe arithmetic — but answers
-   each admission probe through the test's O(1)
-   :class:`~repro.analysis.prefilter.ProbeScreen`.  For EDF-VD the screen
-   is complete and the whole partition is a pure function of the ledger;
-   for EY/ECDF the screen covers the utilization-decided region and the
-   replay abandons a set the moment a probe would need dbf work;
+   same task order, same fit order, same probe arithmetic — for every
+   pending set in lockstep, answering the admission probes through the
+   test's O(1) :class:`~repro.analysis.prefilter.ProbeScreen`.  For EDF-VD
+   the screen is complete and the whole partition is a pure function of
+   the ledger; for EY/ECDF the screen covers the utilization-decided
+   region and a set drops out the moment a probe would need dbf work;
 3. everything still pending falls through to the incremental per-taskset
    :func:`partition` path on lazily materialized task sets.
 
 Exactness
 ---------
-The replay maintains one float ledger per core — ``(U_LL, U_LH, U_HH,
-U_res)`` — updated by the identical ``+=`` fold the scalar path's
-:class:`~repro.core.allocator.ProcessorState` and
-:class:`~repro.analysis.context.AnalysisContext` accumulators perform, and
-computes fit metrics with the same expressions those objects' properties
-evaluate.  Allocation order comes from the strategy's declarative
-``order_spec``/``fit_spec`` metadata, whose interpretation reproduces the
-callable rules' sort keys exactly (tie-breaks included).  Together with the
-screens' bit-exact mirrors of the context pre-screens, a replayed verdict
-equals the scalar ``partition(...).success`` — the differential suite in
-``tests/core/test_partition_batch.py`` asserts this across strategies,
-tests and service models rather than trusting the argument.
+Step ``k`` of the replay places the ``k``-th task of every live set at
+once over ``(4, sets, cores)`` float64 ledgers of ``(U_LL, U_LH, U_HH,
+U_res)``.  A verdict equals the scalar ``partition(...).success`` because
+every operation is the scalar walk's, element by element:
+
+* the candidate sums are ``ledger + increment``, where a term the scalar
+  ``+=`` fold of :class:`~repro.core.allocator.ProcessorState` skips adds
+  ``0.0`` — exact on the non-negative sums;
+* numpy's elementwise ``+ - * /`` are the IEEE double operations of the
+  Python expressions, in the same order and without FMA contraction, so
+  fit metrics and :meth:`ProbeScreen.decide_many` codes are bit-identical
+  to the properties and ``decide`` verdicts they transcribe;
+* the allocation order is one ``np.lexsort`` and the fit order a
+  ``kind="stable"`` argsort, both stable and carrying the callable rules'
+  tie keys (task id, core index).
+
+Probes the vector codes leave undecided go through the screen's scalar
+``decide``/``decide_rows`` for that set alone.  The differential suite in
+``tests/core/test_partition_batch.py`` asserts the equality across
+strategies, tests, core counts and service models rather than trusting
+the argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.model import TaskSetBatch
 from repro import obs as _obs
@@ -62,11 +73,6 @@ class BatchPartitionOutcome:
     ``settled[i]`` records which mechanism produced it — a prefilter name
     (``"sum-lo"``, ``"sum-hi"``, ``"lone-task"``), ``"ledger"`` for the
     columnar replay, or ``"full"`` for the per-taskset fallback.
-
-    Demand-kernel diagnostics formerly carried here as ``kernel_counts``
-    now live in the :mod:`repro.obs` registry (the sweep layer records
-    per-algorithm deltas under ``kernel.<algorithm>.*``) — outcome
-    equality and cache identity never depended on them.
     """
 
     accepted: list[bool] = field(default_factory=list)
@@ -123,110 +129,6 @@ def _validate_batch_support(
         )
 
 
-def _order_indices(
-    spec: tuple,
-    n: int,
-    is_high: list[bool],
-    u_own: list[float],
-    u_lo: list[float],
-    tie: list[int],
-) -> list[int]:
-    """Local task indices in allocation order — the ``order_spec`` twin.
-
-    Reproduces the sort keys of :mod:`repro.core.strategies` exactly:
-    ``(-utilization_at_own_level, task_id)`` with Python's stable sort, so
-    the returned permutation equals ``strategy.order(taskset)``.
-    """
-    indices = range(n)
-    kind = spec[0]
-    if kind == "ca":
-        high = sorted(
-            (i for i in indices if is_high[i]), key=lambda i: (-u_own[i], tie[i])
-        )
-        low = sorted(
-            (i for i in indices if not is_high[i]),
-            key=lambda i: (-u_own[i], tie[i]),
-        )
-        return high + low
-    if kind == "ca-nosort":
-        return [i for i in indices if is_high[i]] + [
-            i for i in indices if not is_high[i]
-        ]
-    if kind == "cu":
-        return sorted(indices, key=lambda i: (-u_own[i], tie[i]))
-    if kind == "heavy-lc-first":
-        threshold = spec[1]
-        heavy = sorted(
-            (i for i in indices if not is_high[i] and u_lo[i] >= threshold),
-            key=lambda i: (-u_own[i], tie[i]),
-        )
-        light = sorted(
-            (i for i in indices if not is_high[i] and u_lo[i] < threshold),
-            key=lambda i: (-u_own[i], tie[i]),
-        )
-        high = sorted(
-            (i for i in indices if is_high[i]), key=lambda i: (-u_own[i], tie[i])
-        )
-        return heavy + high + light
-    raise ValueError(f"unknown order spec {spec!r}")
-
-
-def _fit_indices(
-    spec: tuple,
-    m: int,
-    a: list[float],
-    b: list[float],
-    c: list[float],
-    res: list[float],
-) -> list[int] | range:
-    """Core indices in try order — the ``fit_spec`` twin.
-
-    The metric expressions transcribe the :class:`ProcessorState`
-    properties term by term (``res-difference`` is ``(U_HH + U_res) -
-    U_LH``, the property's evaluation order), and the sort keys match
-    ``worst_fit_by``/``best_fit_by`` including the index tie-break.
-    """
-    kind = spec[0]
-    if kind == "first":
-        return range(m)
-    metric_name = spec[1]
-    if metric_name == "difference":
-        metric = [c[j] - b[j] for j in range(m)]
-    elif metric_name == "res-difference":
-        metric = [(c[j] + res[j]) - b[j] for j in range(m)]
-    elif metric_name == "u-hh":
-        metric = list(c)
-    elif metric_name == "u-lo":
-        metric = [a[j] + b[j] for j in range(m)]
-    else:
-        raise ValueError(f"unknown fit metric {metric_name!r}")
-    if kind == "worst":
-        return sorted(range(m), key=lambda j: (metric[j], j))
-    if kind == "best":
-        return sorted(range(m), key=lambda j: (-metric[j], j))
-    raise ValueError(f"unknown fit spec {spec!r}")
-
-
-def _set_lists(batch: TaskSetBatch, index: int, u_res_column):
-    """Per-set plain-Python columns, cached on the batch across algorithms."""
-    lists = batch.replay_cache.get(index)
-    if lists is None:
-        rows = batch.set_slice(index)
-        u_lo = batch.u_lo[rows].tolist()
-        u_hi = batch.u_hi[rows].tolist()
-        is_high = batch.is_high[rows].tolist()
-        implicit_task = (batch.deadline[rows] == batch.period[rows]).tolist()
-        res_task = (
-            u_res_column[rows].tolist() if u_res_column is not None else None
-        )
-        u_own = [
-            u_hi[i] if is_high[i] else u_lo[i] for i in range(len(u_lo))
-        ]
-        lists = (u_lo, u_hi, is_high, implicit_task, res_task, u_own)
-        batch.replay_cache[index] = lists
-    return lists
-
-
 def _row_view(batch: TaskSetBatch, index: int):
     """Per-set :class:`~repro.analysis.prefilter.RowView`, cached."""
     from repro.analysis.prefilter import RowView
@@ -247,84 +149,181 @@ def _row_view(batch: TaskSetBatch, index: int):
     return view
 
 
-def _replay_set(
+#: The :class:`ProcessorState` fit metrics, term for term, over a ``(4,
+#: ...)`` ledger of ``(U_LL, U_LH, U_HH, U_res)``.
+_FIT_METRICS = {
+    "difference": lambda led: led[2] - led[1],
+    "res-difference": lambda led: (led[2] + led[3]) - led[1],
+    "u-hh": lambda led: led[2],
+    "u-lo": lambda led: led[0] + led[1],
+}
+
+
+def _fit_key(spec: tuple, ledger: np.ndarray):
+    kind = spec[0]
+    if kind == "first":
+        return np.zeros(ledger.shape[1:])
+    if kind not in ("worst", "best") or spec[1] not in _FIT_METRICS:
+        raise ValueError(f"unknown fit spec {spec!r}")
+    metric = _FIT_METRICS[spec[1]](ledger)
+    return metric if kind == "worst" else -metric
+
+
+def _fit_order(hc_spec, lc_spec, ledger: np.ndarray, high: np.ndarray):
+    """Core try order per set (row) — the ``fit_spec`` twin: a stable
+    argsort of ``metric`` (``worst``), ``-metric`` (``best``) or 0.0
+    (``first``), i.e. the ``(metric, j)`` / ``(-metric, j)`` sort keys."""
+    key = _fit_key(hc_spec, ledger)
+    if lc_spec != hc_spec:
+        key = np.where(high[:, None], key, _fit_key(lc_spec, ledger))
+    return key.argsort(axis=1, kind="stable")
+
+
+def _allocation_order(batch: TaskSetBatch, pending: np.ndarray, spec: tuple):
+    """``(set_of, position, ordered)``: ``ordered[p]`` is the row that set
+    ``set_of[p]`` allocates ``position[p]``-th — the ``order_spec`` twin as
+    one ``np.lexsort`` over ``(set, class, -u_own, tie)``.  ``tie`` is the
+    task-id order: real ids for a materialized set; the local row index for
+    an unmaterialized one, which materializes with increasing ids.
+    """
+    starts = batch.offsets[pending]
+    counts = batch.offsets[pending + 1] - starts
+    seg = np.cumsum(counts) - counts
+    set_of = np.repeat(np.arange(len(pending)), counts)
+    position = np.arange(len(set_of)) - np.repeat(seg, counts)
+    rows = starts[set_of] + position
+    high = batch.is_high[rows]
+    kind = spec[0]
+    if kind == "ca-nosort":
+        return set_of, position, rows[np.lexsort((position, ~high, set_of))]
+    tie = position.copy()
+    slot = dict(zip(pending.tolist(), seg.tolist()))
+    for index, ts in batch._sets.items():
+        if index in slot:
+            tie[slot[index] : slot[index] + len(ts)] = [t.task_id for t in ts]
+    u_lo = batch.u_lo[rows]
+    minus_own = -np.where(high, batch.u_hi[rows], u_lo)
+    if kind == "ca":
+        keys = (tie, minus_own, ~high, set_of)
+    elif kind == "cu":
+        keys = (tie, minus_own, set_of)
+    elif kind == "heavy-lc-first":
+        heavy_high_light = np.where(high, 1, np.where(u_lo >= spec[1], 0, 2))
+        keys = (tie, minus_own, heavy_high_light, set_of)
+    else:
+        raise ValueError(f"unknown order spec {spec!r}")
+    return set_of, position, rows[np.lexsort(keys)]
+
+
+def _lockstep_replay(
     batch: TaskSetBatch,
-    index: int,
+    pending: np.ndarray,
     m: int,
     screen: ProbeScreen,
     strategy: PartitioningStrategy,
-    u_res_column,
-) -> bool | None:
-    """Columnar replay of one set's allocation walk; None = undecidable."""
-    u_lo, u_hi, is_high, implicit_task, res_task, u_own = _set_lists(
-        batch, index, u_res_column
-    )
-    n = len(u_lo)
-    ties = _tiebreak(batch, index, n)
-    order = _order_indices(
-        strategy.order_spec, n, is_high, u_own, u_lo, ties
-    )
-    view = _row_view(batch, index) if screen.uses_rows else None
+) -> np.ndarray:
+    """Every pending set's allocation walk, one task of each per step.
 
-    a = [0.0] * m
-    b = [0.0] * m
-    c = [0.0] * m
-    res = [0.0] * m
-    implicit = [True] * m
-    members: list[list[int]] = [[] for _ in range(m)]
-    for i in order:
-        high = is_high[i]
-        spec = strategy.hc_fit_spec if high else strategy.lc_fit_spec
-        placed = False
-        for j in _fit_indices(spec, m, a, b, c, res):
-            ca, cb, cc, cres = a[j], b[j], c[j], res[j]
-            if high:
-                cb += u_lo[i]
-                cc += u_hi[i]
-            else:
-                ca += u_lo[i]
-                if res_task is not None:
-                    cres += res_task[i]
-            if view is not None:
-                verdict = screen.decide_rows(
-                    ca,
-                    cb,
-                    cc,
-                    cres,
-                    implicit[j] and implicit_task[i],
-                    members[j],
-                    i,
-                    view,
-                )
-            else:
-                verdict = screen.decide(
-                    ca, cb, cc, cres, implicit[j] and implicit_task[i]
-                )
-            if verdict is None:
-                return None
-            if verdict:
-                a[j], b[j], c[j], res[j] = ca, cb, cc, cres
-                implicit[j] = implicit[j] and implicit_task[i]
-                members[j].append(i)
-                placed = True
-                break
-        if not placed:
-            return False
-    return True
-
-
-def _tiebreak(batch: TaskSetBatch, index: int, n: int) -> list[int]:
-    """Per-task sort tie-break equal to the task-id order.
-
-    A set already materialized (or built from existing task sets) carries
-    real task ids; an unmaterialized generated set will be materialized in
-    column order, which assigns strictly increasing ids — so the local row
-    index induces the identical tie-break order.
+    Step ``k`` probes the ``k``-th task of every live set on all cores
+    at once over ``(4, sets, cores)`` ledgers of ``(U_LL, U_LH, U_HH,
+    U_res)``; a set leaves the live arrays when it finishes, fails or
+    turns undecided.  Returns one code per pending set: 1 accepted, 0
+    rejected, -1 undecided (the set falls through to :func:`partition`).
     """
-    ts = batch._sets.get(index)
-    if ts is not None:
-        return [t.task_id for t in ts]
-    return list(range(n))
+    n_sets = len(pending)
+    counts = batch.offsets[pending + 1] - batch.offsets[pending]
+    n_max = int(counts.max())
+    set_of, position, ordered = _allocation_order(
+        batch, pending, strategy.order_spec
+    )
+    high_o = batch.is_high[ordered]
+    u_lo_o = batch.u_lo[ordered]
+    step = np.zeros((n_max, 4, n_sets))  # ledger increment of step k
+    step[position, 0, set_of] = np.where(high_o, 0.0, u_lo_o)
+    step[position, 1, set_of] = np.where(high_o, u_lo_o, 0.0)
+    step[position, 2, set_of] = np.where(high_o, batch.u_hi[ordered], 0.0)
+    service = batch.service_model
+    if service is not None and not service.is_full_drop:
+        step[position, 3, set_of] = np.where(high_o, 0.0, batch.u_res[ordered])
+    high = np.zeros((n_max, n_sets), dtype=bool)
+    high[position, set_of] = high_o
+    implicit_o = batch.deadline[ordered] == batch.period[ordered]
+    all_implicit = bool(implicit_o.all())
+    if not all_implicit:
+        task_implicit = np.zeros((n_max, n_sets), dtype=bool)
+        task_implicit[position, set_of] = implicit_o
+        core_implicit = np.ones((n_sets, m), dtype=bool)
+    if screen.uses_rows:
+        probe_row = np.full((n_sets, n_max), -1)
+        probe_row[set_of, position] = ordered - batch.offsets[pending][set_of]
+        core_of = np.full((n_sets, n_max), -1)
+
+    hc_spec, lc_spec = strategy.hc_fit_spec, strategy.lc_fit_spec
+    reorder = hc_spec[0] != "first" or lc_spec[0] != "first"
+    verdict = np.ones(n_sets, dtype=np.int8)
+    ends = set(counts.tolist())
+    live = np.arange(n_sets)
+    ledger = np.zeros((4, n_sets, m))
+    keep = counts > 0
+    for k in range(n_max):
+        if not keep.all():
+            # compress keeps the ledger C-contiguous for the flat commit
+            live, ledger = live[keep], ledger.compress(keep, 1)
+            step, high = step.compress(keep, 2), high.compress(keep, 1)
+            if not all_implicit:
+                task_implicit = task_implicit.compress(keep, 1)
+                core_implicit = core_implicit[keep]
+            if not len(live):
+                break
+        base = np.arange(0, len(live) * m, m)
+        cand = ledger + step[k][:, :, None]
+        implicit = (
+            True if all_implicit else core_implicit & task_implicit[k][:, None]
+        )
+        codes = screen.decide_many(*cand, implicit)
+        fitted, fit = codes, None
+        if reorder:
+            fit = _fit_order(hc_spec, lc_spec, ledger, high[k])
+            fitted = codes.ravel()[base[:, None] + fit]
+        first = (fitted != 0).argmax(axis=1)
+        got = fitted.ravel()[base + first]
+        core = first if fit is None else fit.ravel()[base + first]
+        placed = got == 1
+        if not placed.all():
+            for r in np.flatnonzero(got < 0).tolist():
+                # First non-reject core undecided (-1) or invalid (-2):
+                # walk on in fit order through the scalar screen, as a
+                # one-set walk would (so invalid input raises ValueError).
+                s, row_codes, got[r] = int(live[r]), codes[r].tolist(), 0
+                row_fit = range(m) if fit is None else fit[r].tolist()
+                for j in row_fit[first[r] :]:
+                    admitted = row_codes[j] == 1
+                    if row_codes[j] < 0:
+                        a, b, c, u_res = cand[:, r, j].tolist()
+                        imp = True if all_implicit else bool(implicit[r, j])
+                        if not screen.uses_rows:
+                            admitted = screen.decide(a, b, c, u_res, imp)
+                        else:
+                            members = probe_row[s, :k][core_of[s, :k] == j]
+                            admitted = screen.decide_rows(
+                                a, b, c, u_res, imp, members.tolist(),
+                                int(probe_row[s, k]),
+                                _row_view(batch, int(pending[s])),
+                            )
+                    if admitted is None or admitted:
+                        got[r], core[r] = (-1 if admitted is None else 1), j
+                        break
+            placed = got == 1
+            verdict[live[got == 0]] = 0
+            verdict[live[got < 0]] = -1
+        index = base + core
+        ledger.reshape(4, -1)[:, index] = cand.reshape(4, -1)[:, index]
+        if not all_implicit:
+            core_implicit.reshape(-1)[index] = implicit.reshape(-1)[index]
+        if screen.uses_rows:
+            core_of[live, k] = core
+        keep = placed & (counts[live] > k + 1) if k + 1 in ends else placed
+    return verdict
 
 
 def partition_batch(
@@ -357,10 +356,11 @@ def partition_batch(
     report = bank.apply(batch, m, test)
 
     screen = test.batch_screen()
-    replay = screen is not None and strategy.replayable
-    service = batch.service_model
-    degraded = service is not None and not service.is_full_drop
-    u_res_column = batch.u_res if degraded else None
+    pending = [i for i, source in enumerate(report.settled) if source is None]
+    ledger: dict[int, int] = {}
+    if screen is not None and strategy.replayable and pending:
+        codes = _lockstep_replay(batch, np.array(pending), m, screen, strategy)
+        ledger = dict(zip(pending, codes.tolist()))
 
     for i in range(len(batch)):
         source = report.settled[i]
@@ -368,11 +368,9 @@ def partition_batch(
             outcome.accepted.append(False)
             outcome.settled.append(source)
             continue
-        verdict: bool | None = None
-        if replay:
-            verdict = _replay_set(batch, i, m, screen, strategy, u_res_column)
-        if verdict is not None:
-            outcome.accepted.append(verdict)
+        verdict = ledger.get(i, -1)
+        if verdict >= 0:
+            outcome.accepted.append(verdict == 1)
             outcome.settled.append("ledger")
             continue
         result = partition(

@@ -208,9 +208,10 @@ class TaskSetBatch:
         self._u_lo: np.ndarray | None = None
         self._u_hi: np.ndarray | None = None
         self._u_res: np.ndarray | None = None
-        #: scratch memo for per-set derived values consumers recompute
-        #: across passes (e.g. the allocation replay's per-set lists when
-        #: several algorithms walk the same batch); purely a cost cache
+        #: memo for derived values consumers recompute across passes
+        #: when several algorithms walk the same batch (the prefilter
+        #: sums, the ledger replay's per-set row views for rows-aware
+        #: screens); purely a cost cache
         self.replay_cache: dict = {}
 
     # -- construction --------------------------------------------------------

@@ -10,13 +10,18 @@ settled set is re-partitioned the slow way and must fail.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import get_test
 from repro.analysis.prefilter import (
     SUM_MARGIN,
     DemandPreScreen,
+    EDFVDScreen,
+    ProbeScreen,
     default_prefilter_bank,
 )
 from repro.analysis.context import DemandContext
@@ -153,3 +158,118 @@ class TestDemandPreScreenMirrorsContext:
                     context.commit(task)
                     a, b, c = ca, cb, cc
                     implicit = implicit and task.implicit_deadline
+
+
+# -- decide_many == decide ---------------------------------------------------
+
+_EPS = 1e-9
+#: The screens' thresholds, each with its neighbouring doubles.
+_EDGES = [
+    edge
+    for target in (1.0 + _EPS, 1.0 - _EPS, 1.0, 0.0, _EPS, -_EPS)
+    for edge in (
+        np.nextafter(np.nextafter(target, -2.0), -2.0),
+        np.nextafter(target, -2.0),
+        target,
+        np.nextafter(target, 2.0),
+        np.nextafter(np.nextafter(target, 2.0), 2.0),
+    )
+]
+_values = st.one_of(
+    st.sampled_from(_EDGES),
+    st.floats(min_value=-1e-8, max_value=1.5, allow_nan=False),
+)
+
+
+@st.composite
+def probe_sums(draw):
+    """One probe's ``(a, b, c, u_res, implicit)``, biased to the gates.
+
+    Partner sums are aimed at the thresholds: ``a + c`` and ``a + b`` at
+    ``1 + 1e-9`` (give or take an ulp), ``b`` at 0 or ``c``, ``u_res`` at
+    0 or ``a`` — so each gate is probed on both sides of its boundary.
+    """
+    a = draw(_values)
+    partner = st.one_of(
+        _values, st.sampled_from([edge - a for edge in _EDGES])
+    )
+    c = draw(partner)
+    b = draw(st.one_of(partner, st.sampled_from([0.0, c, c + _EPS])))
+    u_res = draw(
+        st.one_of(
+            _values,
+            st.sampled_from([0.0, a, a + _EPS, np.nextafter(a + _EPS, 3.0)]),
+        )
+    )
+    return float(a), float(b), float(c), float(u_res), draw(st.booleans())
+
+
+def scalar_codes(screen, probes):
+    codes = []
+    for probe in probes:
+        try:
+            verdict = screen.decide(*probe)
+        except ValueError:
+            codes.append(-2)
+            continue
+        codes.append(-1 if verdict is None else int(verdict))
+    return codes
+
+
+def vector_codes(decide_many, probes, all_implicit=False):
+    a, b, c, u_res, implicit = (np.array(col) for col in zip(*probes))
+    codes = decide_many(a, b, c, u_res, True if all_implicit else implicit)
+    assert codes.dtype == np.int8 and codes.shape == a.shape
+    return codes.tolist()
+
+
+class TestDecideManyMatchesDecide:
+    """Every vector code equals the scalar verdict of the same probe."""
+
+    SCREENS = [EDFVDScreen(), DemandPreScreen()]
+
+    @pytest.mark.parametrize("screen", SCREENS, ids=["edf-vd", "demand"])
+    @given(probes=st.lists(probe_sums(), min_size=1, max_size=24))
+    @settings(max_examples=300, deadline=None)
+    def test_differential(self, screen, probes):
+        want = scalar_codes(screen, probes)
+        assert vector_codes(screen.decide_many, probes) == want
+        # The base-class loop over decide is the reference implementation.
+        base = partial(ProbeScreen.decide_many, screen)
+        assert vector_codes(base, probes) == want
+        implicit = [probe[:4] + (True,) for probe in probes]
+        want = scalar_codes(screen, implicit)
+        assert vector_codes(screen.decide_many, implicit, True) == want
+        assert vector_codes(base, implicit, True) == want
+
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            (-2e-9, 0.0, 0.0, 0.0),  # negative U_LL
+            (0.0, -2e-9, 0.0, 0.0),  # negative U_LH
+            (0.0, 0.0, -2e-9, 0.0),  # negative U_HH
+            (0.0, 0.5, 0.4, 0.0),  # U_LH > U_HH
+            (0.2, 0.1, 0.3, -2e-9),  # negative U_res
+            (0.2, 0.1, 0.3, 0.2 + 2e-9),  # U_res > U_LL
+        ],
+    )
+    def test_edfvd_invalid_input_codes(self, probe):
+        screen = EDFVDScreen()
+        with pytest.raises(ValueError):
+            screen.decide(*probe, True)
+        arrays = [np.array([value]) for value in probe]
+        assert screen.decide_many(*arrays, True).tolist() == [-2]
+        # Non-implicit input is undecided before it is validated.
+        assert screen.decide_many(*arrays, np.array([False])).tolist() == [-1]
+
+    def test_edfvd_saturated_lo_and_zero_lh(self):
+        screen = EDFVDScreen()
+        probes = [
+            (1.0 - _EPS, 1e-12, 0.5, 0.0, True),  # a >= 1 - 1e-9: reject
+            (1.0 - 2e-9, 1e-12, 0.5, 0.0, True),  # just below: HI formula
+            (1.0, 0.0, 1e-12, 0.0, True),  # a = 1, b = 0: no division
+            (0.6, 0.0, 0.5, 0.3, True),  # b = 0 with a + c > 1
+        ]
+        assert vector_codes(screen.decide_many, probes) == scalar_codes(
+            screen, probes
+        )

@@ -873,6 +873,15 @@ class TestFirstViolation:
         assert first_violation(tasks, 0, 26, demand_at, True) == (26, 27)
         assert first_violation(tasks, 0, 26, demand_at, True, stop=26) is None
 
+    def test_stop_excludes_a_horizon_past_the_last_breakpoint(self):
+        """With no breakpoint left before the horizon, the horizon is the
+        next check point, and a ``stop`` at or below it excludes it."""
+        tasks = [_ModeTask(1, 50, 100, 1)]
+        demand_at = lambda length: length + 1
+        assert first_violation(tasks, 9, 10, demand_at, False) == (10, 11)
+        assert first_violation(tasks, 9, 10, demand_at, False, stop=11) == (10, 11)
+        assert first_violation(tasks, 9, 10, demand_at, False, stop=10) is None
+
     def test_start_past_horizon_finds_nothing(self):
         tasks = [_ModeTask(5, 3, 10, 5)]
         demand_at = lambda length: _lo_point_demand(tasks, length)

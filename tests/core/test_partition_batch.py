@@ -9,6 +9,9 @@ full strategies × tests × service-models cross product the issue calls for.
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.analysis import get_test
@@ -18,6 +21,7 @@ from repro.core import (
     partition,
     partition_batch,
 )
+from repro.degradation.service import ServiceModel
 from repro.generator import GeneratorConfig, MCTaskSetGenerator
 from repro.model import MCTask, TaskSet, TaskSetBatch
 from repro.util.rng import derive_rng
@@ -61,12 +65,23 @@ def assert_batch_matches_scalar(batch_args, m, test_name, strategy_name):
 
 
 class TestFastDifferential:
-    @pytest.mark.parametrize("strategy_name", STRATEGIES)
-    def test_edf_vd_ledger_complete(self, strategy_name):
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    @pytest.mark.parametrize("strategy_name", STRATEGIES + EXTRA_STRATEGIES)
+    def test_edf_vd_ledger_complete(self, strategy_name, m):
+        # Beyond two cores the worst/best-fit metrics tie (empty cores,
+        # equal sums), so the fit order's index tie-break is exercised.
         outcome = assert_batch_matches_scalar(
-            ("implicit", None, 25, "pb-edfvd"), 2, "edf-vd", strategy_name
+            ("implicit", None, 25, "pb-edfvd"), m, "edf-vd", strategy_name
         )
         # The EDF-VD screen is complete: nothing may fall through.
+        assert "full" not in outcome.settled_counts()
+
+    def test_residual_udp_imprecise_m4(self):
+        # The degraded U_res ledger column and the res-difference metric.
+        outcome = assert_batch_matches_scalar(
+            ("implicit", "imprecise:0.5", 25, "pb-res4"), 4, "edf-vd",
+            "cu-udp-res",
+        )
         assert "full" not in outcome.settled_counts()
 
     @pytest.mark.parametrize("test_name", ["ey", "ecdf"])
@@ -123,25 +138,145 @@ class TestEdgesAndGates:
             partition_batch(batch, 2, get_test("amc-max"), get_strategy("cu-udp"))
 
     def test_replay_metadata_matches_callables(self):
-        """Spec-driven orders must equal the callable order rules."""
-        from repro.core.batch import _order_indices
+        """The lexsort allocation order must equal the callable order rules."""
+        from repro.core.batch import _allocation_order
 
-        batch = generated_batch(2, "implicit", None, 10, "pb-order")
+        batches = [
+            generated_batch(2, "implicit", None, 10, "pb-order"),
+            TaskSetBatch.from_tasksets(shuffled_id_tasksets("pb-order-ids")),
+        ]
         for strategy_name in STRATEGIES + EXTRA_STRATEGIES:
             strategy = get_strategy(strategy_name)
             assert strategy.replayable
-            for i in range(len(batch)):
-                ts = batch.taskset(i)
-                want = [t.task_id for t in strategy.order(ts)]
-                u_lo = [t.utilization_lo for t in ts]
-                u_hi = [t.utilization_hi for t in ts]
-                is_high = [t.is_high for t in ts]
-                u_own = [t.utilization_at_own_level for t in ts]
-                ties = [t.task_id for t in ts]
-                got = _order_indices(
-                    strategy.order_spec, len(ts), is_high, u_own, u_lo, ties
+            for batch in batches:
+                pending = np.arange(len(batch))
+                set_of, _, ordered = _allocation_order(
+                    batch, pending, strategy.order_spec
                 )
-                assert [ts[j].task_id for j in got] == want
+                for i in range(len(batch)):
+                    ts = batch.taskset(i)
+                    want = [t.task_id for t in strategy.order(ts)]
+                    local = ordered[set_of == i] - batch.offsets[i]
+                    assert [ts[j].task_id for j in local] == want
+
+    def test_fit_order_matches_callables(self):
+        """Stable argsorts of the fit keys equal the callable fit rules,
+        including ties between cores whose states differ."""
+        from repro.core.allocator import ProcessorState
+        from repro.core.batch import _fit_order
+        from repro.degradation.service import parse_service_model
+
+        hc = MCTask(period=10, criticality="HC", wcet_lo=3, wcet_hi=6)
+        lc = MCTask(period=10, criticality="LC", wcet_lo=3, wcet_hi=3)
+        small = MCTask(period=20, criticality="HC", wcet_lo=1, wcet_hi=4)
+        loads = [[], [hc], [lc], [hc], [], [lc, small], [small, lc], [hc, lc]]
+        processors = []
+        for index, tasks in enumerate(loads):
+            core = ProcessorState(
+                index, service=parse_service_model("imprecise:0.5")
+            )
+            for task in tasks:
+                core.add(task)
+            processors.append(core)
+        ledger = np.array(
+            [
+                [[getattr(core, field) for core in processors]]
+                for field in ("u_ll", "u_lh", "u_hh", "u_res")
+            ]
+        )  # (4, 1 set, 8 cores)
+        for name in STRATEGIES + EXTRA_STRATEGIES + ("cu-udp-res",):
+            strategy = get_strategy(name)
+            for high, rule in ((True, strategy.hc_fit), (False, strategy.lc_fit)):
+                got = _fit_order(
+                    strategy.hc_fit_spec, strategy.lc_fit_spec, ledger,
+                    np.array([high]),
+                )
+                assert got[0].tolist() == list(rule(processors)), (name, high)
+
+
+def shuffled_id_tasksets(label, service=None):
+    """Task sets as a caller builds them, not as the generator does.
+
+    Shuffled task order with non-contiguous random ids, mixed set sizes,
+    an empty set, and per-set "twins": tasks with the same own-level
+    utilization but other parameters different, so the allocation order
+    depends on the task-id tie-break.
+    """
+    rng = np.random.default_rng(11)
+    source = generated_batch(4, "implicit", None, 12, label)
+    sets = [TaskSet([], service_model=service)]
+    for i in range(len(source)):
+        tasks = list(source.taskset(i))[: max(1, 2 + i)]
+        for t in tasks[:2]:
+            wcet_lo = 2 * t.wcet_lo + (1 if t.is_high else 0)
+            if t.is_high and wcet_lo > 2 * t.wcet_hi:
+                wcet_lo -= 2
+            tasks.append(
+                MCTask(
+                    period=2 * t.period,
+                    criticality=t.criticality,
+                    wcet_lo=wcet_lo if t.is_high else 2 * t.wcet_lo,
+                    wcet_hi=2 * t.wcet_hi,
+                )
+            )
+        ids = rng.choice(10**6, size=len(tasks), replace=False)
+        order = rng.permutation(len(tasks))
+        sets.append(
+            TaskSet(
+                [
+                    dataclasses.replace(tasks[j], task_id=int(ids[k]), name="")
+                    for k, j in enumerate(order)
+                ],
+                service_model=service,
+            )
+        )
+    return sets
+
+
+class TestFromTasksets:
+    @pytest.mark.parametrize("strategy_name", STRATEGIES + EXTRA_STRATEGIES)
+    @pytest.mark.parametrize("service", [None, "imprecise:0.5"])
+    def test_shuffled_ids_match_scalar(self, strategy_name, service):
+        tasksets = shuffled_id_tasksets("pb-ids", service)
+        test = get_test("edf-vd")
+        strategy = get_strategy(strategy_name)
+        outcome = partition_batch(
+            TaskSetBatch.from_tasksets(tasksets), 4, test, strategy
+        )
+        assert outcome.settled[0] == "ledger"  # the empty set
+        for i, ts in enumerate(tasksets):
+            expected = partition(ts, 4, get_test("edf-vd"), strategy).success
+            assert outcome.accepted[i] == expected, f"set {i} diverged"
+
+    @pytest.mark.parametrize("strategy_name", ["cu-udp", "ca-f-f", "wfd"])
+    def test_invalid_probe_raises_the_scalar_error(self, strategy_name):
+        class InflatedResidual(ServiceModel):
+            """Residual LC service above C^LO, which EDF-VD rejects."""
+
+            name = "inflated"
+
+            def degraded_budget(self, task):
+                return task.wcet_hi if task.is_high else 2 * task.wcet_lo
+
+            def key(self):
+                return ("inflated",)
+
+        ts = TaskSet(
+            [
+                MCTask(period=10, criticality="HC", wcet_lo=2, wcet_hi=4),
+                MCTask(period=10, criticality="LC", wcet_lo=3, wcet_hi=3),
+            ],
+            service_model=InflatedResidual(),
+        )
+        strategy = get_strategy(strategy_name)
+        with pytest.raises(ValueError, match="U_res") as scalar:
+            partition(ts, 2, get_test("edf-vd"), strategy)
+        with pytest.raises(ValueError) as batched:
+            partition_batch(
+                TaskSetBatch.from_tasksets([ts]), 2, get_test("edf-vd"),
+                strategy,
+            )
+        assert str(batched.value) == str(scalar.value)
 
 
 @pytest.mark.slow
