@@ -42,8 +42,12 @@ __all__ = [
     "BucketOutcome",
     "AcceptanceSweep",
     "kernel_summary",
+    "clear_samples",
     "merge_outcomes",
+    "retain_sample",
+    "sample_key",
     "settled_summary",
+    "take_new_samples",
     "validate_algorithms",
 ]
 
@@ -98,7 +102,8 @@ class SweepConfig:
     #: (``"full-drop"``, ``"imprecise:<rho>"`` or ``"elastic:<lambda>"``);
     #: the default reproduces the paper's drop-at-switch semantics exactly
     #: — task-set generation itself is service-agnostic, so curves across
-    #: service values share the same task-set sample
+    #: service values share the same task-set sample, which a process
+    #: generates once and reuses (see :func:`sample_key`)
     service: str = "full-drop"
 
 
@@ -287,6 +292,64 @@ def kernel_summary(
     return summary
 
 
+# -- service-independent sample reuse ------------------------------------------
+#: Generated samples kept for sibling sweeps: sample key -> the read-only
+#: :meth:`TaskSetBatch.arrays` of that bucket's sample.  Holds one sample
+#: group (see :func:`retain_sample`) at most.
+_SAMPLES: dict[tuple, tuple] = {}
+#: keys retained since the last :func:`take_new_samples` (all held: an
+#: eviction clears both)
+_NEW: list[tuple] = []
+
+
+def sample_key(config: SweepConfig, bucket: float, points: list[GridPoint]) -> tuple:
+    """The identity of one bucket's task-set sample.
+
+    Everything generation reads (the :func:`derive_rng` components and the
+    :class:`GeneratorConfig` fields) and nothing else: ``service`` is left
+    out, so sweeps differing only in their service level share a key.
+    The first five fields are the sample's *group* — one sweep's buckets.
+    """
+    return (
+        config.label, config.m, config.deadline_type, config.p_high,
+        config.samples_per_bucket, bucket, tuple(points),
+    )
+
+
+def retain_sample(key: tuple, arrays: tuple) -> None:
+    """Keep one sample for reuse; idempotent (a held key is left as is).
+
+    A key from another group evicts the held group first, so the store
+    is at most one sweep's sample whatever the scale.
+    """
+    if key in _SAMPLES:
+        return
+    if _SAMPLES and next(iter(_SAMPLES))[:5] != key[:5]:
+        clear_samples()
+    for array in arrays:
+        array.setflags(write=False)
+    _SAMPLES[key] = arrays
+    _NEW.append(key)
+
+
+def take_new_samples() -> list[tuple[tuple, tuple]]:
+    """``(key, arrays)`` of every sample retained since the last call.
+
+    A cluster worker ships these back with each outcome; the parent folds
+    them in with :func:`retain_sample`, so the next sweep's workers,
+    forked from it, inherit them.
+    """
+    new = [(key, _SAMPLES[key]) for key in _NEW]
+    _NEW.clear()
+    return new
+
+
+def clear_samples() -> None:
+    """Forget every retained sample."""
+    _SAMPLES.clear()
+    _NEW.clear()
+
+
 class AcceptanceSweep:
     """Runs algorithms over generated task sets, bucketed by ``UB``.
 
@@ -337,8 +400,24 @@ class AcceptanceSweep:
         their algorithms on the *same* task sets — the degradation figures
         compare service levels, not sampling noise.  A non-default model
         rides on the batch and is attached to whatever materializes.
+
+        Those sibling sweeps generate the sample once per process: a
+        degraded-service sweep retains what it generates, and a later
+        sweep with the same :func:`sample_key` gets a batch over the very
+        same (read-only) arrays, with fresh caches.
         """
+        from repro import obs as _obs
+
         cfg = self.config
+        service = None if self._service.is_full_drop else self._service
+        key = sample_key(cfg, bucket, points)
+        arrays = _SAMPLES.get(key)
+        if arrays is not None:
+            if _obs.active():
+                _obs.REGISTRY.add("generator.reused")
+            return TaskSetBatch.from_arrays(arrays, service_model=service)
+        if _obs.active():
+            _obs.REGISTRY.add("generator.samples")
         columns = []
         for replicate in range(cfg.samples_per_bucket):
             rng = derive_rng(
@@ -354,8 +433,11 @@ class AcceptanceSweep:
                 if cols is not None:
                     columns.append(cols)
                     break
-        service = None if self._service.is_full_drop else self._service
-        return TaskSetBatch(columns, service_model=service)
+        batch = TaskSetBatch(columns, service_model=service)
+        # Only degraded sweeps have sibling service levels to share with.
+        if service is not None:
+            retain_sample(key, batch.arrays())
+        return batch
 
     def tasksets_for_bucket(
         self, bucket: float, points: list[GridPoint]

@@ -178,7 +178,9 @@ def _degradation_plan(
 
     All sweeps of one ``m`` share the identical task-set sample (generation
     ignores the service model), so the resulting curves isolate the effect
-    of the service level.
+    of the service level.  A process generates that sample once, for the
+    first service level, and the others reuse it (cluster workers included:
+    they ship it back to the parent, whose next sweep's workers inherit it).
     """
     samples = samples if samples is not None else default_samples()
     return [

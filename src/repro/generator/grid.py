@@ -76,8 +76,28 @@ class UtilizationGrid:
         return out
 
     def buckets(self, width: float = 0.05) -> dict[float, list[GridPoint]]:
-        """Grid points grouped into ``UB`` buckets of the given width."""
-        return bucket_by_bound(self.points(), width)
+        """Grid points grouped into ``UB`` buckets of the given width.
+
+        Computed once per process for each grid and width (every work
+        unit re-derives its bucket's points, and forked workers inherit
+        what the parent computed); callers get fresh lists each time.
+        """
+        key = (
+            self.u_hh_values, self.inner_step, self.inner_start, self.budget,
+            width,
+        )
+        buckets = _BUCKETS.get(key)
+        if buckets is None:
+            buckets = {
+                bound: tuple(points)
+                for bound, points in bucket_by_bound(self.points(), width).items()
+            }
+            _BUCKETS[key] = buckets
+        return {bound: list(points) for bound, points in buckets.items()}
+
+
+#: ``UtilizationGrid.buckets`` per (grid parameters, width)
+_BUCKETS: dict[tuple, dict[float, tuple[GridPoint, ...]]] = {}
 
 
 def bucket_by_bound(

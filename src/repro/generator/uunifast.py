@@ -96,12 +96,14 @@ def uunifast_discard(
 
     Returns None when no feasible vector was found within ``max_attempts``
     (also immediately when the box is infeasible: ``total > n*u_max`` or
-    ``total < n*u_min``).  Each attempt draws ``n - 1`` values, rejected
+    ``total < n*u_min``).  A non-positive ``n`` or a negative or
+    non-finite ``total`` raises ``ValueError`` first, as in
+    :func:`uunifast`.  Each attempt draws ``n - 1`` values, rejected
     attempts included; ``n == 1`` draws nothing.
     """
+    _check_args(n, total)
     if total > n * u_max + 1e-12 or total < n * u_min - 1e-12 or max_attempts <= 0:
         return None
-    _check_args(n, total)
     if n == 1:
         return np.asarray([total]) if u_min <= total <= u_max else None
     exps = _exponents(n)

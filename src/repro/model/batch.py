@@ -184,11 +184,13 @@ class TaskSetBatch:
         "_u_lo", "_u_hi", "_u_res", "replay_cache",
     )
 
-    def __init__(self, columns: Sequence[TaskColumns], service_model=None):
-        if isinstance(service_model, str):
-            from repro.degradation.service import parse_service_model
+    #: the stored columns, in :meth:`arrays` / :meth:`from_arrays` order
+    ARRAYS = (
+        "offsets", "period", "wcet_lo", "wcet_hi", "deadline", "is_high",
+        "wcet_degraded", "period_degraded",
+    )
 
-            service_model = parse_service_model(service_model)
+    def __init__(self, columns: Sequence[TaskColumns], service_model=None):
         counts = np.fromiter(
             (len(c) for c in columns), dtype=np.int64, count=len(columns)
         )
@@ -202,6 +204,29 @@ class TaskSetBatch:
         self.is_high = _concat(columns, "is_high", bool)
         self.wcet_degraded = _concat(columns, "wcet_degraded", np.int64)
         self.period_degraded = _concat(columns, "period_degraded", np.int64)
+        self._init_caches(service_model)
+
+    @classmethod
+    def from_arrays(
+        cls, arrays: Sequence[np.ndarray], service_model=None
+    ) -> "TaskSetBatch":
+        """A batch over existing columns (:meth:`arrays` order), shared, not
+        copied; every cache starts empty, as in a freshly built batch."""
+        batch = cls.__new__(cls)
+        for name, array in zip(cls.ARRAYS, arrays, strict=True):
+            setattr(batch, name, array)
+        batch._init_caches(service_model)
+        return batch
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """``offsets`` then the 7 task columns — what :meth:`from_arrays` takes."""
+        return tuple(getattr(self, name) for name in self.ARRAYS)
+
+    def _init_caches(self, service_model) -> None:
+        if isinstance(service_model, str):
+            from repro.degradation.service import parse_service_model
+
+            service_model = parse_service_model(service_model)
         self._service = service_model
         #: lazily materialized TaskSet per set index
         self._sets: dict[int, TaskSet] = {}

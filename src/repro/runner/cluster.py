@@ -44,6 +44,15 @@ shipped, because the demand-kernel counters behind the CLI
 Worker deaths injected for testing go through :mod:`repro.runner.
 faults`, which SIGKILLs or hangs a worker mid-shard — after it journals
 its claim, before the outcome.
+
+Workers fork once per sweep, so they see the parent's state at sweep
+start; the parent makes that state warm.  It loads ``numpy.random``
+before spawning (``decompose_sweep`` has already cached the grid
+buckets), and it folds in the task-set samples each worker retained,
+which travel with the ``done`` message next to the obs payload (see
+:func:`repro.experiments.acceptance.take_new_samples`).  The next
+sweep's workers inherit them, so sibling service levels of a
+degradation figure generate their shared sample once.
 """
 
 from __future__ import annotations
@@ -58,7 +67,11 @@ from collections import deque
 from typing import Iterator, Sequence
 
 from repro import obs
-from repro.experiments.acceptance import BucketOutcome
+from repro.experiments.acceptance import (
+    BucketOutcome,
+    retain_sample,
+    take_new_samples,
+)
 from repro.obs import clock
 from repro.obs.forensics import (
     assemble_postmortem,
@@ -89,8 +102,11 @@ BACKOFF_CAP = 2.0
 
 
 def worker_context() -> multiprocessing.context.BaseContext:
-    # fork keeps worker start-up negligible next to shard runtimes; fall
-    # back to spawn where fork does not exist (Windows).
+    # fork lets workers inherit the parent's imports and caches.  Start-up
+    # is not negligible even so: measured, a worker forked from a cold
+    # parent spent 15-25 ms of CPU before its first shard ran warm, as
+    # long as a small shard takes, so ``as_completed`` warms the parent
+    # first.  Fall back to spawn where fork does not exist (Windows).
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -140,6 +156,8 @@ def _cluster_worker_main(
     this process's memory dies with it.
     """
     heartbeats[slot] = clock.monotonic()
+    # Samples the parent held are inherited, not new: ship only our own.
+    take_new_samples()
     stop = threading.Event()
     flush_every = journal_flush_interval_from_env()
 
@@ -180,7 +198,9 @@ def _cluster_worker_main(
             except Exception:
                 result_q.put(("error", slot, seq, pos, traceback.format_exc()))
                 continue
-            result_q.put(("done", slot, seq, pos, outcome, payload))
+            result_q.put(
+                ("done", slot, seq, pos, outcome, payload, take_new_samples())
+            )
     finally:
         stop.set()
 
@@ -248,6 +268,10 @@ class ClusterBackend(ExecutorBackend):
             return
         self._result_q = self._ctx.SimpleQueue()
         self._heartbeats = self._ctx.Array("d", self.workers, lock=False)
+        # numpy 2 imports numpy.random lazily, at ~10 ms of CPU: load it
+        # here once so every worker of every sweep inherits it.
+        import numpy.random  # noqa: F401
+
         now = clock.monotonic()
         self._procs = [None] * self.workers
         self._pipes = [None] * self.workers
@@ -280,6 +304,9 @@ class ClusterBackend(ExecutorBackend):
                 del self._held[slot]
                 self._assign(clock.monotonic())
             if kind == "done":
+                # Idempotent, so a duplicate's samples fold in harmlessly.
+                for key, arrays in message[6]:
+                    retain_sample(key, arrays)
                 if pos in self._done:
                     self.stats["duplicates"] += 1
                     continue

@@ -4,7 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.acceptance import clear_samples
 from repro.model import Criticality, MCTask, TaskSet
+
+
+@pytest.fixture(autouse=True)
+def fresh_sample_store():
+    """Every test starts with no retained task-set samples, so a test that
+    counts or patches generation never meets another test's sample."""
+    clear_samples()
+    yield
+    clear_samples()
 
 
 def hc_task(

@@ -144,6 +144,14 @@ class TestUUniFastDiscardOracle:
         total = n * (u_min + frac * (u_max - u_min))
         a = np.random.default_rng(seed)
         b = np.random.default_rng(seed)
+        if total < 0:
+            # The oracle returned None here (an infeasible box); the
+            # generator validates its arguments first and raises, drawing
+            # nothing either way.
+            with pytest.raises(ValueError):
+                uunifast_discard(a, n, total, u_min, u_max, max_attempts)
+            assert a.bit_generator.state == b.bit_generator.state
+            return
         got = uunifast_discard(a, n, total, u_min, u_max, max_attempts)
         want = reference_uunifast_discard(b, n, total, u_min, u_max, max_attempts)
         if want is None:

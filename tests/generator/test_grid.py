@@ -54,3 +54,21 @@ class TestBucketing:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             bucket_by_bound([], width=0.0)
+
+    def test_cached_buckets_survive_caller_mutation(self):
+        grid = UtilizationGrid()
+        buckets = grid.buckets(width=0.05)
+        want = {key: list(points) for key, points in buckets.items()}
+        first = next(iter(buckets))
+        buckets[first].clear()
+        buckets.pop(first)
+        assert UtilizationGrid().buckets(width=0.05) == want
+        assert grid.buckets(width=0.05) is not grid.buckets(width=0.05)
+
+    def test_cache_keys_on_grid_parameters_and_width(self):
+        coarse = UtilizationGrid(u_hh_values=(0.5,), inner_step=0.2)
+        assert coarse.buckets(0.05) == bucket_by_bound(coarse.points(), 0.05)
+        assert UtilizationGrid().buckets(0.1) == bucket_by_bound(
+            UtilizationGrid().points(), 0.1
+        )
+        assert UtilizationGrid().buckets(0.05) != coarse.buckets(0.05)

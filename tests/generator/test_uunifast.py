@@ -57,6 +57,18 @@ class TestUUniFastDiscard:
         assert uunifast_discard(rng(), 3, 4.0, u_max=1.0) is None
         assert uunifast_discard(rng(), 3, 0.1, u_min=0.5) is None
 
+    @pytest.mark.parametrize(
+        "n,total", [(-1, 0.5), (0, 0.5), (3, -1.0), (3, float("inf"))]
+    )
+    def test_invalid_args_raise_before_the_feasibility_check(self, n, total):
+        # Each of these also fails the box check; validation comes first,
+        # as in uunifast and randfixedsum, and draws nothing.
+        generator = rng()
+        state = generator.bit_generator.state
+        with pytest.raises(ValueError):
+            uunifast_discard(generator, n, total)
+        assert generator.bit_generator.state == state
+
     def test_hard_region_gives_up(self):
         # total == n * u_max: the acceptance region has measure ~0.
         values = uunifast_discard(rng(), 5, 4.9999, u_max=1.0, max_attempts=5)

@@ -58,6 +58,23 @@ class TestLayout:
         assert sums[0] == 0.0
         assert sums[1] > 0
 
+    def test_from_arrays_shares_columns_with_fresh_caches(self):
+        batch = TaskSetBatch.from_tasksets([make_taskset(0), make_taskset(1)])
+        batch.u_lo, batch.taskset(0)
+        batch.replay_cache["sums"] = 1
+        twin = TaskSetBatch.from_arrays(batch.arrays(), "imprecise:0.5")
+        assert len(batch.arrays()) == len(TaskSetBatch.ARRAYS) == 8
+        assert all(a is b for a, b in zip(twin.arrays(), batch.arrays()))
+        assert twin._sets == {} and twin.replay_cache == {}
+        assert twin._u_lo is None and twin._u_res is None
+        assert twin.service_model.key() == ("imprecise", 0.5)
+        assert np.array_equal(twin.u_lo, batch.u_lo)
+        for a, b in zip(twin.to_tasksets(), batch.to_tasksets()):
+            assert [t.wcet_lo for t in a] == [t.wcet_lo for t in b]
+            assert a.service_model.key() == ("imprecise", 0.5)
+        with pytest.raises(ValueError):
+            TaskSetBatch.from_arrays(batch.arrays()[:-1])
+
 
 class TestDerivedColumns:
     def test_utilization_columns_bit_identical(self):

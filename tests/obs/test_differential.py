@@ -9,12 +9,15 @@ same merged results, the same per-shard outcomes and byte-identical shard
 cache files as running with recording off.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import obs
 from repro.experiments.acceptance import SweepConfig
 from repro.runner.store import FsStore
 from repro.runner.pool import run_sweep
+from repro.runner.units import decompose_sweep
 
 #: one (config, algorithms) slice per figure family the repo reproduces;
 #: algorithm picks respect each test's deadline-type/service support.
@@ -111,6 +114,24 @@ def test_parallel_trace_identical_to_serial_off(tmp_path):
         result_trace = run_sweep(config, list(algorithms), jobs=2)
         assert result_trace == result_off
         assert obs.spans(), "tracing collected no spans"
+        # Workers ship their generator counters like every other counter:
+        # one generated sample per shard, none reused under full-drop.
+        shards = len(decompose_sweep(config, list(algorithms)))
+        assert obs.REGISTRY.counters("generator.") == {
+            "generator.samples": shards
+        }
+        # A sibling service level of a degraded sweep reuses every sample
+        # its predecessor's workers shipped back to this process.
+        degraded, names = SLICES[2]
+        shards = len(decompose_sweep(degraded, list(names)))
+        for service, counter in (
+            ("imprecise:0.5", "generator.samples"),
+            ("imprecise:0.75", "generator.reused"),
+        ):
+            obs.clear()
+            config = dataclasses.replace(degraded, service=service)
+            run_sweep(config, list(names), jobs=2)
+            assert obs.REGISTRY.counters("generator.") == {counter: shards}
     finally:
         obs.set_recorder(previous)
         obs.clear()
