@@ -43,15 +43,14 @@ the differential test suite asserts rather than assumes.
 Demand-kernel independence
 --------------------------
 Context memo keys never encode the active demand kernel
-(:func:`repro.analysis.dbf.demand_kernel`): all kernels are
-verdict-identical decision procedures over the same demand functions, so
-a memoized result is valid under any of them and switching kernels
-mid-session cannot poison a context.  The identity contract is tiered:
-``forward`` and ``qpa`` are additionally bit-identical down to the
-descent *trajectory* (iteration counts, committed deadlines), while
-``block`` commits multi-task boundary jumps and guarantees only the
-*verdicts* — which is exactly the level the memo keys, the shard-cache
-payloads and the opt-in :mod:`repro.analysis.verdict_cache` depend on.
+(:func:`repro.analysis.dbf.demand_kernel`): every kernel is a sound
+decision procedure over the same demand functions, so a memoized accept
+is safe under any of them.  The contract is tiered: ``forward`` and
+``qpa`` are bit-identical down to the descent *trajectory* (iteration
+counts, committed deadlines), while ``block`` commits multi-task
+boundary jumps and is sound only — it can accept a set the scalar
+descent rejects, so a context that switches kernels mid-session may
+hold a ``block`` verdict that ``qpa`` alone would not reach.
 """
 
 from __future__ import annotations

@@ -265,14 +265,15 @@ def set_demand_kernel(name: str) -> str:
     ``"block"`` keeps the QPA decision procedure and additionally lets
     the shrink descent commit *blocks* of V* jumps across several tasks
     per exact probe (:mod:`repro.analysis.dbf_block`) — it relaxes the
-    bit-identical *trajectory* contract of the other two to bit-identical
-    *verdicts* (same accept/reject, acceptance ratios, WAR tables and
-    shard-cache bytes; iteration counts and committed virtual deadlines
-    on accepted sets may differ);
+    bit-identical *trajectory* contract of the other two to soundness
+    only (every accept is schedulable at its committed virtual deadlines,
+    but it can accept a set the scalar descent rejects, and iteration
+    counts and committed virtual deadlines may differ);
     ``"forward"`` restores the pure in-order breakpoint walk — the
     differential oracle.  All kernels decide the violation predicate
-    exactly, so every verdict, violation point and figure output is
-    identical under any of them.  The startup default comes from
+    exactly, so every violation point is identical under any of them,
+    and ``forward``/``qpa`` verdicts and figure outputs are too.  The
+    startup default comes from
     ``REPRO_DBF_KERNEL`` (:func:`repro.util.env.demand_kernel_from_env`);
     this call overrides it for the current process.
     """

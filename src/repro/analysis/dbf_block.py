@@ -38,12 +38,12 @@ Candidates whose boundary the plan cannot settle — ``V*`` unavailable
 violation — fall through to the scalar per-task step, and any reject of
 the block trajectory falls back to a
 full scalar descent.  The ``block`` kernel therefore accepts at least
-everything the scalar kernels accept; the fig3–fig7 differential suite
-asserts the verdicts (acceptance ratios, WAR tables, shard-cache bytes)
-are *identical* in practice.  What the block kernel deliberately gives
-up is the bit-identical descent *trajectory*: iteration counts and the
-committed virtual deadlines of accepted sets may differ from
-forward/qpa.
+everything the scalar kernels accept, and sometimes more: a joint jump
+can reach an assignment the one-task-at-a-time descent cannot, so its
+contract is *sound only* (every accept passes the LO and HI demand
+checks at its committed virtual deadlines).  It also gives up the
+bit-identical descent *trajectory*: iteration counts and the committed
+virtual deadlines of accepted sets may differ from forward/qpa.
 
 Diagnostics live in the always-on ``kernel.block.*`` counter scope:
 ``block-jumps`` (blocks

@@ -417,8 +417,7 @@ class PrefilterBank:
     across tests would replay one test's verdicts as another's.
     """
 
-    def __init__(self, lone_task: bool = True):
-        self.lone_task = lone_task
+    def __init__(self):
         self._test: SchedulabilityTest | None = None
         #: memoized singleton verdicts keyed by (service key, task params)
         self._lone_memo: dict[tuple, bool] = {}
@@ -463,7 +462,7 @@ class PrefilterBank:
                 settled[i] = "sum-hi"
                 counts["sum-hi"] += 1
 
-        if self.lone_task and getattr(test, "is_subset_monotone", True):
+        if getattr(test, "is_subset_monotone", True):
             counts["lone-task"] += self._apply_lone_task(batch, test, settled)
         return PrefilterReport(settled, counts)
 

@@ -65,7 +65,6 @@ from repro.model import MCTask, TaskSet
 from repro import obs as _obs
 from repro.analysis import dbf as _dbf
 from repro.analysis import dbf_block as _blk
-from repro.analysis import verdict_cache as _vcache
 from repro.analysis.dbf import (
     DemandScenario,
     HorizonExceeded,
@@ -1117,18 +1116,9 @@ def run_tuning_stages(
     every stage builds a fresh engine, reproducing the historical
     from-scratch cost; the incremental contexts pass one memo-backed engine
     so the stages share all common dbf work.
-
-    With the opt-in verdict cache on (``REPRO_VERDICT_CACHE=on``) the
-    canonical ``(taskset, stages, horizon_cap, service)`` key is
-    consulted before any stage runs and the final outcome is recorded —
-    repeated probes of one parameter multiset (across buckets,
-    strategies or campaign resumes) never pay the descent twice.
     """
     if not stages:
         raise ValueError("at least one tuning stage is required")
-    cached = _vcache.lookup_tuning(taskset, stages, horizon_cap)
-    if cached is not None:
-        return cached
     if engine is None:
         engine = _default_engine(taskset, horizon_cap)
     outcome: TuningOutcome | None = None
@@ -1138,7 +1128,6 @@ def run_tuning_stages(
         )
         if outcome.schedulable:
             break
-    _vcache.store_tuning(taskset, stages, horizon_cap, outcome)
     return outcome
 
 

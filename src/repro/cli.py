@@ -178,8 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "demand-kernel stack for the dbf analyses (default: "
-            "REPRO_DBF_KERNEL, else qpa); exported to workers; results "
-            "are bit-identical across kernels — see README"
+            "REPRO_DBF_KERNEL, else qpa); exported to workers; forward "
+            "and qpa give identical results, block is sound but may "
+            "accept more — see README"
         ),
     )
     figure.add_argument(
@@ -187,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "metrics snapshot path when REPRO_OBS is on "
-            "(default BENCH_obs.json)"
+            "(default repro-obs.json)"
         ),
     )
     figure.add_argument(
@@ -278,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "demand-kernel stack for the dbf analyses (default: "
-            "REPRO_DBF_KERNEL, else qpa); exported to workers; results "
-            "are bit-identical across kernels — see README"
+            "REPRO_DBF_KERNEL, else qpa); exported to workers; forward "
+            "and qpa give identical results, block is sound but may "
+            "accept more — see README"
         ),
     )
     campaign.add_argument(
@@ -373,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "demand-kernel stack for the dbf analyses (default: "
-            "REPRO_DBF_KERNEL, else qpa); results are bit-identical"
+            "REPRO_DBF_KERNEL, else qpa); forward and qpa give identical "
+            "results, block is sound but may accept more"
         ),
     )
     trace.add_argument(
@@ -389,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--obs-out",
-        default="BENCH_obs.json",
+        default="repro-obs.json",
         help="metrics snapshot output path",
     )
 
@@ -538,7 +541,7 @@ def _write_obs_outputs(obs_out: str | None, trace_out: str | None) -> None:
     from repro import obs
 
     if obs.active():
-        path = obs_out or "BENCH_obs.json"
+        path = obs_out or "repro-obs.json"
         snapshot = obs.to_json(obs.REGISTRY, obs.spans(), mode=obs.mode())
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(snapshot, handle, indent=2)

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 from repro.model import MCTask, TaskSet
 from repro import obs as _obs
-from repro.analysis import verdict_cache as _vcache
 from repro.analysis.interface import SchedulabilityTest
 
 __all__ = [
@@ -275,14 +274,6 @@ def partition(
             "SchedulabilityTest.supports_service_model; e.g. the AMC "
             "analyses assume drop-at-switch)",
         )
-    # Opt-in canonical verdict cache: repeated (taskset, m, test,
-    # strategy, service) probes — across sweep buckets, strategies and
-    # campaign resumes — replay the recorded placement instead of paying
-    # the probes again.  Consulted after the support checks so unsupported
-    # pairings keep raising their typed errors.
-    cached = _vcache.lookup_partition(taskset, m, test, strategy)
-    if cached is not None:
-        return cached
     processors = [ProcessorState(i, service=service) for i in range(m)]
     contexts = None
     if incremental:
@@ -292,10 +283,10 @@ def partition(
     assignment: dict[int, int] = {}
     fit_attempts = 0
     commits = 0
+    failed_task: MCTask | None = None
 
     for task in strategy.order(taskset):
         fit = strategy.fit_for(task)
-        placed = False
         for proc_index in fit(processors):
             fit_attempts += 1
             if contexts is not None:
@@ -308,33 +299,22 @@ def partition(
                 if contexts is not None:
                     contexts[proc_index].commit(task)
                 assignment[task.task_id] = proc_index
-                placed = True
                 commits += 1
                 break
-        if not placed:
-            _record_partition_metrics(strategy.name, fit_attempts, commits, False)
-            result = PartitionResult(
-                success=False,
-                strategy_name=strategy.name,
-                test_name=test.name,
-                m=m,
-                cores=tuple(p.taskset() for p in processors),
-                assignment=assignment,
-                failed_task=task,
-            )
-            _vcache.store_partition(taskset, m, test, strategy, result)
-            return result
-    _record_partition_metrics(strategy.name, fit_attempts, commits, True)
-    result = PartitionResult(
-        success=True,
+        else:
+            failed_task = task
+            break
+    success = failed_task is None
+    _record_partition_metrics(strategy.name, fit_attempts, commits, success)
+    return PartitionResult(
+        success=success,
         strategy_name=strategy.name,
         test_name=test.name,
         m=m,
         cores=tuple(p.taskset() for p in processors),
         assignment=assignment,
+        failed_task=failed_task,
     )
-    _vcache.store_partition(taskset, m, test, strategy, result)
-    return result
 
 
 def _record_partition_metrics(

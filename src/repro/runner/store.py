@@ -28,12 +28,6 @@ payload that is missing, truncated, corrupted, version-skewed or
 otherwise suspicious is treated as a miss and recomputed — a store can
 never poison a result.  Writes are atomic (temp file + ``os.replace``)
 so a killed campaign cannot leave a partial shard that later loads.
-
-The four blob primitives (``get``/``put``/``exists``/``discard``) are
-deliberately generic: the opt-in verdict cache
-(:mod:`repro.analysis.verdict_cache`) reuses them for its persistent
-tier, storing canonical-key verdict payloads in an :class:`ObjectStore`
-bucket with the same miss-on-doubt discipline.
 """
 
 from __future__ import annotations

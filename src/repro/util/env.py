@@ -11,25 +11,11 @@ One more selects the demand kernel of :mod:`repro.analysis.dbf`:
   ``qpa`` (default) or ``block``, the demand-kernel stack used for
   violation searches and shrink descents.  ``forward``/``qpa`` are
   bit-identical down to the descent *trajectory*; ``block`` commits
-  multi-task shrinks in one step and is verdict-identical only (see
-  :func:`repro.analysis.dbf.set_demand_kernel`).  The resolution order
+  multi-task shrinks in one step and is sound only: every set it
+  accepts is schedulable, but it can accept sets the other two reject
+  (see :func:`repro.analysis.dbf.set_demand_kernel`).  The resolution order
   is instance (``set_demand_kernel``) > CLI (``--demand-kernel``) >
   this knob > default.
-
-Three configure the canonical verdict cache of
-:mod:`repro.analysis.verdict_cache` (opt-in; default off):
-
-* ``REPRO_VERDICT_CACHE`` — ``off`` (default) or ``on``: consult the
-  canonical task-set verdict cache in ``partition()`` and
-  ``run_tuning_stages`` before any descent runs.  Keys are order- and
-  id-normalized, so identically-parameterized task sets submitted in a
-  different order hit; the float folds inside the descent are order
-  sensitive, which is why the cache is opt-in rather than the default.
-* ``REPRO_VERDICT_CACHE_SIZE`` — in-process LRU capacity in entries
-  (default 4096).
-* ``REPRO_VERDICT_CACHE_DIR`` — directory for the optional persistent
-  tier (a shard-store blob bucket); empty (default) keeps the cache
-  purely in-process.
 
 And one selects the observability recorder of :mod:`repro.obs`:
 
@@ -79,9 +65,6 @@ __all__ = [
     "samples_from_env",
     "m_values_from_env",
     "demand_kernel_from_env",
-    "verdict_cache_from_env",
-    "verdict_cache_size_from_env",
-    "verdict_cache_dir_from_env",
     "obs_mode_from_env",
     "journal_path_from_env",
     "journal_flush_interval_from_env",
@@ -97,7 +80,7 @@ OBS_MODES = ("off", "metrics", "trace")
 
 #: Valid demand kernels, in increasing machinery order — the one list the
 #: analysis, the env knob and the CLI all read.  ``forward`` and ``qpa``
-#: are trajectory-identical; ``block`` is verdict-identical only.
+#: are trajectory-identical; ``block`` is sound only (it may accept more).
 DBF_KERNELS = ("forward", "qpa", "block")
 
 #: Valid executor backends, in increasing machinery order ("" = auto) —
@@ -153,8 +136,8 @@ def demand_kernel_from_env(fallback: str = "qpa") -> str:
     """Demand kernel: ``REPRO_DBF_KERNEL`` or ``fallback``.
 
     Accepts exactly the names in :data:`DBF_KERNELS`; anything else
-    raises :class:`ValueError` — all kernels produce identical verdicts,
-    but a typo must not silently run a benchmark on the wrong machinery.
+    raises :class:`ValueError`: a typo must not silently run a benchmark
+    on the wrong machinery.
     """
     raw = os.environ.get("REPRO_DBF_KERNEL", "")
     if not raw:
@@ -163,50 +146,6 @@ def demand_kernel_from_env(fallback: str = "qpa") -> str:
         raise ValueError(
             f"REPRO_DBF_KERNEL must be one of {'|'.join(DBF_KERNELS)}, "
             f"got {raw!r}"
-        )
-    return raw
-
-
-def verdict_cache_from_env(fallback: str = "off") -> str:
-    """Verdict-cache switch: ``REPRO_VERDICT_CACHE`` or ``fallback``.
-
-    Accepts exactly ``off`` or ``on``.  Opt-in because the canonical
-    (order-normalized) keys identify task sets up to reordering while
-    the descent's float folds are order sensitive — the default keeps
-    bit-for-bit reproducibility of unordered submissions.
-    """
-    raw = os.environ.get("REPRO_VERDICT_CACHE", "")
-    if not raw:
-        return fallback
-    if raw not in ("off", "on"):
-        raise ValueError(
-            f"REPRO_VERDICT_CACHE must be off|on, got {raw!r}"
-        )
-    return raw
-
-
-def verdict_cache_size_from_env(fallback: int = 4096) -> int:
-    """In-process verdict-cache LRU capacity: ``REPRO_VERDICT_CACHE_SIZE``."""
-    return positive_int_env("REPRO_VERDICT_CACHE_SIZE", fallback)
-
-
-def verdict_cache_dir_from_env(fallback: str = "") -> str:
-    """Persistent verdict-cache directory: ``REPRO_VERDICT_CACHE_DIR``.
-
-    ``""`` means "in-process only".  A value naming an existing *file*
-    raises — the persistent tier is a shard-store blob bucket rooted at
-    a directory.
-    """
-    raw = os.environ.get("REPRO_VERDICT_CACHE_DIR", "")
-    if not raw:
-        return fallback
-    if raw.strip() != raw or not raw.strip():
-        raise ValueError(
-            f"REPRO_VERDICT_CACHE_DIR must be a directory path, got {raw!r}"
-        )
-    if os.path.isfile(raw):
-        raise ValueError(
-            f"REPRO_VERDICT_CACHE_DIR must name a directory, not a file: {raw!r}"
         )
     return raw
 

@@ -21,6 +21,7 @@ from repro.analysis.prefilter import (
     SUM_MARGIN,
     DemandPreScreen,
     EDFVDScreen,
+    PrefilterBank,
     ProbeScreen,
     default_prefilter_bank,
 )
@@ -124,6 +125,18 @@ class TestLoneTaskFilter:
         test.is_subset_monotone = False
         report = default_prefilter_bank().apply(batch, 4, test)
         assert report.settled[0] is None
+
+    def test_filter_has_no_opt_out(self):
+        """The filter is gated on subset monotonicity alone: a bare bank
+        runs it, and the bank takes no switch to turn it off."""
+        doomed = MCTask(
+            period=100, criticality="HC", wcet_lo=10, wcet_hi=60, deadline=40
+        )
+        batch = TaskSetBatch.from_tasksets([TaskSet([doomed])])
+        report = PrefilterBank().apply(batch, 4, get_test("ey"))
+        assert report.settled[0] == "lone-task"
+        with pytest.raises(TypeError):
+            PrefilterBank(lone_task=False)
 
 
 class TestDemandPreScreenMirrorsContext:

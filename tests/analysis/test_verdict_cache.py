@@ -1,324 +1,175 @@
-"""The canonical verdict cache: keys, tiers, reconstruction, safety.
+"""The verdict cache is gone: no verdict outlives the run that computed it.
 
-The cache's whole value proposition is *canonical identity*: two
-submissions of the same parameter multiset — different order, different
-task ids, different names — must produce the same key, and a hit must
-reconstruct a result indistinguishable from the uncached computation
-around the caller's actual task objects.  Its whole safety story is the
-shard store's: off by default, bounded in process, and on the persistent
-tier any doubt is a miss plus a discard, never a trusted payload.
+:mod:`repro.analysis.verdict_cache` survives only as a stub whose
+:func:`~repro.analysis.verdict_cache.enabled` is always False.  These
+tests pin what the removal guarantees even when the retired
+``REPRO_VERDICT_CACHE*`` knobs are still set in the environment:
+
+* the knobs switch nothing on and no longer raise on any value;
+* a ``block`` accept is never served to a later ``forward``/``qpa`` run
+  (the old cache key left out the demand kernel, and ``block`` is sound
+  only, so it accepts sets the scalar descent rejects);
+* a repeated descent or partition pays its probes again.
+
+The last two are checked in a fresh interpreter, as a run with the knobs
+set would start.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.analysis import verdict_cache
+
+#: Run before each fresh-process body.  ``TS`` is the HC set only
+#: ``block`` accepts under drop semantics (the scalar EY descent stops at
+#: "no shrinkable task at l*=29").
+PRELUDE = """
+import json
+from repro import obs
 from repro.analysis import get_test
-from repro.analysis import verdict_cache as vc
-from repro.analysis.vdtuning import run_tuning_stages
+from repro.analysis.dbf import set_demand_kernel
+from repro.analysis.vdtuning import DemandEngine, run_tuning_stages
 from repro.core import get_strategy, partition
-from repro.degradation.service import parse_service_model
 from repro.model import Criticality, MCTask, TaskSet
 
-STAGES = (("steepest", False),)
+TS = TaskSet([
+    MCTask(period=33, criticality=Criticality.HC, wcet_lo=13, wcet_hi=22,
+           deadline=33),
+    MCTask(period=11, criticality=Criticality.HC, wcet_lo=2, wcet_hi=3,
+           deadline=8),
+])
 
-
-def make_tasks():
-    """A fixed mixed-criticality parameter multiset.
-
-    No two tasks tie on any strategy ordering key, so every submission
-    order places tasks identically and cached partition layouts are
-    byte-comparable to fresh ones.
-    """
-    return [
-        MCTask(period=20, criticality=Criticality.HC, wcet_lo=3, wcet_hi=6,
-               deadline=20),
-        MCTask(period=12, criticality=Criticality.LC, wcet_lo=2, wcet_hi=2,
-               deadline=12),
-        MCTask(period=30, criticality=Criticality.HC, wcet_lo=4, wcet_hi=10,
-               deadline=25),
-        MCTask(period=8, criticality=Criticality.LC, wcet_lo=1, wcet_hi=1,
-               deadline=8),
-    ]
-
-
-def make_tied_tasks():
-    """A multiset whose two HC tasks tie on own-level utilization (both
-    0.3), so *strategy ordering* — which tie-breaks on task id — depends
-    on submission order even though the parameter multiset does not."""
-    tasks = make_tasks()
-    tasks[2] = MCTask(period=30, criticality=Criticality.HC, wcet_lo=4,
-                      wcet_hi=9, deadline=25)
-    return tasks
-
-
-#: A set whose EY stage stops at the V* floor (the scalar descent it
-#: replaces ran 40 iterations to "no shrinkable task at l*=22").
-FLOOR_TASKS = [
-    MCTask(period=37, criticality=Criticality.HC, wcet_lo=6, wcet_hi=6,
-           deadline=24),
-    MCTask(period=32, criticality=Criticality.HC, wcet_lo=5, wcet_hi=12,
-           deadline=32),
-    MCTask(period=36, criticality=Criticality.HC, wcet_lo=4, wcet_hi=14,
-           deadline=27),
-    MCTask(period=5, criticality=Criticality.LC, wcet_lo=1, wcet_hi=1,
-           deadline=1),
-]
-
-
-def reordered_clone(tasks):
-    """The same parameter multiset as fresh task objects in another order
-    — new task ids, reversed submission order."""
-    return [
-        MCTask(
-            period=t.period,
-            criticality=t.criticality,
-            wcet_lo=t.wcet_lo,
-            wcet_hi=t.wcet_hi,
-            deadline=t.deadline,
-            wcet_degraded=t.wcet_degraded,
-            period_degraded=t.period_degraded,
+def tune(kernel, memo):
+    previous = set_demand_kernel(kernel)
+    try:
+        engine = DemandEngine(TS, 100_000, memo=memo)
+        outcome = run_tuning_stages(
+            TS, (("steepest", False),), 100_000, engine=engine
         )
-        for t in reversed(tasks)
-    ]
+    finally:
+        set_demand_kernel(previous)
+    return [outcome.schedulable, outcome.iterations, outcome.detail]
+"""
+
+
+def in_fresh_process(cache_dir, body):
+    """Run ``body`` after :data:`PRELUDE` in a new interpreter whose
+    environment sets the retired knobs as a cache-enabled run did, and
+    return the JSON it prints.
+
+    A fresh process, because the removed cache read its knobs once per
+    process, at first use.
+    """
+    env = dict(os.environ)
+    env.update(
+        REPRO_VERDICT_CACHE="on",
+        REPRO_VERDICT_CACHE_SIZE="16",
+        REPRO_VERDICT_CACHE_DIR=str(cache_dir),
+        PYTHONPATH=os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        ),
+    )
+    script = PRELUDE + textwrap.dedent(body)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(done.stdout)
 
 
 @pytest.fixture
-def cache_on(monkeypatch):
-    monkeypatch.setenv("REPRO_VERDICT_CACHE", "on")
-    monkeypatch.delenv("REPRO_VERDICT_CACHE_SIZE", raising=False)
-    monkeypatch.delenv("REPRO_VERDICT_CACHE_DIR", raising=False)
-    vc.reconfigure()
-    vc.reset_cache_counters()
-    yield
-    vc.reconfigure()
+def cache_dir(tmp_path):
+    path = tmp_path / "verdicts"
+    path.mkdir()
+    return path
 
 
-class TestDisabledByDefault:
-    def test_off_unless_opted_in(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VERDICT_CACHE", raising=False)
-        vc.reconfigure()
-        try:
-            assert not vc.enabled()
-            ts = TaskSet(make_tasks())
-            outcome = run_tuning_stages(ts, STAGES, 100_000)
-            # store/lookup are no-ops while disabled
-            vc.store_tuning(ts, STAGES, 100_000, outcome)
-            assert vc.lookup_tuning(ts, STAGES, 100_000) is None
-        finally:
-            vc.reconfigure()
+class TestStub:
+    @pytest.mark.parametrize("value", [None, "on", "ON", "yes"])
+    def test_never_enabled(self, monkeypatch, value):
+        """Whatever the retired switch says (the old parser raised on
+        ``ON``/``yes``), the stub reports the cache off and raises nothing."""
+        if value is None:
+            monkeypatch.delenv("REPRO_VERDICT_CACHE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_VERDICT_CACHE", value)
+        assert verdict_cache.enabled() is False
+
+    def test_stub_defines_only_enabled(self):
+        public = {n for n in vars(verdict_cache) if not n.startswith("_")}
+        assert public == {"enabled"}
 
 
-class TestCanonicalKeys:
-    def test_reorder_and_reid_invariant(self, cache_on):
-        a = TaskSet(make_tasks())
-        b = TaskSet(reordered_clone(make_tasks()))
-        ka = vc._key("tuning", a, vc._canonical_order(a), {"probe": 1})
-        kb = vc._key("tuning", b, vc._canonical_order(b), {"probe": 1})
-        assert ka == kb
-
-    def test_service_model_separates_keys(self, cache_on):
-        plain = TaskSet(make_tasks())
-        tagged = TaskSet(
-            make_tasks(), service_model=parse_service_model("imprecise:0.5")
-        )
-        kp = vc._key("tuning", plain, vc._canonical_order(plain), {})
-        kt = vc._key("tuning", tagged, vc._canonical_order(tagged), {})
-        assert kp != kt
-
-    def test_parameters_separate_keys(self, cache_on):
-        a = TaskSet(make_tasks())
-        heavier = make_tasks()
-        heavier[0] = MCTask(
-            period=20, criticality=Criticality.HC, wcet_lo=3, wcet_hi=7,
-            deadline=20,
-        )
-        b = TaskSet(heavier)
-        ka = vc._key("tuning", a, vc._canonical_order(a), {})
-        kb = vc._key("tuning", b, vc._canonical_order(b), {})
-        assert ka != kb
-
-
-class TestTuningRoundTrip:
-    def test_hit_reconstructs_outcome(self, cache_on):
-        ts = TaskSet(make_tasks())
-        cold = run_tuning_stages(ts, STAGES, 100_000)
-        assert vc.cache_counters()["store"] == 1
-
-        warm = run_tuning_stages(ts, STAGES, 100_000)
-        assert vc.cache_counters()["hit"] == 1
-        assert warm.schedulable == cold.schedulable
-        assert warm.virtual_deadlines == cold.virtual_deadlines
-        assert warm.iterations == cold.iterations
-        assert warm.detail == cold.detail
-
-    def test_hit_across_reorder_and_reid(self, cache_on):
-        ts = TaskSet(make_tasks())
-        cold = run_tuning_stages(ts, STAGES, 100_000)
-
-        clone = TaskSet(reordered_clone(make_tasks()))
-        before = vc.cache_counters()["hit"]
-        served = run_tuning_stages(clone, STAGES, 100_000)
-        assert vc.cache_counters()["hit"] == before + 1
-        assert served.schedulable == cold.schedulable
-        # deadlines remapped onto the *clone's* ids, parameter-for-
-        # parameter equal to the cold run's assignment
-        by_params_cold = {
-            tuple(vc._task_params(t)): cold.virtual_deadlines.get(t.task_id)
-            for t in ts if t.is_high
-        }
-        by_params_clone = {
-            tuple(vc._task_params(t)): served.virtual_deadlines.get(t.task_id)
-            for t in clone if t.is_high
-        }
-        assert by_params_clone == by_params_cold
-
-
-class TestPartitionRoundTrip:
-    def test_hit_matches_uncached_run(self, cache_on):
-        test, strategy = get_test("ey"), get_strategy("cu-udp")
-        ts = TaskSet(make_tasks())
-        cold = partition(ts, 2, test, strategy)
-        assert vc.cache_counters()["store"] >= 1
-
-        clone_tasks = reordered_clone(make_tasks())
-        clone = TaskSet(clone_tasks)
-        before = vc.cache_counters()["hit"]
-        served = partition(clone, 2, test, strategy)
-        assert vc.cache_counters()["hit"] == before + 1
-
-        # The served result must be indistinguishable from an uncached
-        # partition of the clone itself.
-        vc.reconfigure()  # cache off-path: fresh env read happens lazily
-        fresh = partition(TaskSet(clone_tasks), 2, test, strategy)
-        assert served.success == fresh.success == cold.success
-        assert served.m == fresh.m
-        assert served.assignment == fresh.assignment
-        assert [
-            [t.task_id for t in core] for core in served.cores
-        ] == [[t.task_id for t in core] for core in fresh.cores]
-        assert (served.failed_task is None) == (fresh.failed_task is None)
-
-    def test_tied_orderings_served_result_is_valid(self, cache_on):
-        """When strategy ordering ties on utilization, a re-id'd clone
-        places tasks in a different order than the cold run — the cache
-        then serves the *cold* layout mapped onto the clone's tasks.
-        That layout must still be a valid successful partition of the
-        clone (parameter-identical cores pass the same tests), which is
-        the verdict-level contract the cache guarantees."""
-        test, strategy = get_test("ey"), get_strategy("cu-udp")
-        cold = partition(TaskSet(make_tied_tasks()), 2, test, strategy)
-        assert cold.success
-
-        clone = TaskSet(reordered_clone(make_tied_tasks()))
-        served = partition(clone, 2, test, strategy)
-        assert served.success
-        clone_ids = {t.task_id for t in clone}
-        assert set(served.assignment) == clone_ids
-        for core in served.cores:
-            if len(core):
-                assert test.is_schedulable(core)
-
-    def test_strategy_and_m_separate_keys(self, cache_on):
-        test = get_test("ey")
-        ts = TaskSet(make_tasks())
-        partition(ts, 2, test, get_strategy("cu-udp"))
-        assert vc.lookup_partition(ts, 2, test, get_strategy("cu-udp")) is not None
-        assert vc.lookup_partition(ts, 3, test, get_strategy("cu-udp")) is None
-        assert vc.lookup_partition(ts, 2, test, get_strategy("ca-udp")) is None
-
-
-class TestLruBound:
-    def test_eviction_past_capacity(self, cache_on, monkeypatch):
-        monkeypatch.setenv("REPRO_VERDICT_CACHE_SIZE", "2")
-        vc.reconfigure()
-        ts = TaskSet(make_tasks())
-        outcome = run_tuning_stages(ts, STAGES, 100_000)
-        for cap in (100_000, 110_000, 120_000):
-            vc.store_tuning(ts, STAGES, cap, outcome)
-        assert vc.lookup_tuning(ts, STAGES, 100_000) is None  # evicted
-        assert vc.lookup_tuning(ts, STAGES, 110_000) is not None
-        assert vc.lookup_tuning(ts, STAGES, 120_000) is not None
-
-
-class TestPersistentTier:
-    def test_survives_process_restart(self, cache_on, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_VERDICT_CACHE_DIR", str(tmp_path))
-        vc.reconfigure()
-        ts = TaskSet(make_tasks())
-        cold = run_tuning_stages(ts, STAGES, 100_000)
-        blobs = list((tmp_path / "objects").iterdir())
-        assert len(blobs) == 1
-
-        vc.reconfigure()  # simulated restart: LRU gone, disk survives
-        vc.reset_cache_counters()
-        warm = run_tuning_stages(ts, STAGES, 100_000)
-        counters = vc.cache_counters()
-        assert counters["disk-hit"] == 1
-        assert warm.virtual_deadlines == cold.virtual_deadlines
-
-        # promoted into the LRU: the next lookup never touches disk
-        vc.reset_cache_counters()
-        run_tuning_stages(ts, STAGES, 100_000)
-        assert vc.cache_counters()["hit"] == 1
-        assert vc.cache_counters()["disk-hit"] == 0
-
-    def test_schema_1_payloads_are_ignored(
-        self, cache_on, monkeypatch, tmp_path
+class TestNoCrossKernelVerdict:
+    @pytest.mark.parametrize("scalar", ["forward", "qpa"])
+    @pytest.mark.parametrize("memo", ["None", "{}"], ids=["fresh", "memo"])
+    def test_block_accept_not_served_to_scalar_kernel(
+        self, cache_dir, scalar, memo
     ):
-        """``/1`` entries predate the V* floor reject: their ``iterations``
-        and ``detail`` describe the old descent, so neither their keys nor
-        a ``/1`` payload at a current key may serve a lookup."""
-        monkeypatch.setenv("REPRO_VERDICT_CACHE_DIR", str(tmp_path))
-        vc.reconfigure()
-        ts = TaskSet(FLOOR_TASKS)
-        fresh = run_tuning_stages(ts, STAGES, 100_000)
-        assert fresh.detail.startswith("HI infeasible at V* floor")
-        blob = next((tmp_path / "objects").iterdir())
-        stale = json.loads(blob.read_text())
-        stale.update(
-            schema="repro-verdict-cache/1",
-            iterations=40,
-            detail="no shrinkable task at l*=22",
+        block, rejected = in_fresh_process(
+            cache_dir,
+            f"""
+            print(json.dumps([tune("block", {{}}), tune({scalar!r}, {memo})]))
+            """,
         )
-        with monkeypatch.context() as old:  # written by the /1 code
-            old.setattr(vc, "_SCHEMA", "repro-verdict-cache/1")
-            vc.reconfigure()
-            vc.store_tuning(ts, STAGES, 100_000, fresh)
-        assert len(list((tmp_path / "objects").iterdir())) == 2
-        blob.write_text(json.dumps(stale))  # a /1 payload at a /2 key
+        assert block[0] is True
+        assert rejected[0] is False
+        assert "no shrinkable task at l*=29" in rejected[2]
+        assert list(cache_dir.iterdir()) == []
 
-        vc.reconfigure()
-        vc.reset_cache_counters()
-        assert vc.lookup_tuning(ts, STAGES, 100_000) is None
-        assert vc.cache_counters()["disk-reject"] == 1
-        again = run_tuning_stages(ts, STAGES, 100_000)
-        assert (again.iterations, again.detail) == (0, fresh.detail)
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            "not json at all",
-            json.dumps({"schema": "repro-verdict-cache/999"}),
-            json.dumps(["wrong", "shape"]),
-        ],
-    )
-    def test_corruption_is_a_miss_and_discarded(
-        self, cache_on, monkeypatch, tmp_path, damage
-    ):
-        monkeypatch.setenv("REPRO_VERDICT_CACHE_DIR", str(tmp_path))
-        vc.reconfigure()
-        ts = TaskSet(make_tasks())
-        run_tuning_stages(ts, STAGES, 100_000)
-        blob = next((tmp_path / "objects").iterdir())
-        blob.write_text(damage)
+class TestRepeatRunsRecompute:
+    def test_tuning_descends_again(self, cache_dir):
+        runs = in_fresh_process(
+            cache_dir,
+            """
+            obs.set_recorder(obs.MetricsRecorder(obs.REGISTRY))
+            runs = []
+            for _ in range(2):
+                outcome = tune("qpa", None)
+                total = obs.REGISTRY.histogram("descent.iterations").total
+                runs.append([outcome, total])
+            print(json.dumps(runs))
+            """,
+        )
+        (first, once), (second, twice) = runs
+        assert once == first[1] > 0
+        assert twice == 2 * once
+        assert second == first
 
-        vc.reconfigure()  # drop the LRU so the read must go to disk
-        vc.reset_cache_counters()
-        assert vc.lookup_tuning(ts, STAGES, 100_000) is None
-        counters = vc.cache_counters()
-        assert counters["disk-reject"] == 1
-        assert counters["miss"] == 1
-        assert not blob.exists(), "damaged payload must be quarantined"
+    @pytest.mark.parametrize("strategy_name", ["cu-udp", "ca-udp"])
+    def test_partition_probes_again(self, cache_dir, strategy_name):
+        runs = in_fresh_process(
+            cache_dir,
+            f"""
+            obs.set_recorder(obs.MetricsRecorder(obs.REGISTRY))
+            test, strategy = get_test("ey"), get_strategy({strategy_name!r})
+            key = "alloc." + strategy.name + ".fit-attempts"
+            runs = []
+            for _ in range(2):
+                result = partition(TS, 2, test, strategy)
+                runs.append([
+                    result.success,
+                    sorted(result.assignment.items()),
+                    obs.REGISTRY.counters()[key],
+                ])
+            print(json.dumps(runs))
+            """,
+        )
+        (ok1, layout1, once), (ok2, layout2, twice) = runs
+        assert once > 0
+        assert twice == 2 * once
+        assert (ok2, layout2) == (ok1, layout1)

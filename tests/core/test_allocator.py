@@ -70,6 +70,26 @@ class TestPartition:
         assert result.failed_task is not None and result.failed_task.name == "c"
         assert len(result.assignment) == 2
 
+    def test_failure_stops_at_first_unplaced_task(self):
+        # "c" does not fit; the light "d" after it is never tried.
+        ts = TaskSet(
+            [
+                hc_task(100, 10, 90, name="a"),
+                hc_task(100, 10, 90, name="b"),
+                hc_task(100, 10, 90, name="c"),
+                lc_task(100, 1, name="d"),
+            ]
+        )
+        result = partition(ts, 2, EDFVDTest(), trivial_strategy())
+        assert result.failed_task.name == "c"
+        placed = [t.name for core in result.cores for t in core]
+        assert sorted(placed) == ["a", "b"]
+        assert set(result.assignment) == {ts[0].task_id, ts[1].task_id}
+
+    def test_success_has_no_failed_task(self, simple_mixed_taskset):
+        result = partition(simple_mixed_taskset, 2, EDFVDTest(), trivial_strategy())
+        assert result.success and result.failed_task is None
+
     def test_core_of(self, simple_mixed_taskset):
         result = partition(simple_mixed_taskset, 2, EDFVDTest(), trivial_strategy())
         for task in simple_mixed_taskset:
@@ -203,3 +223,29 @@ class TestIncrementalParity:
         assert result.success == partition(
             taskset, 2, test, trivial_strategy(), incremental=False
         ).success
+
+
+class TestPartitionMetrics:
+    @pytest.mark.parametrize(
+        "heavy,outcome,attempts,commits",
+        [(2, "placed", 3, 2), (3, "failed", 5, 2)],
+    )
+    def test_one_outcome_per_run(self, heavy, outcome, attempts, commits):
+        """Each run publishes its probe totals and exactly one of
+        ``placed``/``failed``, whether it ends in success or failure."""
+        from repro import obs
+
+        ts = TaskSet([hc_task(100, 10, 90) for _ in range(heavy)])
+        previous = obs.set_recorder(obs.MetricsRecorder(obs.REGISTRY))
+        obs.clear()
+        try:
+            partition(ts, 2, EDFVDTest(), trivial_strategy())
+            counters = obs.REGISTRY.counters("alloc.trivial.")
+        finally:
+            obs.set_recorder(previous)
+            obs.clear()
+        assert counters == {
+            "alloc.trivial.fit-attempts": attempts,
+            "alloc.trivial.commits": commits,
+            f"alloc.trivial.{outcome}": 1,
+        }

@@ -113,12 +113,50 @@ class TestSimulate:
 class TestFigure:
     def test_tiny_figure_run(self, capsys, tmp_path, monkeypatch):
         # run in tmp so an ambient REPRO_OBS=trace writes its default
-        # BENCH_obs.json/repro-trace.json here, not over committed files
+        # repro-obs.json/repro-trace.json here, not over committed files
         monkeypatch.chdir(tmp_path)
         code = main(["figure", "fig3", "--samples", "1", "--m", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert "cu-udp-edf-vd" in out
+
+    def test_obs_snapshot_default_path(self, capsys, tmp_path, monkeypatch):
+        # the default snapshot path must not be the committed artifact's
+        from repro import obs
+
+        monkeypatch.chdir(tmp_path)
+        previous = obs.set_recorder(obs.MetricsRecorder(obs.REGISTRY))
+        try:
+            code = main(["figure", "fig3", "--samples", "1", "--m", "2"])
+        finally:
+            obs.set_recorder(previous)
+            obs.clear()
+        assert code == 0
+        capsys.readouterr()
+        snapshot = json.loads((tmp_path / "repro-obs.json").read_text())
+        assert snapshot["mode"] == "metrics"
+        assert not (tmp_path / "BENCH_obs.json").exists()
+
+    def test_obs_snapshot_explicit_path(self, capsys, tmp_path, monkeypatch):
+        from repro import obs
+
+        monkeypatch.chdir(tmp_path)
+        previous = obs.set_recorder(obs.MetricsRecorder(obs.REGISTRY))
+        try:
+            code = main(
+                [
+                    "figure", "fig3", "--samples", "1", "--m", "2",
+                    "--obs-out", str(tmp_path / "o.json"),
+                ]
+            )
+        finally:
+            obs.set_recorder(previous)
+            obs.clear()
+        assert code == 0
+        capsys.readouterr()
+        assert json.loads((tmp_path / "o.json").read_text())["mode"] == "metrics"
+        assert not (tmp_path / "repro-obs.json").exists()
+        assert not (tmp_path / "BENCH_obs.json").exists()
 
     def test_parallel_run_with_cache_and_output(
         self, capsys, tmp_path, monkeypatch
@@ -151,7 +189,8 @@ class TestTrace:
         out = capsys.readouterr().out
         assert "obs counters" in out and "obs spans" in out
 
-        snapshot = json.loads((tmp_path / "BENCH_obs.json").read_text())
+        snapshot = json.loads((tmp_path / "repro-obs.json").read_text())
+        assert not (tmp_path / "BENCH_obs.json").exists()
         assert snapshot["schema"].startswith("repro-obs-snapshot/")
         assert snapshot["mode"] == "trace"
         # a batched fig3 settles via the prefilter ledger; every shard
@@ -180,7 +219,7 @@ class TestTrace:
         capsys.readouterr()
         assert (tmp_path / "t.json").exists()
         assert (tmp_path / "o.json").exists()
-        assert not (tmp_path / "BENCH_obs.json").exists()
+        assert not (tmp_path / "repro-obs.json").exists()
 
 
 class TestCampaign:
@@ -260,6 +299,17 @@ class TestParser:
         """Without the flag the CLI leaves the kernel to REPRO_DBF_KERNEL."""
         target = ["--figures", "fig3"] if command == "campaign" else ["fig3"]
         assert build_parser().parse_args([command, *target]).demand_kernel is None
+
+    @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
+    def test_kernel_help_states_block_is_sound_only(self, command, capsys):
+        """The help must not promise bit-identical results across kernels:
+        ``block`` may accept sets ``forward``/``qpa`` reject."""
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "forward and qpa give identical results" in text
+        assert "block is sound but may accept more" in text
+        assert "bit-identical" not in text
 
     @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
     def test_retired_pool_backend_rejected(self, command, capsys):

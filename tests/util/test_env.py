@@ -20,9 +20,6 @@ from repro.util.env import (
     runner_backend_from_env,
     runner_store_from_env,
     samples_from_env,
-    verdict_cache_dir_from_env,
-    verdict_cache_from_env,
-    verdict_cache_size_from_env,
 )
 
 
@@ -226,43 +223,11 @@ class TestMValues:
             m_values_from_env()
 
 
-class TestVerdictCacheKnobs:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VERDICT_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_VERDICT_CACHE_SIZE", raising=False)
-        monkeypatch.delenv("REPRO_VERDICT_CACHE_DIR", raising=False)
-        assert verdict_cache_from_env() == "off"
-        assert verdict_cache_size_from_env() == 4096
-        assert verdict_cache_dir_from_env() == ""
+class TestRetiredKnobs:
+    def test_verdict_cache_knobs_are_gone(self):
+        """The verdict cache and its three knobs were removed together."""
+        from repro.util import env
 
-    def test_parses_values(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_VERDICT_CACHE", "on")
-        monkeypatch.setenv("REPRO_VERDICT_CACHE_SIZE", "16")
-        monkeypatch.setenv("REPRO_VERDICT_CACHE_DIR", str(tmp_path))
-        assert verdict_cache_from_env() == "on"
-        assert verdict_cache_size_from_env() == 16
-        assert verdict_cache_dir_from_env() == str(tmp_path)
-
-    @pytest.mark.parametrize("bad", ["ON", "yes", "1", "true"])
-    def test_rejects_invalid_switch(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_VERDICT_CACHE", bad)
-        with pytest.raises(ValueError, match="REPRO_VERDICT_CACHE"):
-            verdict_cache_from_env()
-
-    @pytest.mark.parametrize("bad", ["0", "-5", "big"])
-    def test_rejects_invalid_size(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_VERDICT_CACHE_SIZE", bad)
-        with pytest.raises(ValueError, match="REPRO_VERDICT_CACHE_SIZE"):
-            verdict_cache_size_from_env()
-
-    def test_rejects_padded_dir(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERDICT_CACHE_DIR", " /tmp/cache ")
-        with pytest.raises(ValueError, match="REPRO_VERDICT_CACHE_DIR"):
-            verdict_cache_dir_from_env()
-
-    def test_rejects_existing_file(self, monkeypatch, tmp_path):
-        blob = tmp_path / "not-a-dir"
-        blob.write_text("x")
-        monkeypatch.setenv("REPRO_VERDICT_CACHE_DIR", str(blob))
-        with pytest.raises(ValueError, match="REPRO_VERDICT_CACHE_DIR"):
-            verdict_cache_dir_from_env()
+        assert not [n for n in env.__all__ if "verdict" in n]
+        assert not [n for n in vars(env) if "verdict" in n]
+        assert "REPRO_VERDICT_CACHE" not in (env.__doc__ or "")
