@@ -292,6 +292,11 @@ def kernel_summary(
     return summary
 
 
+#: :attr:`MCTaskSetGenerator.stats` work counters recorded per generated
+#: bucket, as ``generator.<key with hyphens>``
+_WORK_COUNTERS = ("fold_attempts", "retries", "coupling_fallbacks")
+
+
 # -- service-independent sample reuse ------------------------------------------
 #: Generated samples kept for sibling sweeps: sample key -> the read-only
 #: :meth:`TaskSetBatch.arrays` of that bucket's sample.  Holds one sample
@@ -416,9 +421,9 @@ class AcceptanceSweep:
             if _obs.active():
                 _obs.REGISTRY.add("generator.reused")
             return TaskSetBatch.from_arrays(arrays, service_model=service)
-        if _obs.active():
-            _obs.REGISTRY.add("generator.samples")
-        columns = []
+        generator = self._generator
+        before = dict(generator.stats)
+        records = []
         for replicate in range(cfg.samples_per_bucket):
             rng = derive_rng(
                 cfg.label, cfg.m, cfg.deadline_type, cfg.p_high, bucket, replicate
@@ -427,13 +432,20 @@ class AcceptanceSweep:
             # infeasible (e.g. U_HH too concentrated for the task count).
             for _ in range(6):
                 point = points[int(rng.integers(len(points)))]
-                cols = self._generator.generate_columns(
-                    rng, point.u_hh, point.u_lh, point.u_ll
-                )
-                if cols is not None:
-                    columns.append(cols)
+                draws = generator.draw(rng, point.u_hh, point.u_lh, point.u_ll)
+                if draws is not None:
+                    records.append(draws)
                     break
-        batch = TaskSetBatch(columns, service_model=service)
+        batch = generator.build(records, service_model=service)
+        if _obs.active():
+            _obs.REGISTRY.add("generator.samples")
+            # Deterministic work beside the generator's timing: a change
+            # that keeps the stream keeps these counts.
+            _obs.REGISTRY.add_counters({
+                f"generator.{key.replace('_', '-')}": generator.stats[key] - before[key]
+                for key in _WORK_COUNTERS
+                if generator.stats[key] != before[key]
+            })
         # Only degraded sweeps have sibling service levels to share with.
         if service is not None:
             retain_sample(key, batch.arrays())

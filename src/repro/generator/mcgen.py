@@ -14,20 +14,33 @@ Mixed-Criticality Scheduling Algorithms using a Fair Taskset Generator"
   ``sum u_i^L = m * U_LH`` exactly;
 * periods log-uniform in ``[10, 500]``; ``C = ceil(u * T)``; deadlines equal
   to periods (implicit) or uniform in ``[C^H, T]`` (constrained).
+
+Generation runs in two phases.  :meth:`MCTaskSetGenerator.draw` makes every
+RNG-consuming draw of one task set on Python scalars, in the historical
+stream order, and returns a small :class:`SetDraws` record;
+:meth:`MCTaskSetGenerator.build` turns any number of records into one
+columnar :class:`~repro.model.batch.TaskSetBatch` in a single numpy pass.
+Every public entry point (:meth:`~MCTaskSetGenerator.generate`,
+``generate_columns``, ``generate_batch`` and the sweep's
+``batch_for_bucket``) is these two phases.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import math
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.model import TaskColumns, TaskSet, TaskSetBatch
-from repro.generator.periods import log_uniform_periods
-from repro.generator.uunifast import randfixedsum, uunifast_discard
+from repro.generator.periods import log_period_draws, round_periods
+from repro.generator.uunifast import discard_values, randfixedsum
 
-__all__ = ["GeneratorConfig", "MCTaskSetGenerator"]
+__all__ = ["GeneratorConfig", "MCTaskSetGenerator", "SetDraws"]
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,10 @@ class GeneratorConfig:
             raise ValueError(
                 f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]"
             )
+        if self.max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be at least 1, got {self.max_attempts}"
+            )
         if self.deadline_type not in ("implicit", "constrained"):
             raise ValueError(
                 "deadline_type must be 'implicit' or 'constrained', "
@@ -87,15 +104,26 @@ class GeneratorConfig:
         return lo, hi
 
 
-@dataclass
-class _Targets:
-    """Raw (un-normalized) utilization targets for one task set."""
+class SetDraws(NamedTuple):
+    """Phase-1 record: the RNG-derived values of one task set.
 
-    hh: float
-    lh: float
-    ll: float
+    Rows are in generator order, HC tasks first.  Holds Python floats and
+    the raw period draw only; :meth:`MCTaskSetGenerator.build` derives
+    every integer column from it.
+    """
+
     n_high: int
-    n_low: int
+    u_lo: list[float]  #: LO utilization per task
+    u_hi: list[float]  #: HI utilization per task, 0.0 on LC rows
+    raw: np.ndarray  #: log-period draws (:func:`log_period_draws`)
+    #: constrained deadlines only: the set's rounded periods and its
+    #: deadline draws (implicit: both None)
+    period: np.ndarray | None
+    deadline: list[int] | None
+
+
+def _concat(arrays: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype=dtype)
 
 
 class MCTaskSetGenerator:
@@ -106,12 +134,14 @@ class MCTaskSetGenerator:
         if config is not None and kwargs:
             raise TypeError("pass either a GeneratorConfig or kwargs, not both")
         self.config = config if config is not None else GeneratorConfig(**kwargs)
-        #: counters for diagnostics: generated sets, resampling retries and
+        #: deterministic work counters: generated sets, resampling retries,
         #: proportional LO/HI coupling fallbacks (see :meth:`_couple_lo_hi`)
+        #: and UUniFast-discard fold attempts
         self.stats: dict[str, int] = {
             "generated": 0,
             "retries": 0,
             "coupling_fallbacks": 0,
+            "fold_attempts": 0,
         }
 
     # -- public API ---------------------------------------------------------
@@ -126,8 +156,7 @@ class MCTaskSetGenerator:
 
         Returns None when the targets are infeasible under the config (e.g.
         ``m * U_HH > n_max * u_max``) after ``max_attempts`` resamples.
-        Target validation lives in :meth:`generate_columns`, the shared
-        implementation.
+        Target validation lives in :meth:`draw`, the shared first phase.
         """
         columns = self.generate_columns(rng, u_hh, u_lh, u_ll)
         if columns is None:
@@ -142,30 +171,11 @@ class MCTaskSetGenerator:
         u_ll: float,
     ) -> TaskColumns | None:
         """Numeric columns of one task set — :meth:`generate` without the
-        ``MCTask`` objects.
-
-        Consumes the RNG stream exactly as :meth:`generate` does (the two
-        share this implementation), so ``generate_columns(rng, ...)``
-        followed by :meth:`TaskColumns.materialize` *is* ``generate`` —
-        while batched consumers that settle a set from its columns alone
-        (exact prefilters, the utilization-ledger replay) skip object
-        construction entirely.
-        """
-        if not 0 <= u_lh <= u_hh:
-            raise ValueError(f"need 0 <= U_LH <= U_HH, got {u_lh} > {u_hh}")
-        if u_ll < 0:
-            raise ValueError(f"U_LL must be non-negative, got {u_ll}")
-        for _ in range(self.config.max_attempts):
-            targets = self._draw_structure(rng, u_hh, u_lh, u_ll)
-            if targets is None:
-                self.stats["retries"] += 1
-                continue
-            columns = self._realize(rng, targets)
-            if columns is not None:
-                self.stats["generated"] += 1
-                return columns
-            self.stats["retries"] += 1
-        return None
+        ``MCTask`` objects: the one-record case of :meth:`build`."""
+        draws = self.draw(rng, u_hh, u_lh, u_ll)
+        if draws is None:
+            return None
+        return self.build([draws]).columns(0)
 
     def generate_batch(
         self,
@@ -186,12 +196,10 @@ class MCTaskSetGenerator:
         shards stay order-independent and resumable, and the batch contract
         has to preserve that derivation to keep sweep results bit-identical.
         """
-        columns = []
-        for rng in rngs:
-            cols = self.generate_columns(rng, u_hh, u_lh, u_ll)
-            if cols is not None:
-                columns.append(cols)
-        return TaskSetBatch(columns, service_model=service_model)
+        records = [self.draw(rng, u_hh, u_lh, u_ll) for rng in rngs]
+        return self.build(
+            [r for r in records if r is not None], service_model=service_model
+        )
 
     def generate_many(
         self,
@@ -209,20 +217,48 @@ class MCTaskSetGenerator:
                 out.append(ts)
         return out
 
-    # -- structure ------------------------------------------------------------
-    def _draw_structure(
+    # -- phase 1: the draws -----------------------------------------------------
+    def draw(
         self,
         rng: np.random.Generator,
         u_hh: float,
         u_lh: float,
         u_ll: float,
-    ) -> _Targets | None:
+    ) -> SetDraws | None:
+        """Every draw of one task set, or None after ``max_attempts``
+        infeasible structure or realization draws.
+
+        The one target validation: ``0 <= U_LH <= U_HH``, ``U_LL >= 0``,
+        all finite.
+        """
+        if not all(map(math.isfinite, (u_hh, u_lh, u_ll))):
+            raise ValueError(
+                f"targets must be finite, got ({u_hh}, {u_lh}, {u_ll})"
+            )
+        if not 0 <= u_lh <= u_hh:
+            raise ValueError(f"need 0 <= U_LH <= U_HH, got {u_lh} > {u_hh}")
+        if u_ll < 0:
+            raise ValueError(f"U_LL must be non-negative, got {u_ll}")
+        m = self.config.m
+        stats = self.stats
+        for _ in range(self.config.max_attempts):
+            draws = self._draw_once(rng, u_hh * m, u_lh * m, u_ll * m)
+            if draws is not None:
+                stats["generated"] += 1
+                return draws
+            stats["retries"] += 1
+        return None
+
+    def _draw_once(
+        self, rng: np.random.Generator, hh: float, lh: float, ll: float
+    ) -> SetDraws | None:
+        """One structure and realization draw on raw targets (the stream
+        order: task count, HC HI vector, LO coupling, LC vector, periods,
+        deadlines), or None when a step is infeasible."""
         cfg = self.config
-        hh, lh, ll = u_hh * cfg.m, u_lh * cfg.m, u_ll * cfg.m
         n_lo, n_hi = cfg.task_count_range
         n = int(rng.integers(n_lo, n_hi + 1))
-        n_high = int(round(cfg.p_high * n))
-        n_high = min(max(n_high, 1), n - 1)
+        n_high = min(max(int(round(cfg.p_high * n)), 1), n - 1)
         n_low = n - n_high
         feasible = (
             n_high * cfg.u_min <= hh <= n_high * cfg.u_max
@@ -231,27 +267,52 @@ class MCTaskSetGenerator:
         )
         if not feasible:
             return None
-        return _Targets(hh, lh, ll, n_high, n_low)
+        u_hi = self._draw_vector(rng, n_high, hh)
+        if u_hi is None:
+            return None
+        u_lo = self._couple_lo_hi(rng, u_hi, lh)
+        if u_lo is None:
+            return None
+        u_lo_low = self._draw_vector(rng, n_low, ll)
+        if u_lo_low is None:
+            return None
+        u_lo += u_lo_low
+        u_hi += [0.0] * n_low
+        raw = log_period_draws(rng, n, cfg.t_min, cfg.t_max)
+        if cfg.deadline_type == "implicit":
+            return SetDraws(n_high, u_lo, u_hi, raw, None, None)
+        # Each deadline draw is bounded by its task's HI budget, so the set
+        # needs its periods and C^H now: the same rounding and ceilings
+        # :meth:`build` applies (C^H = C^L on LC rows, whose u_hi is 0).
+        period = round_periods(raw, cfg.t_min, cfg.t_max)
+        deadline = []
+        for u_l, u_h, t in zip(u_lo, u_hi, period.tolist()):
+            c_lo = max(1, math.ceil(u_l * t))
+            c_hi = max(c_lo, math.ceil(u_h * t))
+            deadline.append(int(rng.integers(c_hi, t + 1)))
+        return SetDraws(n_high, u_lo, u_hi, raw, period, deadline)
 
-    # -- utilizations ------------------------------------------------------------
     def _draw_vector(
-        self, rng: np.random.Generator, n: int, total: float, u_max: float
-    ) -> np.ndarray | None:
+        self, rng: np.random.Generator, n: int, total: float
+    ) -> list[float] | None:
         """One utilization vector in ``[u_min, u_max]^n`` summing to total."""
         cfg = self.config
-        values = uunifast_discard(
-            rng, n, total, cfg.u_min, u_max, max_attempts=100
+        values, folds = discard_values(
+            rng, n, total, cfg.u_min, cfg.u_max, max_attempts=100
         )
+        self.stats["fold_attempts"] += folds
         if values is None:
-            values = randfixedsum(rng, n, total, cfg.u_min, u_max)
+            vector = randfixedsum(rng, n, total, cfg.u_min, cfg.u_max)
+            if vector is not None:
+                values = vector.tolist()
         return values
 
     def _couple_lo_hi(
         self,
         rng: np.random.Generator,
-        u_high: np.ndarray,
+        u_high: list[float],
         lh: float,
-    ) -> np.ndarray | None:
+    ) -> list[float] | None:
         """LO utilizations for HC tasks: sum ``lh`` and ``u_lo <= u_hi``.
 
         Tries unbiased random pairing first, then rank pairing (sort both
@@ -262,93 +323,83 @@ class MCTaskSetGenerator:
         iff the k-th largest LO value is at most the k-th largest bound
         for every k, whichever way argsort breaks ties (adding 1e-12 is
         monotone, so it commutes with sorting).  The paired vector is
-        built with argsort only once it is accepted, so ties among
-        clipped randfixedsum values land where they always did.
+        built with numpy's argsort only once it is accepted, so ties among
+        clipped randfixedsum values land where they always did; the
+        proportional fallback keeps numpy's pairwise sum for the same
+        reason.
         """
-        cfg = self.config
         n = len(u_high)
-        bound = (u_high + 1e-12).tolist()
+        bound = [u + 1e-12 for u in u_high]
         bound_desc = sorted(bound, reverse=True)
         for _ in range(20):
-            u_low = self._draw_vector(rng, n, lh, cfg.u_max)
+            u_low = self._draw_vector(rng, n, lh)
             if u_low is None:
                 break
-            low = u_low.tolist()
-            if all(a <= b for a, b in zip(low, bound)):
-                return np.minimum(u_low, u_high)
-            low.sort(reverse=True)
-            if all(a <= b for a, b in zip(low, bound_desc)):
+            if all(map(operator.le, u_low, bound)):
+                return list(map(min, u_low, u_high))
+            if all(map(operator.le, sorted(u_low, reverse=True), bound_desc)):
+                high, low = np.array(u_high), np.array(u_low)
                 paired = np.empty(n)
-                paired[np.argsort(-u_high)] = u_low[np.argsort(-u_low)]
-                return np.minimum(paired, u_high)
+                paired[np.argsort(-high)] = low[np.argsort(-low)]
+                return np.minimum(paired, high).tolist()
         self.stats["coupling_fallbacks"] += 1
-        scale = lh / u_high.sum()
+        scale = lh / np.array(u_high).sum()
         if scale > 1.0 + 1e-12:
             return None
-        return u_high * min(scale, 1.0)
+        scale = float(min(scale, 1.0))
+        return [u * scale for u in u_high]
 
-    # -- realization -----------------------------------------------------------
-    def _realize(self, rng: np.random.Generator, t: _Targets) -> TaskColumns | None:
-        """Columnar realization of one structure draw (HC rows first).
+    # -- phase 2: the columns ---------------------------------------------------
+    def build(
+        self, records: Sequence[SetDraws], service_model=None
+    ) -> TaskSetBatch:
+        """The columnar batch of ``records``, in order, in one numpy pass.
 
-        The execution-requirement columns are elementwise transcriptions of
-        the historical per-task loop (IEEE multiply/``ceil``/``floor`` are
-        correctly-rounded primitives, so array and scalar evaluation agree
-        bit-for-bit), and the only RNG consumers — the utilization vectors,
-        the period draw and the constrained-deadline draws — run in the
-        loop's exact stream order.
+        Every column is an elementwise function of the concatenated draws
+        (``exp``, round-to-nearest, IEEE multiply, ``ceil``, ``floor``), so
+        it equals the per-set evaluation bit for bit.
         """
         cfg = self.config
-        u_hi = self._draw_vector(rng, t.n_high, t.hh, cfg.u_max)
-        if u_hi is None:
-            return None
-        u_lo_high = self._couple_lo_hi(rng, u_hi, t.lh)
-        if u_lo_high is None:
-            return None
-        u_lo_low = self._draw_vector(rng, t.n_low, t.ll, cfg.u_max)
-        if u_lo_low is None:
-            return None
-
-        n = t.n_high + t.n_low
-        periods = log_uniform_periods(rng, n, cfg.t_min, cfg.t_max)
-        periods_h = periods[: t.n_high]
-        periods_l = periods[t.n_high :]
-        c_lo_h = np.maximum(1, np.ceil(u_lo_high * periods_h)).astype(np.int64)
-        c_hi_h = np.maximum(c_lo_h, np.ceil(u_hi * periods_h).astype(np.int64))
-        c_lo_l = np.maximum(1, np.ceil(u_lo_low * periods_l)).astype(np.int64)
-
-        wcet_lo = np.concatenate([c_lo_h, c_lo_l])
-        wcet_hi = np.concatenate([c_hi_h, c_lo_l])
-        if cfg.deadline_type == "implicit":
-            deadline = periods.copy()
-        else:
-            # The bound of each task's deadline draw is its HI budget, so
-            # the draws stay scalar, in task order — the historical stream.
-            deadline = np.empty(n, dtype=np.int64)
-            for i in range(n):
-                deadline[i] = self._draw_deadline(
-                    rng, int(wcet_hi[i]), int(periods[i])
-                )
-
-        factor = cfg.degradation_factor
-        wcet_degraded = np.full(n, -1, dtype=np.int64)
-        if factor is not None:
-            wcet_degraded[t.n_high :] = np.floor(factor * c_lo_l).astype(np.int64)
-        is_high = np.zeros(n, dtype=bool)
-        is_high[: t.n_high] = True
-        return TaskColumns(
-            period=periods.astype(np.int64, copy=False),
-            wcet_lo=wcet_lo,
-            wcet_hi=wcet_hi,
-            deadline=deadline,
-            is_high=is_high,
-            wcet_degraded=wcet_degraded,
-            period_degraded=np.full(n, -1, dtype=np.int64),
+        counts = np.fromiter(
+            (len(r.u_lo) for r in records), dtype=np.int64, count=len(records)
         )
-
-    def _draw_deadline(
-        self, rng: np.random.Generator, wcet_hi: int, period: int
-    ) -> int:
-        if self.config.deadline_type == "implicit":
-            return period
-        return int(rng.integers(wcet_hi, period + 1))
+        offsets = np.zeros(len(records) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        total = int(offsets[-1])
+        if cfg.deadline_type == "implicit":
+            period = round_periods(
+                _concat([r.raw for r in records], np.float64), cfg.t_min, cfg.t_max
+            )
+            deadline = period.copy()
+        else:
+            period = _concat([r.period for r in records], np.int64)
+            deadline = np.fromiter(
+                chain.from_iterable(r.deadline for r in records),
+                dtype=np.int64, count=total,
+            )
+        u_lo = np.fromiter(
+            chain.from_iterable(r.u_lo for r in records), dtype=np.float64, count=total
+        )
+        u_hi = np.fromiter(
+            chain.from_iterable(r.u_hi for r in records), dtype=np.float64, count=total
+        )
+        wcet_lo = np.maximum(1, np.ceil(u_lo * period)).astype(np.int64)
+        wcet_hi = np.maximum(wcet_lo, np.ceil(u_hi * period).astype(np.int64))
+        rank = np.arange(total) - np.repeat(offsets[:-1], counts)
+        n_high = np.fromiter(
+            (r.n_high for r in records), dtype=np.int64, count=len(records)
+        )
+        is_high = rank < np.repeat(n_high, counts)
+        wcet_degraded = np.full(total, -1, dtype=np.int64)
+        if cfg.degradation_factor is not None:
+            low = ~is_high
+            wcet_degraded[low] = np.floor(
+                cfg.degradation_factor * wcet_lo[low]
+            ).astype(np.int64)
+        return TaskSetBatch.from_arrays(
+            (
+                offsets, period, wcet_lo, wcet_hi, deadline, is_high,
+                wcet_degraded, np.full(total, -1, dtype=np.int64),
+            ),
+            service_model=service_model,
+        )

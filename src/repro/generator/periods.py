@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["log_uniform_periods"]
+__all__ = ["log_period_draws", "log_uniform_periods", "round_periods"]
 
 
 def log_uniform_periods(
@@ -26,13 +26,29 @@ def log_uniform_periods(
     Values are rounded to the nearest integer and clipped into the range, so
     the endpoints are attainable.
     """
+    return round_periods(log_period_draws(rng, n, t_min, t_max), t_min, t_max)
+
+
+def log_period_draws(
+    rng: np.random.Generator, n: int, t_min: int, t_max: int
+) -> np.ndarray:
+    """The RNG-consuming half of :func:`log_uniform_periods`: ``n`` draws
+    uniform in ``[log t_min, log t_max]``."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if not 0 < t_min <= t_max:
         raise ValueError(f"need 0 < t_min <= t_max, got [{t_min}, {t_max}]")
     low, high = _log_bounds(t_min, t_max)
-    raw = np.exp(rng.uniform(low, high, size=n))
-    periods = np.rint(raw).astype(np.int64)
+    return rng.uniform(low, high, size=n)
+
+
+def round_periods(raw: np.ndarray, t_min: int, t_max: int) -> np.ndarray:
+    """The deterministic half: ``exp``, round to nearest, clip (int64).
+
+    Elementwise, so one call over many sets' concatenated draws equals
+    the per-set calls concatenated.
+    """
+    periods = np.rint(np.exp(raw)).astype(np.int64)
     # Same result as np.clip (t_min <= t_max), without its argument checks.
     return np.minimum(np.maximum(periods, t_min), t_max)
 

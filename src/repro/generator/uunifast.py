@@ -38,7 +38,7 @@ def _fold(
     total: float,
     u_min: float,
     u_max: float,
-) -> np.ndarray | None:
+) -> list[float] | None:
     """One UUniFast attempt over ``n = len(exps) + 1`` values (see
     :func:`_exponents`), or None at the first value outside
     ``[u_min, u_max]``.
@@ -48,7 +48,7 @@ def _fold(
     (array filling draws in per-call order).  The fold stays scalar on
     Python floats: numpy's elementwise ``power`` is not guaranteed
     ulp-identical to C ``pow``, and each step's rounding feeds the next.
-    Only an accepted vector becomes an ndarray.
+    It returns a list; only the public wrappers make arrays.
     """
     values = []
     remaining = total
@@ -62,7 +62,7 @@ def _fold(
     if not u_min <= remaining <= u_max:
         return None
     values.append(remaining)
-    return np.array(values)
+    return values
 
 
 def _check_args(n: int, total: float) -> None:
@@ -81,7 +81,7 @@ def uunifast(rng: np.random.Generator, n: int, total: float) -> np.ndarray:
     if n == 1:
         return np.asarray([total])
     # Unbounded, the fold never rejects: a finite total keeps values finite.
-    return _fold(rng, _exponents(n), total, -math.inf, math.inf)
+    return np.array(_fold(rng, _exponents(n), total, -math.inf, math.inf))
 
 
 def uunifast_discard(
@@ -101,17 +101,35 @@ def uunifast_discard(
     :func:`uunifast`.  Each attempt draws ``n - 1`` values, rejected
     attempts included; ``n == 1`` draws nothing.
     """
+    values, _ = discard_values(rng, n, total, u_min, u_max, max_attempts)
+    return None if values is None else np.array(values)
+
+
+def discard_values(
+    rng: np.random.Generator,
+    n: int,
+    total: float,
+    u_min: float,
+    u_max: float,
+    max_attempts: int,
+) -> tuple[list[float] | None, int]:
+    """:func:`uunifast_discard` on Python floats: ``(values or None, folds)``.
+
+    ``folds`` counts the fold attempts made, the rejected ones included
+    (0 when nothing was drawn) — the generator's deterministic work
+    counter.
+    """
     _check_args(n, total)
     if total > n * u_max + 1e-12 or total < n * u_min - 1e-12 or max_attempts <= 0:
-        return None
+        return None, 0
     if n == 1:
-        return np.asarray([total]) if u_min <= total <= u_max else None
+        return ([total] if u_min <= total <= u_max else None), 0
     exps = _exponents(n)
-    for _ in range(max_attempts):
+    for attempt in range(1, max_attempts + 1):
         values = _fold(rng, exps, total, u_min, u_max)
         if values is not None:
-            return values
-    return None
+            return values, attempt
+    return None, max_attempts
 
 
 def randfixedsum(
@@ -129,10 +147,10 @@ def randfixedsum(
 
     Implementation follows the published MATLAB ``randfixedsum`` (Roger
     Stafford, 2006) specialized to a single output vector, after an affine
-    map of the box to ``[0, 1]^n``.
+    map of the box to ``[0, 1]^n``.  A non-positive ``n`` or a negative or
+    non-finite ``total`` raises ``ValueError``, as in :func:`uunifast`.
     """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_args(n, total)
     if u_max < u_min:
         raise ValueError(f"u_max ({u_max}) < u_min ({u_min})")
     width = u_max - u_min

@@ -1,10 +1,13 @@
-"""Dual-criticality sporadic task model (system S1 in DESIGN.md).
+"""Dual-criticality sporadic task model.
 
 The model follows Section II of the paper: each task is a tuple
 ``(T, chi, C_L, C_H, D)`` with criticality ``chi`` in ``{LC, HC}``, LO/HI-mode
 execution requirements ``C_L <= C_H`` (``C_L == C_H`` for LC tasks by
 convention), minimum release separation ``T`` and relative deadline ``D``
-(``D == T`` implicit-deadline, ``D <= T`` constrained-deadline).
+(``D == T`` implicit-deadline, ``D <= T`` constrained-deadline).  Task sets
+exist as objects (:class:`TaskSet` of :class:`MCTask`) and as columns
+(:class:`TaskSetBatch`, the CSR layout the sweeps run on); the README's
+"Architecture: the columnar batch pipeline" shows where each is used.
 """
 
 from repro.model.batch import TaskColumns, TaskSetBatch

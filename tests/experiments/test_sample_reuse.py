@@ -49,15 +49,16 @@ def sample(config, bucket, points):
 
 @pytest.fixture
 def generations(monkeypatch):
-    """Counts ``generate_columns`` calls (one per generated task set)."""
+    """Counts calls of ``draw``, the first generation phase (one per task
+    set generated, its attempts at other grid points included)."""
     calls = []
-    original = MCTaskSetGenerator.generate_columns
+    original = MCTaskSetGenerator.draw
 
     def counting(self, *args, **kwargs):
         calls.append(1)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(MCTaskSetGenerator, "generate_columns", counting)
+    monkeypatch.setattr(MCTaskSetGenerator, "draw", counting)
     return calls
 
 

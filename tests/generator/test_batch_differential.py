@@ -1,24 +1,31 @@
-"""Differential suite: batched generation == scalar generation, bit for bit.
+"""Differential suite: two-phase generation == the one-set-at-a-time
+generator, bit for bit.
 
-The batch contract (see ``MCTaskSetGenerator.generate_batch``) is that each
-set of a batch consumes its derived RNG stream exactly as one scalar
-``generate()`` call would — same draws, same rejection loops, same columns.
-These tests compare the two paths on the paper's parameter grid (hypothesis
-chooses targets and seeds) and additionally pin the generator's rejection
-loops — UUniFast, UUniFast-discard and the LO/HI coupling — against literal
-transcriptions of their historical implementations: same outputs, same
-final RNG state.
+The generator draws each set on Python scalars (``MCTaskSetGenerator.draw``)
+and builds a whole batch's columns in one numpy pass (``build``).  These
+tests pin that against literal transcriptions of the historical
+implementations, which realized one set at a time: the rejection loops
+(UUniFast, UUniFast-discard, the LO/HI coupling) and the whole per-set
+generator (``reference_generate_columns``).  Every case compares columns
+array for array (dtype included), the final state of every RNG stream and
+the generator's work counters — on hypothesis cases over the paper's
+parameter grid and on explicit cases for every rare route.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro import obs
+from repro.experiments import acceptance
+from repro.experiments.acceptance import AcceptanceSweep, SweepConfig
 from repro.generator import GeneratorConfig, MCTaskSetGenerator
 from repro.generator.uunifast import randfixedsum, uunifast, uunifast_discard
-from repro.model import TaskSetBatch
+from repro.model import TaskColumns, TaskSetBatch
 from repro.util.rng import derive_rng
 
 
@@ -75,18 +82,37 @@ def reference_uunifast_discard(
     u_min: float = 0.0,
     u_max: float = 1.0,
     max_attempts: int = 1000,
+    stats: dict | None = None,
 ):
-    """The historical whole-vector rejection loop, kept as the oracle."""
+    """The historical whole-vector rejection loop, kept as the oracle.
+
+    Counts every attempt that draws (``n > 1``) into
+    ``stats["fold_attempts"]``.
+    """
     if total > n * u_max + 1e-12 or total < n * u_min - 1e-12:
         return None
     for _ in range(max_attempts):
+        if stats is not None and n > 1:
+            stats["fold_attempts"] += 1
         values = reference_uunifast(rng, n, total)
         if values.max(initial=0.0) <= u_max and values.min(initial=1.0) >= u_min:
             return values
     return None
 
 
-def reference_couple_lo_hi(rng, config, u_high, lh, path):
+def reference_draw_vector(rng, config, n, total, path, stats=None):
+    """The historical ``_draw_vector``: UUniFast-discard, then randfixedsum
+    (appending ``"randfixedsum"`` to ``path`` when it falls back)."""
+    values = reference_uunifast_discard(
+        rng, n, total, config.u_min, config.u_max, max_attempts=100, stats=stats
+    )
+    if values is None:
+        path.append("randfixedsum")
+        values = randfixedsum(rng, n, total, config.u_min, config.u_max)
+    return values
+
+
+def reference_couple_lo_hi(rng, config, u_high, lh, path, stats=None):
     """The historical numpy LO/HI coupling, kept as the oracle.
 
     Appends the route it took to ``path``: ``"randfixedsum"`` per vector
@@ -95,12 +121,7 @@ def reference_couple_lo_hi(rng, config, u_high, lh, path):
     """
     n = len(u_high)
     for _ in range(20):
-        u_low = reference_uunifast_discard(
-            rng, n, lh, config.u_min, config.u_max, max_attempts=100
-        )
-        if u_low is None:
-            path.append("randfixedsum")
-            u_low = randfixedsum(rng, n, lh, config.u_min, config.u_max)
+        u_low = reference_draw_vector(rng, config, n, lh, path, stats)
         if u_low is None:
             break
         if np.all(u_low <= u_high + 1e-12):
@@ -114,6 +135,8 @@ def reference_couple_lo_hi(rng, config, u_high, lh, path):
             path.append("rank")
             return np.minimum(paired, u_high)
     path.append("proportional")
+    if stats is not None:
+        stats["coupling_fallbacks"] += 1
     scale = lh / u_high.sum()
     if scale > 1.0 + 1e-12:
         return None
@@ -180,21 +203,21 @@ def coupling_cases(draw):
 
 def couple_both(u_high, lh, seed):
     """Couple with the generator and the oracle; assert equal outputs, final
-    RNG states and fallback counts, and return the oracle's route."""
+    RNG states and work counters, and return the oracle's route."""
     config = GeneratorConfig(m=2)
     generator = MCTaskSetGenerator(config)
     a = np.random.default_rng(seed)
     b = np.random.default_rng(seed)
-    got = generator._couple_lo_hi(a, u_high, lh)
+    got = generator._couple_lo_hi(a, u_high.tolist(), lh)
     path: list[str] = []
-    want = reference_couple_lo_hi(b, config, u_high, lh, path)
+    stats = reference_stats()
+    want = reference_couple_lo_hi(b, config, u_high, lh, path, stats)
     assert a.bit_generator.state == b.bit_generator.state
     if want is None:
         assert got is None
     else:
-        assert got is not None and np.array_equal(got, want)
-    fell_back = generator.stats["coupling_fallbacks"]
-    assert fell_back == (path[-1] == "proportional")
+        assert got is not None and np.array_equal(np.array(got), want)
+    assert generator.stats == stats
     return path
 
 
@@ -227,64 +250,298 @@ class TestCoupleLoHiOracle:
         assert ("randfixedsum" in path) == via_randfixedsum
 
 
+def reference_stats() -> dict[str, int]:
+    """Zeroed work counters, keyed as ``MCTaskSetGenerator.stats``."""
+    return {"generated": 0, "retries": 0, "coupling_fallbacks": 0, "fold_attempts": 0}
+
+
+def reference_draw_structure(rng, config, u_hh, u_lh, u_ll):
+    """The historical ``_draw_structure``: raw targets and the HC/LC split,
+    or None when the task-count draw makes the targets infeasible."""
+    cfg = config
+    hh, lh, ll = u_hh * cfg.m, u_lh * cfg.m, u_ll * cfg.m
+    n_lo, n_hi = cfg.task_count_range
+    n = int(rng.integers(n_lo, n_hi + 1))
+    n_high = int(round(cfg.p_high * n))
+    n_high = min(max(n_high, 1), n - 1)
+    n_low = n - n_high
+    feasible = (
+        n_high * cfg.u_min <= hh <= n_high * cfg.u_max
+        and n_high * cfg.u_min <= lh
+        and n_low * cfg.u_min <= ll <= n_low * cfg.u_max
+    )
+    if not feasible:
+        return None
+    return hh, lh, ll, n_high, n_low
+
+
+def reference_realize(rng, config, targets, path, stats):
+    """The historical ``_realize``: one set's columns, HC rows first."""
+    cfg = config
+    hh, lh, ll, n_high, n_low = targets
+    u_hi = reference_draw_vector(rng, cfg, n_high, hh, path, stats)
+    if u_hi is None:
+        return None
+    u_lo_high = reference_couple_lo_hi(rng, cfg, u_hi, lh, path, stats)
+    if u_lo_high is None:
+        return None
+    u_lo_low = reference_draw_vector(rng, cfg, n_low, ll, path, stats)
+    if u_lo_low is None:
+        return None
+
+    n = n_high + n_low
+    raw = np.exp(rng.uniform(np.log(cfg.t_min), np.log(cfg.t_max), size=n))
+    periods = np.clip(np.rint(raw).astype(np.int64), cfg.t_min, cfg.t_max)
+    periods_h = periods[:n_high]
+    periods_l = periods[n_high:]
+    c_lo_h = np.maximum(1, np.ceil(u_lo_high * periods_h)).astype(np.int64)
+    c_hi_h = np.maximum(c_lo_h, np.ceil(u_hi * periods_h).astype(np.int64))
+    c_lo_l = np.maximum(1, np.ceil(u_lo_low * periods_l)).astype(np.int64)
+
+    wcet_lo = np.concatenate([c_lo_h, c_lo_l])
+    wcet_hi = np.concatenate([c_hi_h, c_lo_l])
+    if cfg.deadline_type == "implicit":
+        deadline = periods.copy()
+    else:
+        deadline = np.empty(n, dtype=np.int64)
+        for i in range(n):
+            deadline[i] = int(rng.integers(int(wcet_hi[i]), int(periods[i]) + 1))
+
+    factor = cfg.degradation_factor
+    wcet_degraded = np.full(n, -1, dtype=np.int64)
+    if factor is not None:
+        wcet_degraded[n_high:] = np.floor(factor * c_lo_l).astype(np.int64)
+    is_high = np.zeros(n, dtype=bool)
+    is_high[:n_high] = True
+    return TaskColumns(
+        period=periods.astype(np.int64, copy=False),
+        wcet_lo=wcet_lo,
+        wcet_hi=wcet_hi,
+        deadline=deadline,
+        is_high=is_high,
+        wcet_degraded=wcet_degraded,
+        period_degraded=np.full(n, -1, dtype=np.int64),
+    )
+
+
+def reference_generate_columns(rng, config, u_hh, u_lh, u_ll, stats, path=None):
+    """The historical ``generate_columns``: structure and realization
+    resampled up to ``max_attempts`` times, one set realized at a time.
+
+    Counts into ``stats`` (see :func:`reference_stats`) and appends every
+    coupling route and randfixedsum fallback to ``path``.
+    """
+    path = [] if path is None else path
+    if not 0 <= u_lh <= u_hh:
+        raise ValueError(f"need 0 <= U_LH <= U_HH, got {u_lh} > {u_hh}")
+    if u_ll < 0:
+        raise ValueError(f"U_LL must be non-negative, got {u_ll}")
+    for _ in range(config.max_attempts):
+        targets = reference_draw_structure(rng, config, u_hh, u_lh, u_ll)
+        if targets is None:
+            stats["retries"] += 1
+            continue
+        columns = reference_realize(rng, config, targets, path, stats)
+        if columns is not None:
+            stats["generated"] += 1
+            return columns
+        stats["retries"] += 1
+    return None
+
+
+def reference_bucket(config: SweepConfig, bucket, points, stats, path=None):
+    """The historical ``batch_for_bucket`` loop over the reference
+    generator: ``(columns, the replicates' RNG streams)``."""
+    gen_config = GeneratorConfig(
+        m=config.m, p_high=config.p_high, deadline_type=config.deadline_type
+    )
+    columns, rngs = [], []
+    for replicate in range(config.samples_per_bucket):
+        rng = derive_rng(
+            config.label, config.m, config.deadline_type, config.p_high,
+            bucket, replicate,
+        )
+        rngs.append(rng)
+        for _ in range(6):
+            point = points[int(rng.integers(len(points)))]
+            cols = reference_generate_columns(
+                rng, gen_config, point.u_hh, point.u_lh, point.u_ll, stats, path
+            )
+            if cols is not None:
+                columns.append(cols)
+                break
+    return columns, rngs
+
+
+def assert_same_columns(batch: TaskSetBatch, columns: list[TaskColumns]):
+    """``batch`` holds exactly ``columns``: every array, dtype included."""
+    want = TaskSetBatch(columns).arrays()
+    for name, got_array, want_array in zip(TaskSetBatch.ARRAYS, batch.arrays(), want):
+        assert got_array.dtype == want_array.dtype, name
+        assert np.array_equal(got_array, want_array), name
+
+
+def states(rngs):
+    return [rng.bit_generator.state for rng in rngs]
+
+
 @st.composite
 def generation_cases(draw):
-    m = draw(st.sampled_from([2, 4]))
-    deadline_type = draw(st.sampled_from(["implicit", "constrained"]))
-    factor = draw(st.sampled_from([None, 0.5]))
+    config = GeneratorConfig(
+        m=draw(st.sampled_from([2, 4, 8])),
+        p_high=draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9])),
+        deadline_type=draw(st.sampled_from(["implicit", "constrained"])),
+        degradation_factor=draw(st.sampled_from([None, 0.0, 0.5, 1.0])),
+    )
     u_hh = draw(st.sampled_from([0.2, 0.4, 0.6, 0.8, 0.99]))
-    u_lh = round(draw(st.floats(min_value=0.05, max_value=u_hh)), 4)
-    u_ll = round(draw(st.floats(min_value=0.05, max_value=0.9)), 4)
+    u_lh = round(draw(st.floats(min_value=0.01, max_value=u_hh)), 4)
+    u_ll = round(draw(st.floats(min_value=0.01, max_value=0.99)), 4)
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    return m, deadline_type, factor, u_hh, u_lh, u_ll, seed
+    return config, (u_hh, u_lh, u_ll), seed
 
 
-class TestGenerateColumnsDifferential:
+def batch_both(config, targets, seed, count):
+    """``generate_batch`` and the per-replicate reference on the same
+    streams; asserts equal columns, final RNG states and work counters, and
+    returns the reference's routes."""
+    rngs = [derive_rng("batch-oracle", seed, k) for k in range(count)]
+    ref_rngs = [derive_rng("batch-oracle", seed, k) for k in range(count)]
+    generator = MCTaskSetGenerator(config)
+    batch = generator.generate_batch(rngs, *targets)
+    stats, path = reference_stats(), []
+    columns = [
+        cols
+        for rng in ref_rngs
+        if (cols := reference_generate_columns(rng, config, *targets, stats, path))
+        is not None
+    ]
+    assert_same_columns(batch, columns)
+    assert states(rngs) == states(ref_rngs)
+    assert generator.stats == stats
+    return path
+
+
+class TestGenerateColumnsOracle:
+    @given(generation_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_one_set_matches_reference(self, case):
+        config, targets, seed = case
+        a = derive_rng("columns-oracle", seed)
+        b = derive_rng("columns-oracle", seed)
+        generator = MCTaskSetGenerator(config)
+        got = generator.generate_columns(a, *targets)
+        stats = reference_stats()
+        want = reference_generate_columns(b, config, *targets, stats)
+        assert a.bit_generator.state == b.bit_generator.state
+        assert generator.stats == stats
+        if want is None:
+            assert got is None
+            return
+        assert got is not None
+        assert_same_columns(TaskSetBatch([got]), [want])
+        assert task_fields(got.materialize()) == task_fields(want.materialize())
+
     @given(generation_cases())
     @settings(max_examples=60, deadline=None)
-    def test_columns_materialize_equals_scalar_generate(self, case):
-        m, deadline_type, factor, u_hh, u_lh, u_ll, seed = case
-        config = GeneratorConfig(
-            m=m, deadline_type=deadline_type, degradation_factor=factor
-        )
-        r1 = derive_rng("batchdiff", seed)
-        r2 = derive_rng("batchdiff", seed)
-        scalar = MCTaskSetGenerator(config).generate(r1, u_hh, u_lh, u_ll)
-        columns = MCTaskSetGenerator(config).generate_columns(
-            r2, u_hh, u_lh, u_ll
-        )
-        # Identical draws => identical stream positions afterwards.
-        assert r1.bit_generator.state == r2.bit_generator.state
-        if scalar is None:
-            assert columns is None
-            return
-        assert columns is not None
-        assert task_fields(columns.materialize()) == task_fields(scalar)
+    def test_batch_matches_reference(self, case):
+        batch_both(*case, count=6)
+
+
+def sweep_configs():
+    return st.builds(
+        SweepConfig,
+        label=st.sampled_from(["fig3", "fig5", "oracle"]),
+        m=st.sampled_from([2, 4, 8]),
+        deadline_type=st.sampled_from(["implicit", "constrained"]),
+        p_high=st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]),
+        samples_per_bucket=st.integers(min_value=1, max_value=8),
+    )
+
+
+def bucket_both(config, pick):
+    """``batch_for_bucket`` against :func:`reference_bucket` on one bucket;
+    asserts equal columns, final RNG states and work counters, and returns
+    the batch, the reference counters and the reference's routes."""
+    sweep = AcceptanceSweep(config)
+    buckets = sweep.bucket_points()
+    bucket = sorted(buckets)[pick % len(buckets)]
+    created = []
+
+    def recording(*components):
+        rng = derive_rng(*components)
+        created.append(rng)
+        return rng
+
+    with mock.patch.object(acceptance, "derive_rng", recording):
+        batch = sweep.batch_for_bucket(bucket, buckets[bucket])
+    stats, path = reference_stats(), []
+    columns, rngs = reference_bucket(config, bucket, buckets[bucket], stats, path)
+    assert_same_columns(batch, columns)
+    assert states(created) == states(rngs)
+    assert sweep._generator.stats == stats
+    return batch, stats, path
+
+
+#: (sweep, bucket index) whose reference run takes every rare route —
+#: randfixedsum fallback, rank pairing, proportional coupling fallback —
+#: and resamples at least once
+ROUTE_BUCKETS = {
+    "implicit": (
+        SweepConfig(label="fig6a", m=2, p_high=0.9, samples_per_bucket=8), 9
+    ),
+    "constrained": (
+        SweepConfig(
+            label="fig6b", m=4, deadline_type="constrained", p_high=0.5,
+            samples_per_bucket=8,
+        ),
+        8,
+    ),
+}
+
+
+@pytest.fixture
+def metrics():
+    obs.clear()
+    previous = obs.set_recorder(obs.MetricsRecorder(obs.REGISTRY))
+    try:
+        yield obs.REGISTRY
+    finally:
+        obs.set_recorder(previous)
+        obs.clear()
+
+
+class TestBatchForBucketOracle:
+    @given(sweep_configs(), st.integers(min_value=0, max_value=100))
+    @settings(max_examples=40, deadline=None)
+    def test_bucket_matches_reference(self, config, pick):
+        bucket_both(config, pick)
+
+    def test_empty_bucket(self):
+        # fig6a at UB 1.0 with PH 0.1: no replicate yields a set.
+        config = SweepConfig(label="fig6a", m=2, p_high=0.1, samples_per_bucket=4)
+        batch, stats, _ = bucket_both(config, -1)
+        assert len(batch) == 0 and batch.n_tasks == 0
+        assert stats["generated"] == 0 and stats["retries"] > 0
+        assert batch.sum_per_set(batch.u_lo).shape == (0,)
+
+    @pytest.mark.parametrize("case", sorted(ROUTE_BUCKETS))
+    def test_every_route_is_reached_and_matches(self, case):
+        _, stats, path = bucket_both(*ROUTE_BUCKETS[case])
+        assert {"randfixedsum", "rank", "proportional"} <= set(path)
+        assert stats["retries"] and stats["coupling_fallbacks"]
+
+    @pytest.mark.parametrize("case", sorted(ROUTE_BUCKETS))
+    def test_work_counters_equal_reference(self, case, metrics):
+        _, stats, _ = bucket_both(*ROUTE_BUCKETS[case])
+        assert metrics.counters("generator.") == {
+            "generator.samples": 1,
+            "generator.fold-attempts": stats["fold_attempts"],
+            "generator.retries": stats["retries"],
+            "generator.coupling-fallbacks": stats["coupling_fallbacks"],
+        }
 
 
 class TestGenerateBatch:
-    @pytest.mark.parametrize("deadline_type", ["implicit", "constrained"])
-    def test_batch_equals_scalar_sequence(self, deadline_type):
-        config = GeneratorConfig(m=2, deadline_type=deadline_type)
-        targets = (0.6, 0.3, 0.3)
-        count = 30
-        scalar_gen = MCTaskSetGenerator(config)
-        scalar = [
-            scalar_gen.generate(derive_rng("gb", deadline_type, k), *targets)
-            for k in range(count)
-        ]
-        scalar = [ts for ts in scalar if ts is not None]
-
-        batch_gen = MCTaskSetGenerator(config)
-        batch = batch_gen.generate_batch(
-            (derive_rng("gb", deadline_type, k) for k in range(count)), *targets
-        )
-        assert isinstance(batch, TaskSetBatch)
-        assert len(batch) == len(scalar)
-        for i, ts in enumerate(scalar):
-            assert task_fields(batch.taskset(i)) == task_fields(ts)
-        assert batch_gen.stats == scalar_gen.stats
-
     def test_batch_carries_service_model(self):
         config = GeneratorConfig(m=2)
         batch = MCTaskSetGenerator(config).generate_batch(
@@ -296,3 +553,11 @@ class TestGenerateBatch:
         )
         assert batch.service_model is not None
         assert batch.taskset(0).service_model is batch.service_model
+
+    def test_generate_is_the_materialized_columns(self):
+        config = GeneratorConfig(m=2, deadline_type="constrained")
+        a, b = derive_rng("gen", 1), derive_rng("gen", 1)
+        generator = MCTaskSetGenerator(config)
+        taskset = generator.generate(a, 0.6, 0.3, 0.3)
+        columns = MCTaskSetGenerator(config).generate_columns(b, 0.6, 0.3, 0.3)
+        assert task_fields(taskset) == task_fields(columns.materialize())

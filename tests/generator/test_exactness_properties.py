@@ -92,14 +92,15 @@ class TestGeneratedSetInvariants:
         raw_hh, raw_lh = u_hh * m, u_lh * m
         if not n_high * 0.001 * 1.05 <= raw_hh <= n_high * 0.99 * 0.95:
             return
-        u_high = generator._draw_vector(rng, n_high, raw_hh, 0.99)
+        u_high = generator._draw_vector(rng, n_high, raw_hh)
         if u_high is None:
             return
-        if raw_lh > u_high.sum():
+        if raw_lh > sum(u_high):
             return  # infeasible coupling target for this draw
         u_low = generator._couple_lo_hi(rng, u_high, raw_lh)
         if u_low is None:
             return
+        u_high, u_low = np.array(u_high), np.array(u_low)
         assert np.all(u_low <= u_high + 1e-9)
         assert abs(u_low.sum() - raw_lh) <= ATOL * max(1.0, raw_lh)
 

@@ -1,10 +1,18 @@
 """Unit tests for the fair MC task-set generator."""
 
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.generator import GeneratorConfig, MCTaskSetGenerator
 from repro.model import validate_taskset
+
+#: recorded CLI outputs (see TestRecordedOutput)
+DATA = Path(__file__).parent / "data"
 
 
 def rng(seed=0):
@@ -37,6 +45,8 @@ class TestGeneratorConfig:
             {"m": 2, "t_min": -10},
             {"m": 2, "t_min": 600, "t_max": 500},
             {"m": 2, "n_min": 1},
+            {"m": 2, "max_attempts": 0},
+            {"m": 2, "max_attempts": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -131,6 +141,22 @@ class TestGeneration:
         with pytest.raises(ValueError, match="U_LH"):
             gen.generate(rng(), 0.3, 0.5, 0.2)
 
+    @pytest.mark.parametrize("slot", range(3))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_targets_rejected_before_any_draw(self, slot, bad):
+        targets = [0.5, 0.3, 0.3]
+        targets[slot] = bad
+        gen = MCTaskSetGenerator(m=2)
+        generator = rng()
+        state = generator.bit_generator.state
+        for entry in (gen.generate, gen.generate_columns, gen.draw):
+            with pytest.raises(ValueError):
+                entry(generator, *targets)
+        with pytest.raises(ValueError):
+            gen.generate_batch([generator], *targets)
+        assert generator.bit_generator.state == state
+        assert gen.stats["retries"] == 0
+
     def test_generate_many_skips_failures(self):
         gen = MCTaskSetGenerator(m=2)
         batch = gen.generate_many(rng(6), 0.6, 0.3, 0.3, count=5)
@@ -149,3 +175,32 @@ class TestGeneration:
         assert gen.config.p_high == 0.7
         with pytest.raises(TypeError):
             MCTaskSetGenerator(GeneratorConfig(m=2), m=3)
+
+
+class TestRecordedOutput:
+    def test_constrained_degraded_cli_output(self, tmp_path):
+        """The constrained-deadline, degraded-budget realization equals the
+        recorded one-set-at-a-time output of the same command (CI also
+        ``cmp``s the file in a fresh process, where the task names match
+        too; here the process-wide task ids have moved on)."""
+        out = tmp_path / "ts.json"
+        code = main([
+            "generate", "--m", "4", "--uhh", "0.5", "--ulh", "0.25",
+            "--ull", "0.3", "--deadline", "constrained",
+            "--degradation-factor", "0.5", "--seed", "3", "-o", str(out),
+        ])
+        assert code == 0
+        recorded = json.loads(
+            (DATA / "generate-m4-constrained-deg0.5-seed3.json").read_text()
+        )
+        got = json.loads(out.read_text())
+
+        def unnamed(rows):
+            return [{k: v for k, v in row.items() if k != "name"} for row in rows]
+
+        assert unnamed(got) == unnamed(recorded)
+        assert [row["name"][:2] for row in got] == [
+            row["name"][:2] for row in recorded
+        ]
+        assert any(row["deadline"] < row["period"] for row in got)
+        assert all("wcet_degraded" in row for row in got if row["criticality"] == "LC")

@@ -96,6 +96,18 @@ class TestRandFixedSum:
         # feasible box, infeasible total (minimum possible sum is 0.3)
         assert randfixedsum(rng(), 3, 0.2, u_min=0.1, u_max=0.15) is None
 
+    @pytest.mark.parametrize(
+        "n,total",
+        [(3, float("nan")), (3, float("inf")), (3, -1.0), (0, 0.5), (-1, 0.5)],
+    )
+    def test_invalid_args_raise_before_any_draw(self, n, total):
+        # As in uunifast_discard: a clear ValueError, not a failed int().
+        generator = rng()
+        state = generator.bit_generator.state
+        with pytest.raises(ValueError, match="must be"):
+            randfixedsum(generator, n, total)
+        assert generator.bit_generator.state == state
+
     def test_inverted_box_rejected(self):
         with pytest.raises(ValueError):
             randfixedsum(rng(), 3, 0.2, u_min=0.1, u_max=0.05)

@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 
 from repro import obs
-from repro.experiments.acceptance import SweepConfig
+from repro.experiments.acceptance import SweepConfig, clear_samples
 from repro.runner.store import FsStore
 from repro.runner.pool import run_sweep
 from repro.runner.units import decompose_sweep
@@ -105,9 +105,26 @@ def test_results_and_cache_identical_off_vs_trace(config, algorithms, tmp_path):
     assert off_bytes and off_bytes == trace_bytes
 
 
+def serial_generator_counters(config, algorithms):
+    """The ``generator.*`` counters of an in-process metrics run (its
+    retained samples are dropped again)."""
+    obs.clear()
+    previous = obs.set_recorder(obs.MetricsRecorder(obs.REGISTRY))
+    try:
+        run_sweep(config, list(algorithms), jobs=1)
+        return obs.REGISTRY.counters("generator.")
+    finally:
+        obs.set_recorder(previous)
+        obs.clear()
+        clear_samples()
+
+
 def test_parallel_trace_identical_to_serial_off(tmp_path):
     config, algorithms = SLICES[0]
     result_off, _ = run_with_mode(config, algorithms, obs.NullRecorder)
+    serial = serial_generator_counters(config, algorithms)
+    degraded, names = SLICES[2]
+    serial_degraded = serial_generator_counters(degraded, names)
     obs.clear()
     previous = obs.set_recorder(obs.TraceRecorder(obs.REGISTRY))
     try:
@@ -115,23 +132,25 @@ def test_parallel_trace_identical_to_serial_off(tmp_path):
         assert result_trace == result_off
         assert obs.spans(), "tracing collected no spans"
         # Workers ship their generator counters like every other counter:
-        # one generated sample per shard, none reused under full-drop.
+        # one generated sample per shard, none reused under full-drop, and
+        # the same generator work counters as the in-process run.
         shards = len(decompose_sweep(config, list(algorithms)))
-        assert obs.REGISTRY.counters("generator.") == {
-            "generator.samples": shards
-        }
+        assert serial["generator.samples"] == shards
+        assert serial["generator.fold-attempts"] > 0
+        assert obs.REGISTRY.counters("generator.") == serial
         # A sibling service level of a degraded sweep reuses every sample
-        # its predecessor's workers shipped back to this process.
-        degraded, names = SLICES[2]
+        # its predecessor's workers shipped back to this process, and
+        # reuse does no generator work.
         shards = len(decompose_sweep(degraded, list(names)))
-        for service, counter in (
-            ("imprecise:0.5", "generator.samples"),
-            ("imprecise:0.75", "generator.reused"),
+        assert serial_degraded["generator.samples"] == shards
+        for service, counters in (
+            ("imprecise:0.5", serial_degraded),
+            ("imprecise:0.75", {"generator.reused": shards}),
         ):
             obs.clear()
             config = dataclasses.replace(degraded, service=service)
             run_sweep(config, list(names), jobs=2)
-            assert obs.REGISTRY.counters("generator.") == {counter: shards}
+            assert obs.REGISTRY.counters("generator.") == counters
     finally:
         obs.set_recorder(previous)
         obs.clear()
