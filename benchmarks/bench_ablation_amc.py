@@ -3,7 +3,7 @@
 1. AMC-max vs AMC-rtb under CU-UDP: the paper uses AMC-max; this measures
    how much of the schedulability actually comes from the tighter analysis.
 2. Deadline-monotonic vs Audsley's OPA priority assignment (the paper does
-   not specify; DESIGN.md section 5 documents our DM default).
+   not specify; README.md#fidelity-notes documents the DM default).
 """
 
 from repro.experiments import SweepConfig, get_algorithm

@@ -1,6 +1,6 @@
 """Ablation: is worst-fit on the *utilization difference* the right metric?
 
-DESIGN.md calls out the UDP fit rule as the paper's core design choice.
+The UDP fit rule is the paper's core design choice.
 This bench swaps only the HC fit rule (keeping the criticality-aware order
 and first-fit LC placement fixed) and reports acceptance ratios for:
 

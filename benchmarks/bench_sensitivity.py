@@ -1,5 +1,5 @@
 """Extension experiment: sensitivity of the UDP advantage to the
-utilization-difference magnitude (DESIGN.md ablation index).
+utilization-difference magnitude.
 
 Sweeps the squeeze ratio of ``repro.model.transforms.squeeze_difference``:
 at r=1 every HC task has C_L = C_H (a non-MC system in disguise) and the

@@ -4,7 +4,7 @@
 The paper's figures carry concrete task sets only in their images (not in
 the text), so this script uses equivalent task sets — found with this
 library and hard-coded below — that exhibit *exactly* the phenomenon each
-figure illustrates (see DESIGN.md §5):
+figure illustrates (see README.md#fidelity-notes):
 
 * Figure 1: worst-fit on HC utilization alone (CA-Wu-F) strands the LC task,
   while CA-UDP's worst-fit on the utilization difference leaves room for it.

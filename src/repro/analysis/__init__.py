@@ -1,4 +1,4 @@
-"""Uniprocessor MC schedulability tests (systems S2-S8 in DESIGN.md).
+"""Uniprocessor MC schedulability tests (see README.md#fidelity-notes).
 
 Every test implements :class:`~repro.analysis.interface.SchedulabilityTest`
 and is *sufficient*: ``is_schedulable(ts) == True`` guarantees MC-correct
@@ -16,7 +16,7 @@ Available tests:
   with iterative virtual-deadline tuning (ECRTS 2012).
 * :class:`~repro.analysis.ecdf.ECDFTest` — Easwaran's ECDF demand-based test
   with greedy virtual-deadline assignment and the carry-over trigger
-  refinement (RTSS 2013; see DESIGN.md section 5 for fidelity notes).
+  refinement (RTSS 2013; see README.md#fidelity-notes).
 * :class:`~repro.analysis.amc.AMCrtbTest` /
   :class:`~repro.analysis.amc.AMCmaxTest` — fixed-priority adaptive
   mixed-criticality response-time analyses (RTSS 2011).

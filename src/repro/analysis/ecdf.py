@@ -12,11 +12,12 @@ tasks on one processor" (RTSS 2013) from its published structure:
   benefit/cost rule (HI-demand reduction per unit of LO-mode density
   increase) instead of EY's steepest-descent pick.
 
-See DESIGN.md §5 for the fidelity discussion.  The property relied on by the
-DATE 2017 experiments — ECDF accepts a superset of EY in practice — is
-enforced structurally here: ``ECDFTest`` falls back to the EY descent path
-when the greedy path fails, so its acceptance region *contains* EY's by
-construction, with the trigger refinement providing strict improvements.
+See README.md#fidelity-notes for the fidelity discussion.  The property
+relied on by the DATE 2017 experiments — ECDF accepts a superset of EY in
+practice — is enforced structurally here: ``ECDFTest`` falls back to the EY
+descent path when the greedy path fails, so its acceptance region
+*contains* EY's by construction, with the trigger refinement providing
+strict improvements.
 
 Valid for implicit- and constrained-deadline dual-criticality task sets.
 """

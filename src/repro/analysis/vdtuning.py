@@ -25,7 +25,7 @@ The engine implements the descent loop both published algorithms share:
    deficit at ``l*`` (or as far as LO-mode feasibility allows);
 4. accept when the HI check passes; reject when no task can make progress.
 
-Policies (see DESIGN.md §5 for fidelity notes):
+Policies (see README.md#fidelity-notes):
 
 * ``"steepest"`` (EY, Ekberg-Yi ECRTS 2012): pick the task with the largest
   HI-demand reduction at ``l*``.  The published algorithm shrinks one time

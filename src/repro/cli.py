@@ -428,10 +428,12 @@ def _cmd_generate(args) -> int:
         degradation_factor=args.degradation_factor,
     )
     rng = derive_rng("cli-generate", args.seed)
-    taskset = generator.generate(rng, args.uhh, args.ulh, args.ull)
-    if taskset is None:
+    columns = generator.generate_columns(rng, args.uhh, args.ulh, args.ull)
+    if columns is None:
         print("generation failed: targets infeasible", file=sys.stderr)
         return 1
+    # Tasks numbered from 1: the output depends on the arguments only.
+    taskset = columns.materialize(first_id=1)
     payload = json.dumps(taskset.to_dicts(), indent=2)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -15,7 +15,8 @@ the paper):
   example (it ignores U_LH and therefore balances the wrong quantity).
 * :func:`eca_wu_f` — ``ECA-Wu-F`` of Gu et al. (DATE 2014): ``ca_wu_f``
   enhanced with preference for heavy-utilization LC tasks, which are placed
-  before the HC tasks ("heavy" = ``u_L >= threshold``; see DESIGN.md §5).
+  before the HC tasks ("heavy" = ``u_L >= threshold``; see
+  README.md#fidelity-notes).
 * :func:`ffd` / :func:`wfd` / :func:`bfd` — classical criticality-unaware
   first/worst/best-fit decreasing, the conventional non-MC yardsticks.
 """

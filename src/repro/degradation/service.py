@@ -39,6 +39,8 @@ import abc
 import math
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.task import MCTask
     from repro.model.taskset import TaskSet
@@ -185,6 +187,22 @@ class ImpreciseBudget(ServiceModel):
             return task.wcet_degraded
         return int(math.floor(self.rho * task.wcet_lo))
 
+    def residual_column(self, columns) -> np.ndarray:
+        """:meth:`residual_utilization` of every row of ``columns`` at once.
+
+        ``columns`` has the int64 columns ``period``, ``wcet_lo``,
+        ``wcet_degraded`` (-1 = unset) and the bool ``is_high`` (a
+        :class:`~repro.model.batch.TaskSetBatch` or ``TaskColumns``).  The
+        same IEEE multiply, ``floor`` and divide on the same integers, so
+        each entry equals the per-task value bit for bit.
+        """
+        budget = np.where(
+            columns.wcet_degraded >= 0,
+            columns.wcet_degraded,
+            np.floor(self.rho * columns.wcet_lo),
+        )
+        return _residual(budget, columns.period, columns.is_high)
+
     def key(self) -> tuple:
         return ("imprecise", self.rho)
 
@@ -213,8 +231,30 @@ class ElasticPeriod(ServiceModel):
             return task.period_degraded
         return int(math.ceil(self.stretch * task.period))
 
+    def residual_column(self, columns) -> np.ndarray:
+        """:meth:`residual_utilization` of every row of ``columns`` at once
+        (``period_degraded`` in place of ``wcet_degraded``; see
+        :meth:`ImpreciseBudget.residual_column`): the same multiply,
+        ``ceil`` and divide as :meth:`degraded_period`."""
+        period = np.where(
+            columns.period_degraded >= 0,
+            columns.period_degraded,
+            np.ceil(self.stretch * columns.period),
+        )
+        return _residual(columns.wcet_lo, period, columns.is_high)
+
     def key(self) -> tuple:
         return ("elastic", self.stretch)
+
+
+def _residual(
+    budget: np.ndarray, period: np.ndarray, is_high: np.ndarray
+) -> np.ndarray:
+    """``budget / period`` on LC rows with a positive budget, 0.0 elsewhere
+    (float64) — :meth:`ServiceModel.residual_utilization` per row."""
+    column = np.zeros(len(period))
+    np.divide(budget, period, out=column, where=~is_high & (budget > 0))
+    return column
 
 
 #: Shared default instance (stateless, safe to share).

@@ -1,6 +1,7 @@
 """Experiment harness reproducing the paper's evaluation (S12).
 
-Entry points, one per figure of the paper (see DESIGN.md §4):
+Entry points, one per figure of the paper (see
+README.md#reproducing-the-papers-figures-at-full-scale):
 
 * :func:`~repro.experiments.figures.fig3` — acceptance ratio vs ``UB``,
   implicit deadlines, EDF-VD algorithms with a speed-up bound.

@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro import obs as _obs
 from repro.model import TaskColumns, TaskSet, TaskSetBatch
 from repro.generator.periods import log_period_draws, round_periods
 from repro.generator.uunifast import discard_values, randfixedsum
@@ -143,6 +144,8 @@ class MCTaskSetGenerator:
             "coupling_fallbacks": 0,
             "fold_attempts": 0,
         }
+        #: raw target triple -> whether any task count can hold it
+        self._fillable_cache: dict[tuple[float, float, float], bool] = {}
 
     # -- public API ---------------------------------------------------------
     def generate(
@@ -228,6 +231,10 @@ class MCTaskSetGenerator:
         """Every draw of one task set, or None after ``max_attempts``
         infeasible structure or realization draws.
 
+        Targets that no task count in the config's range can hold make
+        their ``max_attempts`` task-count draws in one call: the same
+        stream state and ``stats`` as the attempt loop, in one step.
+
         The one target validation: ``0 <= U_LH <= U_HH``, ``U_LL >= 0``,
         all finite.
         """
@@ -239,15 +246,53 @@ class MCTaskSetGenerator:
             raise ValueError(f"need 0 <= U_LH <= U_HH, got {u_lh} > {u_hh}")
         if u_ll < 0:
             raise ValueError(f"U_LL must be non-negative, got {u_ll}")
-        m = self.config.m
+        cfg = self.config
+        m = cfg.m
+        hh, lh, ll = u_hh * m, u_lh * m, u_ll * m
         stats = self.stats
-        for _ in range(self.config.max_attempts):
-            draws = self._draw_once(rng, u_hh * m, u_lh * m, u_ll * m)
+        if not self._fillable(hh, lh, ll):
+            # Every attempt would fail right after its task-count draw.
+            n_lo, n_hi = cfg.task_count_range
+            rng.integers(n_lo, n_hi + 1, size=cfg.max_attempts)
+            stats["retries"] += cfg.max_attempts
+            if _obs.active():
+                _obs.REGISTRY.add("generator.empty-draws")
+            return None
+        for _ in range(cfg.max_attempts):
+            draws = self._draw_once(rng, hh, lh, ll)
             if draws is not None:
                 stats["generated"] += 1
                 return draws
             stats["retries"] += 1
         return None
+
+    def _n_high(self, n: int, hh: float, lh: float, ll: float) -> int | None:
+        """The HC task count of an ``n``-task set, or None when no
+        utilizations in ``[u_min, u_max]`` can meet the raw targets with
+        that split (the structural test of every attempt)."""
+        cfg = self.config
+        n_high = min(max(int(round(cfg.p_high * n)), 1), n - 1)
+        n_low = n - n_high
+        feasible = (
+            n_high * cfg.u_min <= hh <= n_high * cfg.u_max
+            and n_high * cfg.u_min <= lh
+            and n_low * cfg.u_min <= ll <= n_low * cfg.u_max
+        )
+        return n_high if feasible else None
+
+    def _fillable(self, hh: float, lh: float, ll: float) -> bool:
+        """Whether some task count in the config's range passes
+        :meth:`_n_high` on the raw targets (cached per target triple)."""
+        key = (hh, lh, ll)
+        fillable = self._fillable_cache.get(key)
+        if fillable is None:
+            n_lo, n_hi = self.config.task_count_range
+            fillable = any(
+                self._n_high(n, hh, lh, ll) is not None
+                for n in range(n_lo, n_hi + 1)
+            )
+            self._fillable_cache[key] = fillable
+        return fillable
 
     def _draw_once(
         self, rng: np.random.Generator, hh: float, lh: float, ll: float
@@ -258,15 +303,10 @@ class MCTaskSetGenerator:
         cfg = self.config
         n_lo, n_hi = cfg.task_count_range
         n = int(rng.integers(n_lo, n_hi + 1))
-        n_high = min(max(int(round(cfg.p_high * n)), 1), n - 1)
-        n_low = n - n_high
-        feasible = (
-            n_high * cfg.u_min <= hh <= n_high * cfg.u_max
-            and n_high * cfg.u_min <= lh
-            and n_low * cfg.u_min <= ll <= n_low * cfg.u_max
-        )
-        if not feasible:
+        n_high = self._n_high(n, hh, lh, ll)
+        if n_high is None:
             return None
+        n_low = n - n_high
         u_hi = self._draw_vector(rng, n_high, hh)
         if u_hi is None:
             return None
@@ -322,11 +362,12 @@ class MCTaskSetGenerator:
         Both pairings are decided on Python lists: rank pairing succeeds
         iff the k-th largest LO value is at most the k-th largest bound
         for every k, whichever way argsort breaks ties (adding 1e-12 is
-        monotone, so it commutes with sorting).  The paired vector is
-        built with numpy's argsort only once it is accepted, so ties among
-        clipped randfixedsum values land where they always did; the
-        proportional fallback keeps numpy's pairwise sum for the same
-        reason.
+        monotone, so it commutes with sorting).  When ``u_high`` has no
+        ties the descending order of its rows is unique, so an accepted
+        pairing is built on lists too; with ties (clipped randfixedsum
+        values) it is built with numpy's argsort, so tied rows get their
+        LO values where they always did.  The proportional fallback keeps
+        numpy's pairwise sum for the same reason.
         """
         n = len(u_high)
         bound = [u + 1e-12 for u in u_high]
@@ -337,7 +378,14 @@ class MCTaskSetGenerator:
                 break
             if all(map(operator.le, u_low, bound)):
                 return list(map(min, u_low, u_high))
-            if all(map(operator.le, sorted(u_low, reverse=True), bound_desc)):
+            low_desc = sorted(u_low, reverse=True)
+            if all(map(operator.le, low_desc, bound_desc)):
+                if len(set(u_high)) == n:
+                    paired = [0.0] * n
+                    order = sorted(range(n), key=u_high.__getitem__, reverse=True)
+                    for row, value in zip(order, low_desc):
+                        paired[row] = value
+                    return list(map(min, paired, u_high))
                 high, low = np.array(u_high), np.array(u_low)
                 paired = np.empty(n)
                 paired[np.argsort(-high)] = low[np.argsort(-low)]

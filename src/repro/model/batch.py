@@ -58,8 +58,10 @@ def _row_task(
     high: bool,
     wcet_degraded: int,
     period_degraded: int,
+    task_id: int = -1,
 ) -> MCTask:
-    """One column row as a freshly constructed ``MCTask``."""
+    """One column row as a freshly constructed ``MCTask`` (``task_id`` -1:
+    the next process-wide id)."""
     return MCTask(
         period=period,
         criticality=Criticality.HC if high else Criticality.LC,
@@ -68,6 +70,7 @@ def _row_task(
         deadline=deadline,
         wcet_degraded=_decode_degraded(high, wcet_degraded),
         period_degraded=_decode_degraded(high, period_degraded),
+        task_id=task_id,
     )
 
 
@@ -93,8 +96,14 @@ class TaskColumns:
     def __len__(self) -> int:
         return len(self.period)
 
-    def materialize(self, service_model=None) -> TaskSet:
-        """Build the equivalent ``TaskSet`` (fresh task ids, in order)."""
+    def materialize(
+        self, service_model=None, first_id: int | None = None
+    ) -> TaskSet:
+        """Build the equivalent ``TaskSet`` (fresh task ids, in order).
+
+        ``first_id`` numbers the tasks ``first_id, first_id + 1, ...`` (and
+        names them after those ids) instead of drawing process-wide ids.
+        """
         tasks = [
             _row_task(
                 int(self.period[i]),
@@ -104,6 +113,7 @@ class TaskColumns:
                 bool(self.is_high[i]),
                 int(self.wcet_degraded[i]),
                 int(self.period_degraded[i]),
+                -1 if first_id is None else first_id + i,
             )
             for i in range(len(self.period))
         ]
@@ -353,18 +363,22 @@ class TaskSetBatch:
     def u_res(self) -> np.ndarray:
         """Per-task residual HI-mode utilization under the service model.
 
-        All zeros under drop-at-switch.  For degraded models each value
-        comes from :meth:`ServiceModel.residual_utilization` — the one
-        authoritative implementation, consulted through a lightweight
-        column-row proxy so the whole batch need not materialize task
-        objects just for this column.  A model reaching beyond the numeric
-        task surface falls back to the materialized tasks (exact either
-        way, just slower).
+        All zeros under drop-at-switch.  A model whose own class defines
+        ``residual_column`` (``ImpreciseBudget``, ``ElasticPeriod``) builds
+        the column in one numpy pass.  Every other degraded model — a
+        subclass overriding ``degraded_budget`` included — gets each value
+        from :meth:`ServiceModel.residual_utilization`, the reference
+        implementation, consulted through a lightweight column-row proxy
+        so the whole batch need not materialize task objects just for this
+        column.  A model reaching beyond the numeric task surface falls
+        back to the materialized tasks (exact either way, just slower).
         """
         if self._u_res is None:
             service = self._service
             if service is None or service.is_full_drop:
                 self._u_res = np.zeros(self.n_tasks)
+            elif "residual_column" in type(service).__dict__:
+                self._u_res = service.residual_column(self)
             else:
                 column = np.zeros(self.n_tasks)
                 for row in range(self.n_tasks):

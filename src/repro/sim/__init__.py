@@ -1,4 +1,4 @@
-"""Discrete-event mixed-criticality simulator (system S11 in DESIGN.md).
+"""Discrete-event mixed-criticality simulator (see README.md#fidelity-notes).
 
 Simulates preemptive uniprocessor scheduling of dual-criticality task sets
 under the runtime algorithms whose tests live in :mod:`repro.analysis`:

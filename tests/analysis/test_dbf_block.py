@@ -15,6 +15,7 @@ committed joint assignment is LO-feasible outright.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -35,7 +36,11 @@ from repro.analysis.vdtuning import (
     run_tuning_stages,
 )
 from repro.degradation.service import parse_service_model
+from repro.experiments.acceptance import AcceptanceSweep
+from repro.experiments.algorithms import get_algorithm
+from repro.experiments.figures import figure_plan
 from repro.model import Criticality, MCTask, TaskSet
+from repro.sim.validate import validate_against_simulation
 from repro.util.env import DBF_KERNELS
 
 KERNELS = ("forward", "qpa", "block")
@@ -240,6 +245,34 @@ class TestBlockSoundOnly:
         assert DemandScenario(
             BLOCK_ONLY_ACCEPT, outcome.virtual_deadlines
         ).schedulable(refine=False)
+
+
+class TestFig4BlockOnlyAccept:
+    """The figure-scale case: fig4, seed 0, 56 samples per bucket, m = 2,
+    UB 0.6, replicate 47.  ``ca-f-f-ey`` rejects it under qpa and accepts
+    it under block, and block's cores survive the simulation battery."""
+
+    def test_qpa_rejects_block_accepts(self):
+        (job,) = figure_plan("fig4", 56, m_values=(2,))
+        sweep = AcceptanceSweep(job.config)
+        bucket, points = next(
+            (b, p) for b, p in sweep.bucket_points().items() if abs(b - 0.6) < 1e-9
+        )
+        batch = sweep.batch_for_bucket(bucket, points)
+        assert len(batch) == 56  # every replicate filled: position = replicate
+        taskset = batch.taskset(47)
+        algorithm = get_algorithm("ca-f-f-ey")
+        assert not run_with_kernel("qpa", lambda: algorithm.accepts(taskset, 2))
+        result = run_with_kernel("block", lambda: algorithm.partition(taskset, 2))
+        assert result.success
+        for core in result.cores:
+            violations = run_with_kernel(
+                "block",
+                lambda: validate_against_simulation(
+                    core, algorithm.test, np.random.default_rng(0), horizon=5_000
+                ),
+            )
+            assert violations == []
 
 
 # -- the joint-jump soundness property ---------------------------------------

@@ -2,7 +2,7 @@
 
 These pin the exact phenomena the paper's Section III illustrates, using
 the task sets from ``examples/paper_examples.py`` (re-derived equivalents
-of the figure examples; see DESIGN.md section 5).
+of the figure examples; see README.md#fidelity-notes).
 """
 
 import pytest

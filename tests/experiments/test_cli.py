@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -110,7 +111,21 @@ class TestSimulate:
         assert "validated" in capsys.readouterr().out
 
 
+DATA = Path(__file__).parent / "data"
+
+
 class TestFigure:
+    def test_fig6b_recorded_output(self, capsys, tmp_path, monkeypatch):
+        """Constrained deadlines across the PH extremes, where whole buckets
+        cannot be filled: the result file equals the recorded one byte for
+        byte (CI ``cmp``s the same command's output)."""
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "fig6b.json"
+        code = main(["figure", "fig6b", "--samples", "4", "--m", "2", "-o", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (DATA / "fig6b-samples4-m2.json").read_bytes()
+
     def test_tiny_figure_run(self, capsys, tmp_path, monkeypatch):
         # run in tmp so an ambient REPRO_OBS=trace writes its default
         # repro-obs.json/repro-trace.json here, not over committed files

@@ -224,9 +224,12 @@ def couple_both(u_high, lh, seed):
 #: route -> (u_high, lh, seed, final route, whether randfixedsum drew a
 #: vector on the way).  "tied": equal u_high entries, so the order argsort
 #: gives them decides where rank pairing puts the LO values (a stable sort
-#: would place them differently in "rank-tied").
+#: would place them differently in "rank-tied"); without ties ("rank") the
+#: order is unique.
 COUPLING_ROUTES = {
     "random": ([0.9, 0.8, 0.7, 0.6], 0.4, 0, "random", False),
+    # distinct u_high: the pairing is built on lists
+    "rank": ([0.9, 0.1, 0.5, 0.3], 1.5, 0, "rank", False),
     "rank-tied": ([0.5] * 5 + [0.9] * 3, 2.6, 0, "rank", False),
     # lh == n * u_max: randfixedsum clips every value to u_max
     "randfixedsum-clipped": ([0.99, 0.99, 0.99], 2.97, 0, "random", True),
@@ -273,6 +276,25 @@ def reference_draw_structure(rng, config, u_hh, u_lh, u_ll):
     if not feasible:
         return None
     return hh, lh, ll, n_high, n_low
+
+
+class FixedCount:
+    """A stand-in stream whose task-count draw is always ``n``."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def integers(self, low, high):
+        return self.n
+
+
+def structurally_empty(config, u_hh, u_lh, u_ll) -> bool:
+    """No task count in the config's range passes the structure test."""
+    n_lo, n_hi = config.task_count_range
+    return all(
+        reference_draw_structure(FixedCount(n), config, u_hh, u_lh, u_ll) is None
+        for n in range(n_lo, n_hi + 1)
+    )
 
 
 def reference_realize(rng, config, targets, path, stats):
@@ -329,13 +351,16 @@ def reference_generate_columns(rng, config, u_hh, u_lh, u_ll, stats, path=None):
     resampled up to ``max_attempts`` times, one set realized at a time.
 
     Counts into ``stats`` (see :func:`reference_stats`) and appends every
-    coupling route and randfixedsum fallback to ``path``.
+    coupling route and randfixedsum fallback to ``path``, and ``"empty"``
+    when no task count can hold the targets (the loop runs all the same).
     """
     path = [] if path is None else path
     if not 0 <= u_lh <= u_hh:
         raise ValueError(f"need 0 <= U_LH <= U_HH, got {u_lh} > {u_hh}")
     if u_ll < 0:
         raise ValueError(f"U_LL must be non-negative, got {u_ll}")
+    if structurally_empty(config, u_hh, u_lh, u_ll):
+        path.append("empty")
     for _ in range(config.max_attempts):
         targets = reference_draw_structure(rng, config, u_hh, u_lh, u_ll)
         if targets is None:
@@ -516,12 +541,16 @@ class TestBatchForBucketOracle:
     def test_bucket_matches_reference(self, config, pick):
         bucket_both(config, pick)
 
-    def test_empty_bucket(self):
-        # fig6a at UB 1.0 with PH 0.1: no replicate yields a set.
+    def test_empty_bucket(self, metrics):
+        # fig6a at UB 1.0 with PH 0.1: no task count holds any grid point,
+        # so every draw is settled in one step and no replicate yields a set.
         config = SweepConfig(label="fig6a", m=2, p_high=0.1, samples_per_bucket=4)
-        batch, stats, _ = bucket_both(config, -1)
+        batch, stats, path = bucket_both(config, -1)
         assert len(batch) == 0 and batch.n_tasks == 0
-        assert stats["generated"] == 0 and stats["retries"] > 0
+        assert stats["generated"] == 0
+        assert path == ["empty"] * 24  # 4 replicates x 6 grid-point tries
+        assert stats["retries"] == 64 * 24
+        assert metrics.counters("generator.")["generator.empty-draws"] == 24
         assert batch.sum_per_set(batch.u_lo).shape == (0,)
 
     @pytest.mark.parametrize("case", sorted(ROUTE_BUCKETS))
@@ -532,13 +561,91 @@ class TestBatchForBucketOracle:
 
     @pytest.mark.parametrize("case", sorted(ROUTE_BUCKETS))
     def test_work_counters_equal_reference(self, case, metrics):
-        _, stats, _ = bucket_both(*ROUTE_BUCKETS[case])
-        assert metrics.counters("generator.") == {
+        _, stats, path = bucket_both(*ROUTE_BUCKETS[case])
+        want = {
             "generator.samples": 1,
             "generator.fold-attempts": stats["fold_attempts"],
             "generator.retries": stats["retries"],
             "generator.coupling-fallbacks": stats["coupling_fallbacks"],
         }
+        if "empty" in path:
+            want["generator.empty-draws"] = path.count("empty")
+        assert metrics.counters("generator.") == want
+
+
+#: (sweep, bucket index) -> how many of the bucket's grid points no task
+#: count can hold: all of them, some of them (fig6a m=2 PH 0.1 UB 1.0 is
+#: ``test_empty_bucket``)
+SETTLED_BUCKETS = {
+    "fig6a-m4-ph0.1-ub1.0": (
+        SweepConfig(label="fig6a", m=4, p_high=0.1, samples_per_bucket=8), 9, "all"
+    ),
+    "fig6a-m4-ph0.1-ub0.9": (
+        SweepConfig(label="fig6a", m=4, p_high=0.1, samples_per_bucket=8), 8, "some"
+    ),
+    "fig6a-m2-ph0.9-ub0.8": (
+        SweepConfig(label="fig6a", m=2, p_high=0.9, samples_per_bucket=8), 7, "some"
+    ),
+    "fig6b-m4-ph0.9-ub1.0": (
+        SweepConfig(
+            label="fig6b", m=4, deadline_type="constrained", p_high=0.9,
+            samples_per_bucket=8,
+        ),
+        9,
+        "some",
+    ),
+}
+
+
+class TestSettledDraws:
+    """A draw no task count can hold is settled in one stream step; the
+    bucket, the streams and the counters stay those of the attempt loop."""
+
+    @pytest.mark.parametrize("case", sorted(SETTLED_BUCKETS))
+    def test_bucket_matches_reference(self, case, metrics):
+        config, pick, empty = SETTLED_BUCKETS[case]
+        points = sorted(AcceptanceSweep(config).bucket_points().items())[pick][1]
+        gen_config = GeneratorConfig(m=config.m, p_high=config.p_high)
+        flags = [
+            structurally_empty(gen_config, p.u_hh, p.u_lh, p.u_ll) for p in points
+        ]
+        assert all(flags) if empty == "all" else 0 < sum(flags) < len(flags)
+        batch, stats, path = bucket_both(config, pick)
+        assert path.count("empty") > 0
+        assert metrics.counters("generator.")["generator.empty-draws"] == (
+            path.count("empty")
+        )
+        if empty == "all":
+            assert len(batch) == 0
+            assert stats["retries"] == 64 * path.count("empty")
+
+    @pytest.mark.parametrize(
+        "targets",
+        [(0.4, 0.2, 0.3), (0.6, 0.3, 0.2), (0.4, 0.2, 0.9), (0.9, 0.5, 0.1)],
+    )
+    @pytest.mark.parametrize("deadline_type", ["implicit", "constrained"])
+    def test_fixed_task_count(self, targets, deadline_type):
+        """``n_min == n_max``: a single task count decides every attempt."""
+        config = GeneratorConfig(
+            m=2, n_min=3, n_max=3, deadline_type=deadline_type
+        )
+        path = batch_both(config, targets, seed=5, count=6)
+        # n = 3 splits 2 HC / 1 LC: U_LL 0.9 (1.8 raw) fits no single LC
+        # task, and U_HH 0.9 (1.8 raw) fits the two HC tasks
+        assert ("empty" in path) == (targets[2] == 0.9)
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_vector_count_draw_is_the_scalar_draws(self, m):
+        """One ``integers(..., size=k)`` call leaves the bit generator where
+        ``k`` scalar calls do, for every paper task-count range — the
+        premise of settling a draw in one step."""
+        scalar, vector = derive_rng("counts", m), derive_rng("counts", m)
+        for rng in (scalar, vector):
+            rng.integers(7)  # leave a buffered half word behind
+        drawn = [int(scalar.integers(m + 1, 5 * m + 1)) for _ in range(64)]
+        assert vector.integers(m + 1, 5 * m + 1, size=64).tolist() == drawn
+        assert scalar.bit_generator.state == vector.bit_generator.state
+        assert scalar.random() == vector.random()
 
 
 class TestGenerateBatch:

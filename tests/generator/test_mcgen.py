@@ -177,30 +177,32 @@ class TestGeneration:
             MCTaskSetGenerator(GeneratorConfig(m=2), m=3)
 
 
+GENERATE_ARGS = [
+    "generate", "--m", "4", "--uhh", "0.5", "--ulh", "0.25",
+    "--ull", "0.3", "--deadline", "constrained",
+    "--degradation-factor", "0.5", "--seed", "3",
+]
+
+
 class TestRecordedOutput:
     def test_constrained_degraded_cli_output(self, tmp_path):
         """The constrained-deadline, degraded-budget realization equals the
-        recorded one-set-at-a-time output of the same command (CI also
-        ``cmp``s the file in a fresh process, where the task names match
-        too; here the process-wide task ids have moved on)."""
+        recorded one-set-at-a-time output of the same command, task names
+        included (CI also ``cmp``s the file byte for byte)."""
         out = tmp_path / "ts.json"
-        code = main([
-            "generate", "--m", "4", "--uhh", "0.5", "--ulh", "0.25",
-            "--ull", "0.3", "--deadline", "constrained",
-            "--degradation-factor", "0.5", "--seed", "3", "-o", str(out),
-        ])
-        assert code == 0
-        recorded = json.loads(
-            (DATA / "generate-m4-constrained-deg0.5-seed3.json").read_text()
-        )
-        got = json.loads(out.read_text())
-
-        def unnamed(rows):
-            return [{k: v for k, v in row.items() if k != "name"} for row in rows]
-
-        assert unnamed(got) == unnamed(recorded)
-        assert [row["name"][:2] for row in got] == [
-            row["name"][:2] for row in recorded
-        ]
+        assert main([*GENERATE_ARGS, "-o", str(out)]) == 0
+        recorded = (DATA / "generate-m4-constrained-deg0.5-seed3.json").read_text()
+        assert out.read_text() == recorded
+        got = json.loads(recorded)
         assert any(row["deadline"] < row["period"] for row in got)
         assert all("wcet_degraded" in row for row in got if row["criticality"] == "LC")
+
+    def test_repeated_in_one_process(self, tmp_path):
+        """Tasks are numbered from 1 per output, not from the process-wide
+        task counter: the same command twice gives the same bytes."""
+        outputs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outputs:
+            assert main([*GENERATE_ARGS, "-o", str(out)]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+        names = [row["name"] for row in json.loads(outputs[0].read_text())]
+        assert [int(name[2:]) for name in names] == list(range(1, len(names) + 1))

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.degradation.service import ElasticPeriod, ImpreciseBudget
 from repro.model import MCTask, TaskColumns, TaskSet, TaskSetBatch
 
 
@@ -96,6 +100,92 @@ class TestDerivedColumns:
             0.0 if t.is_high else service.residual_utilization(t) for t in ts
         ]
         assert batch.u_res.tolist() == expected
+
+
+@st.composite
+def task_rows(draw):
+    """One task row: HC or LC, LC rows with or without degraded overrides."""
+    period = draw(st.integers(min_value=1, max_value=1000))
+    wcet_lo = draw(st.integers(min_value=1, max_value=period))
+    if draw(st.booleans()):
+        wcet_hi = draw(st.integers(min_value=wcet_lo, max_value=period))
+        return TaskColumns.from_taskset(TaskSet([
+            MCTask(period=period, criticality="HC", wcet_lo=wcet_lo, wcet_hi=wcet_hi)
+        ]))
+    wcet_degraded = draw(st.none() | st.integers(min_value=0, max_value=wcet_lo))
+    period_degraded = draw(
+        st.none() | st.integers(min_value=period, max_value=4 * period)
+    )
+    return TaskColumns.from_taskset(TaskSet([
+        MCTask(
+            period=period, criticality="LC", wcet_lo=wcet_lo, wcet_hi=wcet_lo,
+            wcet_degraded=wcet_degraded, period_degraded=period_degraded,
+        )
+    ]))
+
+
+class LoopImprecise(ImpreciseBudget):
+    """Inherits ``residual_column`` but not as its own: takes the loop."""
+
+
+class LoopElastic(ElasticPeriod):
+    pass
+
+
+class HalfBudget(ImpreciseBudget):
+    """Overrides the budget, so the parent's column form would be wrong."""
+
+    def degraded_budget(self, task):
+        return task.wcet_lo // 2
+
+
+def residual_bits(model, rows) -> np.ndarray:
+    column = TaskSetBatch(rows, service_model=model).u_res
+    assert column.dtype == np.float64
+    return column.view(np.int64)
+
+
+class TestResidualColumn:
+    """``residual_column`` equals the per-row proxy loop, bit for bit."""
+
+    @given(
+        st.lists(task_rows(), max_size=30),
+        st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example([], 0.5)
+    def test_imprecise(self, rows, rho):
+        assert np.array_equal(
+            residual_bits(ImpreciseBudget(rho), rows),
+            residual_bits(LoopImprecise(rho), rows),
+        )
+
+    @given(
+        st.lists(task_rows(), max_size=30),
+        st.sampled_from([1.0, 2.0]) | st.floats(min_value=1.0, max_value=8.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_elastic(self, rows, stretch):
+        assert np.array_equal(
+            residual_bits(ElasticPeriod(stretch), rows),
+            residual_bits(LoopElastic(stretch), rows),
+        )
+
+    def test_only_the_defining_class_takes_the_column(self):
+        rows = [TaskColumns.from_taskset(make_taskset())]
+        spy = mock.patch.object(
+            ImpreciseBudget, "residual_column", autospec=True,
+            side_effect=ImpreciseBudget.residual_column,
+        )
+        with spy as column:
+            TaskSetBatch(rows, service_model=ImpreciseBudget(0.5)).u_res
+            assert column.call_count == 1
+            TaskSetBatch(rows, service_model=LoopImprecise(0.5)).u_res
+            assert column.call_count == 1
+        # the override is honoured: 5 // 2 on the first LC row (the second
+        # carries wcet_degraded = 4 and HalfBudget ignores it too)
+        u_res = TaskSetBatch(rows, service_model=HalfBudget(0.5)).u_res
+        assert u_res.tolist() == [0.0, 2 / 20, 5 / 50]
 
 
 
