@@ -25,6 +25,11 @@ The engine implements the descent loop both published algorithms share:
    deficit at ``l*`` (or as far as LO-mode feasibility allows);
 4. accept when the HI check passes; reject when no task can make progress.
 
+On a memo-backed engine step 3 starts from the LO-feasible prefix of the
+core's cached HI-only trajectory (:func:`_replay_trajectory`; README.md,
+"The shrink descent"), which skips the iterations that would only follow
+it.
+
 Policies (see README.md#fidelity-notes):
 
 * ``"steepest"`` (EY, Ekberg-Yi ECRTS 2012): pick the task with the largest
@@ -245,6 +250,21 @@ def _forward_hi_check(
     return (None, None) if found is None else found
 
 
+def _hi_meta_of(tasks: list[_ModeTask], horizon_cap: int) -> tuple:
+    """``(horizon state, density)`` of a HI-mode task list — the value
+    :meth:`DemandEngine._hi_meta` memoizes per signature."""
+    try:
+        horizon = DemandScenario._horizon(tasks, horizon_cap)
+        if horizon is not None:
+            horizon = max(horizon, max(t.deadline for t in tasks))
+            if horizon > horizon_cap:
+                raise HorizonExceeded(f"bound {horizon} exceeds cap {horizon_cap}")
+        state = ("h", horizon)
+    except HorizonExceeded as exc:
+        state = ("raise", exc)
+    return (state, sum(2.0 / t.period for t in tasks))
+
+
 class DemandEngine:
     """Evaluation layer between the descent loop and the dbf machinery.
 
@@ -409,18 +429,7 @@ class DemandEngine:
         """
         meta = self._memo.get(("hmeta", sig))
         if meta is None:
-            try:
-                horizon = DemandScenario._horizon(tasks, self.horizon_cap)
-                if horizon is not None:
-                    horizon = max(horizon, max(t.deadline for t in tasks))
-                    if horizon > self.horizon_cap:
-                        raise HorizonExceeded(
-                            f"bound {horizon} exceeds cap {self.horizon_cap}"
-                        )
-                state = ("h", horizon)
-            except HorizonExceeded as exc:
-                state = ("raise", exc)
-            meta = (state, sum(2.0 / t.period for t in tasks))
+            meta = _hi_meta_of(tasks, self.horizon_cap)
             self._memo[("hmeta", sig)] = meta
         return meta
 
@@ -483,13 +492,12 @@ class DemandEngine:
                 return _forward_hi_check(
                     tasks, meta, refine, not_before, len(self._high)
                 )
-            return self._qpa_hi_check(sig, tasks, meta, refine, not_before)
+            return self._qpa_hi_check(tasks, meta, refine, not_before)
 
         return self._cached(key, compute)
 
     def _qpa_hi_check(
         self,
-        sig: tuple,
         tasks: list[_ModeTask],
         meta: tuple,
         refine: bool,
@@ -550,14 +558,14 @@ class DemandEngine:
             return found
         if stop > horizon:
             return (None, None)  # the window covered the whole region
-        status, bound = self._qpa_decide(sig, tasks, horizon, refine)
+        status, bound = self._qpa_decide(tasks, horizon, refine)
         if status == "pass":
             return (None, None)
         found = first_violation(tasks, stop, bound, demand_at, ramps=True)
         return (None, None) if found is None else found
 
     def _qpa_decide(
-        self, sig: tuple, tasks: list[_ModeTask], horizon: int, refine: bool
+        self, tasks: list[_ModeTask], horizon: int, refine: bool
     ) -> tuple[str, int | None]:
         """Anchor-warmed QPA decision of the HI predicate on ``[0, horizon]``.
 
@@ -697,7 +705,7 @@ class DemandEngine:
             # Overload: a violation is guaranteed (the marker contract).
             memo[("hib", sig, refine)] = False
             return False
-        status, bound = self._qpa_decide(sig, tasks, horizon, refine)
+        status, bound = self._qpa_decide(tasks, horizon, refine)
         if status == "abort":
             # Hand the rest of the question to the forward walk, up to the
             # last iterate, and keep its earliest-form answer.
@@ -1318,16 +1326,23 @@ def _descend(
     non-frozen entry equals the historical per-iteration argmax: the score
     key embeds ``-task_id``, a total order) and every outcome are
     unchanged; only the redundant re-evaluations are gone.
+
+    On a memo-backed engine the loop starts where the core's cached HI
+    trajectory stops being LO-feasible (:func:`_replay_trajectory`): the
+    iterations before that point are the ones the loop would have spent
+    following the trajectory step for step.
     """
     vd = dict(vd)
-    frozen: set[int] = set()
     # Shrinking any Dv only lowers HI demand, so check points below the
     # last seen violation stay feasible for the rest of the descent — the
     # scan may resume there (a pure cost hint; see DemandEngine).
-    front = 0
+    done, front = 0, 0
+    if engine._memo is not None and high_tasks and _lo_cap_clear(engine):
+        done, front = _replay_trajectory(high_tasks, vd, policy, refine, engine)
+    frozen: set[int] = set()
     current: tuple[int | None, int | None] | None = None
     ranked: list[tuple[tuple, MCTask, int]] | None = None
-    for iteration in range(1, _MAX_ITERATIONS + 1):
+    for iteration in range(done + 1, _MAX_ITERATIONS + 1):
         if current is None:
             try:
                 current = engine.hi_check(vd, refine, not_before=front)
@@ -1365,6 +1380,179 @@ def _descend(
         ranked = None
 
     return TuningOutcome(False, vd, _MAX_ITERATIONS, "iteration cap reached")
+
+
+#: Relative margin by which the all-``C_L`` LO horizon must clear the cap
+#: (and the LO utilization clear 1) before a descent replays a trajectory:
+#: it absorbs the float fold-order differences between that bound and the
+#: per-probe horizons it dominates.
+_CAP_MARGIN = 1e-6
+
+
+def _lo_cap_clear(engine: DemandEngine) -> bool:
+    """True when no LO horizon of a descent from full deadlines can reach
+    the cap.
+
+    The LO-mode horizon bound ``sum U_i (T_i - D_i) / (1 - U)`` only grows
+    as deadlines shrink, so its value with every HC task at ``C_L`` bounds
+    the worst-case horizon of every shrink probe (:class:`LoShrinkProbe`
+    pins the probed task at ``C_L``) and of every exact LO check along a
+    descent.  Below the cap, with a margin for fold order, a probe's
+    verdict is therefore the exact check's verdict — the premise of
+    :func:`_replay_trajectory`.
+    """
+    total_u = 0.0
+    numerator = 0.0
+    for t in engine.taskset:
+        u = t.wcet_lo / t.period
+        total_u += u
+        numerator += u * max(0, t.period - (t.wcet_lo if t.is_high else t.deadline))
+    if total_u > 1.0 - _CAP_MARGIN:
+        return False
+    bound = numerator / (1.0 - total_u) * (1.0 + _CAP_MARGIN) + 1.0
+    return bound <= engine.horizon_cap
+
+
+def _hi_trajectory(
+    high_tasks: list[MCTask],
+    vd: dict[int, int],
+    policy: str,
+    refine: bool,
+    engine: DemandEngine,
+) -> tuple[tuple, tuple | None]:
+    """The core's HI-only descent trajectory from ``vd``, cached.
+
+    The descent with every LO check assumed to pass: each step commits
+    the top-ranked candidate's full ``desired`` shrink.  Returns ``(steps,
+    end)`` — per step ``(task_id, new Dv, violation, demand)`` with the
+    HI check's answer *before* the step, and the memo-style answer at the
+    last assignment (``("value", (None, None))`` on a pass, ``("value",
+    (violation, demand))`` when no candidate remains, ``("raise", exc)``
+    on a HI horizon overrun, None when the iteration cap cut it short).
+
+    HI demand and the ranking read only the HC tasks, the degraded LC
+    members, the starting deadlines and the policy/refinement pair, so the
+    trajectory is memoized under exactly those: probes of different LC
+    tasks on one core share it.  The build keeps one HI mode-task list and swaps the shrunk entry,
+    with the engine's own horizon fold and kernel check, and writes no
+    per-step memo entries.
+    """
+    memo = engine._memo
+    start = tuple(vd[task_id] for task_id in engine._high_ids)
+    key = ("traj", engine._high_ids, engine._lc_sig, start, policy, refine)
+    trajectory = memo.get(key)
+    if trajectory is not None:
+        if _obs.active():
+            _obs.REGISTRY.add("descent.trajectory-reuse")
+        return trajectory
+    vd = dict(vd)
+    slot = {t.task_id: i for i, t in enumerate(engine._high)}
+    tasks = [
+        _ModeTask(t.wcet_hi, t.deadline - vd[t.task_id], t.period, t.wcet_lo)
+        for t in engine._high
+    ] + engine._lc_hi
+    n_trigger = len(engine._high)
+    steps = []
+    end = None
+    front = 0
+    for _ in range(_MAX_ITERATIONS):
+        meta = _hi_meta_of(tasks, engine.horizon_cap)
+        try:
+            if _dbf._KERNEL == "forward":
+                found = _forward_hi_check(tasks, meta, refine, front, n_trigger)
+            else:
+                found = engine._qpa_hi_check(tasks, meta, refine, front)
+        except HorizonExceeded as exc:
+            end = ("raise", exc)
+            break
+        violation, demand = found
+        if violation is None:
+            end = ("value", found)
+            break
+        ranked = _rank_candidates(
+            high_tasks, vd, violation, demand - violation, policy, engine
+        )
+        if not ranked:
+            end = ("value", found)
+            break
+        _key, task, desired = ranked[0]
+        v_new = vd[task.task_id] - desired
+        vd[task.task_id] = v_new
+        tasks[slot[task.task_id]] = _ModeTask(
+            task.wcet_hi, task.deadline - v_new, task.period, task.wcet_lo
+        )
+        steps.append((task.task_id, v_new, violation, demand))
+        front = violation
+    trajectory = (tuple(steps), end)
+    memo[key] = trajectory
+    if _obs.active():
+        _obs.REGISTRY.add("descent.trajectories")
+    return trajectory
+
+
+def _replay_trajectory(
+    high_tasks: list[MCTask],
+    vd: dict[int, int],
+    policy: str,
+    refine: bool,
+    engine: DemandEngine,
+) -> tuple[int, int]:
+    """Commit the LO-feasible prefix of the cached HI trajectory to ``vd``.
+
+    Returns ``(steps committed, scan front)``: the state the step loop of
+    :func:`_descend` would reach after those many iterations.  Exact
+    because, from a LO-feasible start:
+
+    * the loop takes a trajectory step whenever the step's LO probe
+      returns the full ``desired`` shrink — no freeze, same pick, same
+      next assignment;
+    * under :func:`_lo_cap_clear` that probe's verdict is the exact LO
+      check of the post-step assignment;
+    * assignments along the trajectory only shrink, so LO demand only
+      grows and LO feasibility holds on a prefix of the steps — one
+      bisection finds its end.
+
+    The HI answer at the hand-off assignment is already known (the next
+    step's pre-step check, or the trajectory's end), so it is banked in the
+    ``("hi", ...)`` memo entry the loop's first check reads.
+    """
+    steps, end = _hi_trajectory(high_tasks, vd, policy, refine, engine)
+
+    def feasible_after(count: int) -> bool:
+        probe = dict(vd)
+        for task_id, v_new, _, _ in steps[:count]:
+            probe[task_id] = v_new
+        return engine.lo_feasible(probe)
+
+    checks = 0
+    # A trajectory built under a larger iteration cap replays only up to
+    # the current one.
+    done = min(len(steps), _MAX_ITERATIONS)
+    if done:
+        # The whole trajectory is LO-feasible in most descents: check its
+        # end first, then bisect for the last feasible prefix.
+        checks = 1
+        if not feasible_after(done):
+            lo, hi = 0, done - 1
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                checks += 1
+                if feasible_after(mid):
+                    lo = mid
+                else:
+                    hi = mid - 1
+            done = lo
+    front = 0
+    for task_id, v_new, violation, _ in steps[:done]:
+        vd[task_id] = v_new
+        front = violation
+    answer = ("value", steps[done][2:]) if done < len(steps) else end
+    if answer is not None:
+        engine._memo.setdefault(("hi", engine._sig_high(vd), refine), answer)
+    if _obs.active():
+        _obs.REGISTRY.add("descent.replayed", done)
+        _obs.REGISTRY.add("descent.lo-checks", checks)
+    return done, front
 
 
 def _descend_block(

@@ -575,7 +575,7 @@ def _cmd_figure(args) -> int:
     # The registry is cumulative per process; a baseline keeps the printed
     # kernel diagnostics scoped to this run (relevant to tests and embeds —
     # a fresh CLI process starts at zero anyway).
-    kernel_baseline = obs.REGISTRY.counters("kernel.")
+    kernel_baseline = obs.REGISTRY.counters()
     with journal_env(args.journal) as jrnl:
         if jrnl is not None:
             emit_open(jrnl, campaign=f"figure:{args.name}")

@@ -65,11 +65,20 @@ def validate_algorithms(
     worker spawns), so e.g. EDF-VD against a constrained-deadline sweep, or
     AMC against a degraded-service sweep, fails immediately with a clear
     error instead of raising from deep inside the analysis mid-campaign.
+    Duplicate names are rejected too: results are keyed by name, so a
+    repeated algorithm would silently collapse into one series.
     """
     from repro.degradation.service import parse_service_model
 
     service = parse_service_model(config.service)
+    seen: set[str] = set()
     for algorithm in algorithms:
+        if algorithm.name in seen:
+            raise ValueError(
+                f"algorithm {algorithm.name!r} is listed more than once "
+                f"(sweep label {config.label!r})"
+            )
+        seen.add(algorithm.name)
         if not algorithm.test.supports_deadline_type(config.deadline_type):
             raise ValueError(
                 f"algorithm {algorithm.name!r} cannot run on a "
@@ -254,14 +263,18 @@ def kernel_summary(
     ``descent`` row is added from the ``descent.iterations`` histogram —
     trajectory lengths per tuning probe as ``iters-count`` /
     ``iters-p50`` / ``iters-p95`` / ``iters-p99`` — the per-probe view
-    the block kernel's fewer-iterations claim is measured by.
+    the block kernel's fewer-iterations claim is measured by.  The same
+    row carries the cached-trajectory counters of the scalar descent
+    (:data:`_DESCENT_COUNTERS`): HI trajectories built and reused,
+    iterations replayed from them, and the LO checks that placed the
+    replays.
 
     The registry accumulates for the process lifetime; pass ``since`` (an
-    earlier ``REGISTRY.counters("kernel.")`` snapshot) to report only what
-    one run contributed.  Shards loaded from cache contribute nothing,
-    exactly as before the registry migration.  (``since`` baselines the
-    *counters*; the histogram row is always lifetime-to-date — quantiles
-    do not subtract.)
+    earlier ``REGISTRY.counters()`` snapshot) to report only what one run
+    contributed.  Shards loaded from cache contribute nothing, exactly as
+    before the registry migration.  (``since`` baselines the *counters*;
+    the histogram quantiles are always lifetime-to-date — they do not
+    subtract.)
     """
     from repro import obs as _obs
 
@@ -279,17 +292,37 @@ def kernel_summary(
         iterations = counts.pop("qpa-iterations", 0)
         if runs:
             counts["qpa-iter-mean"] = round(iterations / runs, 2)
+    row: dict[str, float] = {}
     histogram = _obs.REGISTRY.histogram("descent.iterations")
     if histogram is not None:
         stats = histogram.summary()
         if stats["count"]:
-            summary["descent"] = {
+            row = {
                 "iters-count": stats["count"],
                 "iters-p50": stats["p50"],
                 "iters-p95": stats["p95"],
                 "iters-p99": stats["p99"],
             }
+    descent = _obs.REGISTRY.counters("descent.")
+    for name in _DESCENT_COUNTERS:
+        value = descent.get(name, 0) - baseline.get(name, 0)
+        if value:
+            row[name.split(".", 1)[1]] = value
+    if row:
+        summary["descent"] = row
     return summary
+
+
+#: Cached-trajectory work counters of the scalar shrink descent
+#: (:func:`repro.analysis.vdtuning._replay_trajectory`), recorded under
+#: :func:`repro.obs.active` and reported in :func:`kernel_summary`'s
+#: ``descent`` row.
+_DESCENT_COUNTERS = (
+    "descent.trajectories",
+    "descent.trajectory-reuse",
+    "descent.replayed",
+    "descent.lo-checks",
+)
 
 
 #: :attr:`MCTaskSetGenerator.stats` work counters recorded per generated

@@ -133,6 +133,15 @@ class TestSweepSetupValidation:
         with pytest.raises(ValueError, match="cu-udp-edf-vd"):
             decompose_sweep(config, ["cu-udp-edf-vd"])
 
+    def test_duplicate_names_rejected(self):
+        """Results are keyed by algorithm name: a repeated name used to
+        collapse into one series without a word."""
+        from repro.runner import run_sweep
+
+        config = SweepConfig(label="t", m=2, samples_per_bucket=1)
+        with pytest.raises(ValueError, match="more than once"):
+            run_sweep(config, ["cu-udp-edf-vd"] * 2)
+
     def test_supported_pairings_pass(self):
         from repro.experiments.acceptance import validate_algorithms
 
@@ -251,6 +260,33 @@ class TestKernelSummary:
         AcceptanceSweep(config, grid=grid).run([get_algorithm("ca-f-f-ey")])
         assert registry.counters("kernel.")["kernel.ca-f-f-ey.floor-reject"] > 0
         assert kernel_summary()["ca-f-f-ey"]["floor-reject"] > 0
+
+    def test_descent_counters_join_the_row(self, registry):
+        """The cached-trajectory counters land in the ``descent`` row,
+        baselined by ``since`` like the kernel counters."""
+        from repro.experiments.acceptance import kernel_summary
+
+        registry.add_counters(
+            {
+                "descent.trajectories": 3,
+                "descent.replayed": 40,
+                "descent.lo-checks": 7,
+            }
+        )
+        baseline = registry.counters()
+        registry.add("descent.trajectory-reuse", 2)
+        registry.add("descent.replayed", 5)
+        assert kernel_summary() == {
+            "descent": {
+                "trajectories": 3,
+                "trajectory-reuse": 2,
+                "replayed": 45,
+                "lo-checks": 7,
+            }
+        }
+        assert kernel_summary(since=baseline) == {
+            "descent": {"trajectory-reuse": 2, "replayed": 5}
+        }
 
     def test_descent_histogram_adds_a_row(self, registry):
         from repro.experiments.acceptance import kernel_summary
