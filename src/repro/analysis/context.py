@@ -45,12 +45,13 @@ Demand-kernel independence
 Context memo keys never encode the active demand kernel
 (:func:`repro.analysis.dbf.demand_kernel`): every kernel is a sound
 decision procedure over the same demand functions, so a memoized accept
-is safe under any of them.  The contract is tiered: ``forward`` and
-``qpa`` are bit-identical down to the descent *trajectory* (iteration
-counts, committed deadlines), while ``block`` commits multi-task
-boundary jumps and is sound only — it can accept a set the scalar
-descent rejects, so a context that switches kernels mid-session may
-hold a ``block`` verdict that ``qpa`` alone would not reach.
+is safe under any of them.  The contract is tiered: ``qpa`` is
+bit-identical to the forward-walk oracle down to the descent
+*trajectory* (iteration counts, committed deadlines), while ``block``
+commits multi-task boundary jumps and is sound only — it can accept a
+set the scalar descent rejects, so a context that switches kernels
+mid-session may hold a ``block`` verdict that ``qpa`` alone would not
+reach.
 """
 
 from __future__ import annotations

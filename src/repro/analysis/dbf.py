@@ -56,12 +56,12 @@ Check points
     horizon is exact.  The horizon is the classical bound: any violation
     satisfies ``l < sum(u_i * max(0, T_i - d_i)) / (1 - U)``.
 
-Violation kernels
+Violation search
     The predicate both checks decide — ``exists l: dbf(l) > l`` — has two
-    exact deciders here.  The **forward kernel** walks the check points
+    exact deciders here.  The **forward walk** visits the check points
     up to the horizon in order, one scalar evaluation each, and stops at
     the first violation (:func:`first_violation`, the differential
-    oracle).  The **QPA kernel** (after Zhang & Burns'
+    oracle).  The **QPA search** (after Zhang & Burns'
     Quick Processor-demand Analysis) runs the backward fixed-point
     iteration ``l <- dbf(l)`` / ``l <- max breakpoint < l`` from the
     horizon down; because every demand function here is a monotone
@@ -75,9 +75,10 @@ Violation kernels
     task ``j`` grows only inside task ``j``'s own carry-over ramp, where
     its dbf term grows at the same unit rate, so ``dbf - cut_j`` is
     non-decreasing for every ``j`` and the refined demand is their max.
-    :func:`set_demand_kernel` switches the default; an O(n·k)
-    Fisher–Baruah-style upper-bound screen (:func:`approx_accepts`)
-    settles clear passes before either kernel runs.
+    An O(n·k) Fisher–Baruah-style upper-bound screen
+    (:func:`approx_accepts`) settles clear passes before the search runs.
+    :func:`set_demand_kernel` picks the shrink descent's kernel: ``qpa``
+    or ``block``.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ _APPROX_K = 3
 
 #: QPA iteration budget per search before falling back to the forward walk
 #: (a cost valve, not a correctness bound: an aborted search simply hands
-#: the rest of the decision to the oracle kernel).
+#: the rest of the decision to the oracle walk).
 _QPA_ITER_CAP = 256
 
 
@@ -254,26 +255,24 @@ _COUNTERS = _OBS_REGISTRY.counter_scope(
 
 
 def demand_kernel() -> str:
-    """The active violation-search kernel (one of :data:`DBF_KERNELS`)."""
+    """The active demand kernel (one of :data:`DBF_KERNELS`)."""
     return _KERNEL
 
 
 def set_demand_kernel(name: str) -> str:
-    """Select the violation-search kernel; returns the previous one.
+    """Select the demand kernel; returns the previous one.
 
-    ``"qpa"`` (the default) runs the screens + backward fixed-point search;
-    ``"block"`` keeps the QPA decision procedure and additionally lets
-    the shrink descent commit *blocks* of V* jumps across several tasks
-    per exact probe (:mod:`repro.analysis.dbf_block`) — it relaxes the
-    bit-identical *trajectory* contract of the other two to soundness
-    only (every accept is schedulable at its committed virtual deadlines,
-    but it can accept a set the scalar descent rejects, and iteration
-    counts and committed virtual deadlines may differ);
-    ``"forward"`` restores the pure in-order breakpoint walk — the
-    differential oracle.  All kernels decide the violation predicate
-    exactly, so every violation point is identical under any of them,
-    and ``forward``/``qpa`` verdicts and figure outputs are too.  The
-    startup default comes from
+    ``"qpa"`` (the default) runs the screens + backward fixed-point search
+    and the scalar shrink descent; ``"block"`` keeps the QPA decision
+    procedure and additionally lets the shrink descent commit *blocks* of
+    V* jumps across several tasks per exact probe
+    (:mod:`repro.analysis.dbf_block`) — it relaxes the bit-identical
+    *trajectory* contract to soundness only (every accept is schedulable
+    at its committed virtual deadlines, but it can accept a set the scalar
+    descent rejects, and iteration counts and committed virtual deadlines
+    may differ).  Both decide the violation predicate exactly, so every
+    violation point is the forward walk's (:func:`first_violation`, kept
+    as the tests' oracle).  The startup default comes from
     ``REPRO_DBF_KERNEL`` (:func:`repro.util.env.demand_kernel_from_env`);
     this call overrides it for the current process.
     """
@@ -391,6 +390,33 @@ def _next_breakpoint(tasks, length: int, ramps: bool) -> int | None:
             if end < best:
                 best = end
     return best
+
+
+def _adjacent_breakpoints(tasks, length: int) -> tuple[int | None, int | None]:
+    """``(_prev_breakpoint(tasks, length, True), _next_breakpoint(tasks,
+    length, True))`` in one pass over ``tasks``: each family's largest
+    point below ``length`` is one period under its smallest point at or
+    above it, when that is not the family's first point."""
+    below, above = -1, None
+    for t in tasks:
+        d, period = t.deadline, t.period
+        if d >= length:
+            candidate = d
+        else:
+            candidate = d - ((d - length) // period) * period
+            if candidate - period > below:
+                below = candidate - period
+        if above is None or candidate < above:
+            above = candidate
+        if t.wcet_lo > 0:
+            end = d + min(t.wcet_lo, period)
+            if end < length:
+                end = end - ((end - length) // period) * period
+                if end - period > below:
+                    below = end - period
+            if end < above:
+                above = end
+    return (below if below >= 0 else None), above
 
 
 def first_violation(
@@ -557,34 +583,29 @@ class _ModeTask:
 def _lo_violation_scan(
     tasks: list["_ModeTask"], horizon: int, localize: bool = True
 ) -> int | None:
-    """A LO-mode violation in ``(0, horizon]``, kernel-dispatched.
+    """A LO-mode violation in ``(0, horizon]``.
 
-    Both kernels decide the same predicate over the same breakpoint
-    multiset; the QPA path additionally settles clear passes with the
-    upper-bound screen.  With ``localize`` (the callers' default contract)
-    the result is the earliest violation: a found QPA witness goes back to
-    the forward walk for localization.  Boolean callers pass
+    The upper-bound screen settles clear passes, then the QPA search
+    decides the predicate.  With ``localize`` (the callers' default
+    contract) the result is the earliest violation: a found QPA witness
+    goes back to the forward walk for localization.  Boolean callers pass
     ``localize=False`` and get the witness itself — the **largest**
     violating breakpoint — with no forward walk.
     """
     demand_at = partial(_lo_point_demand, tasks)
-    if _KERNEL != "forward":
-        if approx_accepts(tasks, horizon, hi=False):
-            _COUNTERS["approx-accept"] += 1
-            return None
-        status, bound, _ = qpa_violation_search(
-            tasks, horizon, demand_at, ramps=False
-        )
-        if status == "pass":
-            _COUNTERS["qpa-accept"] += 1
-            return None
-        if status == "violation" and not localize:
-            return bound
-        # A witness or an aborted search's last iterate bounds every
-        # violation from above, so the forward walk stops there — usually
-        # a small prefix of the horizon.
-        horizon = bound
-    found = first_violation(tasks, 0, horizon, demand_at, ramps=False)
+    if approx_accepts(tasks, horizon, hi=False):
+        _COUNTERS["approx-accept"] += 1
+        return None
+    status, bound, _ = qpa_violation_search(tasks, horizon, demand_at, ramps=False)
+    if status == "pass":
+        _COUNTERS["qpa-accept"] += 1
+        return None
+    if status == "violation" and not localize:
+        return bound
+    # A witness or an aborted search's last iterate bounds every violation
+    # from above, so the forward walk stops there — usually a small prefix
+    # of the horizon.
+    found = first_violation(tasks, 0, bound, demand_at, ramps=False)
     return None if found is None else found[0]
 
 
@@ -596,7 +617,7 @@ def lo_feasible_exact(tasks: list["_ModeTask"], cap: int) -> bool:
     False on overload or cap overrun — decided at witness level: a screen
     accept or a QPA pass returns True and a QPA violation returns False
     without localizing the earliest violating length.  Only an aborted
-    search, or the ``forward`` kernel, runs the forward walk.  Used by
+    search runs the forward walk.  Used by
     ``DemandEngine.lo_feasible`` and the batch probe screens.
     """
     try:
@@ -767,20 +788,16 @@ class DemandScenario:
         demand_at = partial(
             _hi_point_demand, tasks, refine=refine, n_trigger=len(self._hi)
         )
-        if _KERNEL != "forward":
-            if approx_accepts(tasks, horizon, hi=True):
-                _COUNTERS["approx-accept"] += 1
-                return None
-            status, bound, _ = qpa_violation_search(
-                tasks, horizon, demand_at, ramps=True
-            )
-            if status == "pass":
-                _COUNTERS["qpa-accept"] += 1
-                return None
-            # Earliest violation <= witness (or the aborted search's last
-            # iterate): walk only that prefix.
-            horizon = bound
-        found = first_violation(tasks, 0, horizon, demand_at, ramps=True)
+        if approx_accepts(tasks, horizon, hi=True):
+            _COUNTERS["approx-accept"] += 1
+            return None
+        status, bound, _ = qpa_violation_search(tasks, horizon, demand_at, ramps=True)
+        if status == "pass":
+            _COUNTERS["qpa-accept"] += 1
+            return None
+        # Earliest violation <= witness (or the aborted search's last
+        # iterate): walk only that prefix.
+        found = first_violation(tasks, 0, bound, demand_at, ramps=True)
         return None if found is None else found[0]
 
     def schedulable(self, refine: bool = False) -> bool:

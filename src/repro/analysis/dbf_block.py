@@ -43,7 +43,7 @@ can reach an assignment the one-task-at-a-time descent cannot, so its
 contract is *sound only* (every accept passes the LO and HI demand
 checks at its committed virtual deadlines).  It also gives up the
 bit-identical descent *trajectory*: iteration counts and the committed
-virtual deadlines of accepted sets may differ from forward/qpa.
+virtual deadlines of accepted sets may differ from qpa's.
 
 Diagnostics live in the always-on ``kernel.block.*`` counter scope:
 ``block-jumps`` (blocks

@@ -59,8 +59,8 @@ probes that would need dbf work undecided, for the scalar
 Every filter and screen here is demand-kernel independent: the conditions
 are utilization arithmetic over the batch columns and never evaluate a
 demand bound function, so the rejects hold — and the survivors' verdicts
-stay bit-identical — whichever kernel (``forward``, ``qpa`` or ``block``,
-see :func:`repro.analysis.dbf.set_demand_kernel`) analyzes the survivors.
+stay bit-identical — whichever kernel (``qpa`` or ``block``, see
+:func:`repro.analysis.dbf.set_demand_kernel`) analyzes the survivors.
 """
 
 from __future__ import annotations

@@ -25,10 +25,9 @@ The engine implements the descent loop both published algorithms share:
    deficit at ``l*`` (or as far as LO-mode feasibility allows);
 4. accept when the HI check passes; reject when no task can make progress.
 
-On a memo-backed engine step 3 starts from the LO-feasible prefix of the
-core's cached HI-only trajectory (:func:`_replay_trajectory`; README.md,
-"The shrink descent"), which skips the iterations that would only follow
-it.
+Step 3 starts from the LO-feasible prefix of the core's cached HI-only
+trajectory (:func:`_replay_trajectory`; README.md, "The shrink descent"),
+which skips the iterations that would only follow it.
 
 Policies (see README.md#fidelity-notes):
 
@@ -47,16 +46,20 @@ evaluations.
 
 Evaluation layer
 ----------------
-All dbf queries the descent issues go through a :class:`DemandEngine`.  A
-fresh engine (the default) reproduces the historical from-scratch behavior.
-When constructed with a shared ``memo`` dict — as done by the incremental
-:class:`~repro.analysis.context.DemandContext` used in partitioning hot
-loops — results of the *pure* scenario queries (LO/HI violations, shrink
-searches, :class:`~repro.analysis.dbf.LoShrinkProbe` instances) are reused
-across repeated evaluations.  Every memoized value is keyed by the exact
-task parameters and virtual deadlines it was computed from, so reuse is an
-identity-preserving optimization: verdicts, virtual deadlines and detail
-strings are bit-identical with or without a memo.
+All dbf queries the descent issues go through a :class:`DemandEngine`,
+which always owns a memo: a private one per call by default, or a dict
+shared across the probes of one core, as the incremental
+:class:`~repro.analysis.context.DemandContext` passes in partitioning hot
+loops.  The memo holds the results of *pure* scenario queries (LO/HI
+violations, shrink searches, V* values, trajectories).  Every entry is
+keyed by the exact task parameters and virtual deadlines it was computed
+from and holds the exact answer — the HI checks return the earliest
+violation whatever scan hint a caller passes — so verdicts, virtual
+deadlines and detail strings are bit-identical however the memo was
+filled.  The QPA search decides every violation question; the in-order
+breakpoint walk (:func:`~repro.analysis.dbf.first_violation`,
+:func:`_forward_hi_check`) localizes the earliest violation and is the
+tests' differential oracle.
 """
 
 from __future__ import annotations
@@ -75,8 +78,10 @@ from repro.analysis.dbf import (
     HorizonExceeded,
     LoShrinkProbe,
     _ModeTask,
+    _adjacent_breakpoints,
     _hi_point_demand,
     _next_breakpoint,
+    _prev_breakpoint,
     approx_accepts,
     first_violation,
     hi_mode_dbf,
@@ -250,6 +255,42 @@ def _forward_hi_check(
     return (None, None) if found is None else found
 
 
+#: :meth:`DemandEngine.hi_check`'s answer on a pass.
+_PASS = (None, None, 0)
+
+
+def _hi_answer(
+    tasks: list[_ModeTask], violation: int | None, demand: int | None
+) -> tuple[int | None, int | None, int]:
+    """A HI check's ``(violation, demand)`` with the scan front it proves.
+
+    The front is ``p + 1`` for ``p`` the largest breakpoint of ``tasks``
+    below ``violation`` (0 on a pass, or when no breakpoint lies below).
+    A descent may start every later HI check there, because:
+
+    (a) HI demand never rises under a shrink, refined or not.  Refined
+        demand is ``max_i(sum_{k != i} dbf_k + g_i)`` with ``g_i(x) =
+        [x >= 0]((x // T + 1) C_H - C_L)`` non-decreasing in ``x``, since
+        ``C_H >= C_L``; shrinking ``Dv_i`` lowers ``x``.  Degraded LC
+        entries never trigger and do not depend on any ``Dv``.
+    (b) Every integer is dominated by a check point beside it: on a flat
+        piece by the check point to its left, on a ramp by the one to its
+        right (demand minus ``l`` is convex on each piece).
+
+    So if a scan from a sound front ``F`` (no integer below ``F``
+    violates) first violates at ``v``, no integer in ``[F, p]`` violates:
+    each is dominated by a check point that the scan passed or that lies
+    below ``F``.  By (a) that stays true after any later shrink, and a
+    scan from ``max(F, p + 1)`` finds exactly what a scan from 0 finds.
+    The overload marker is the smallest deadline, below which no
+    breakpoint lies, so it leaves the front unchanged.
+    """
+    if violation is None:
+        return _PASS
+    below = _prev_breakpoint(tasks, violation, ramps=True)
+    return (violation, demand, 0 if below is None else below + 1)
+
+
 def _hi_meta_of(tasks: list[_ModeTask], horizon_cap: int) -> tuple:
     """``(horizon state, density)`` of a HI-mode task list — the value
     :meth:`DemandEngine._hi_meta` memoizes per signature."""
@@ -268,20 +309,17 @@ def _hi_meta_of(tasks: list[_ModeTask], horizon_cap: int) -> tuple:
 class DemandEngine:
     """Evaluation layer between the descent loop and the dbf machinery.
 
-    One engine serves one candidate ``taskset``.  Without a ``memo`` the
-    engine only keeps the single most recent :class:`DemandScenario` (the
-    descent queries each virtual-deadline assignment a couple of times in a
-    row), matching the historical from-scratch cost profile.  With a shared
-    ``memo`` dict — one per core, owned by an incremental analysis context —
-    all pure query results persist and are reused across probes and across
-    the multi-stage ECDF fallback chain.
+    One engine serves one candidate ``taskset``.  All pure query results
+    persist in its ``memo`` — a fresh dict when none is passed, or one
+    shared per core by an incremental analysis context — and are reused
+    across probes and across the multi-stage ECDF fallback chain.
 
     Memo keys embed the task ids and the exact virtual deadlines a value was
     computed from (HI-mode keys cover HC tasks only, because LC tasks
     contribute no HI demand — this lets LC probes on the same core share
     all HI-mode work).  Values are therefore reusable only where the fresh
-    computation would return the identical result, which is what makes the
-    incremental path bit-identical to the from-scratch path by construction.
+    computation would return the identical result, which is what makes a
+    shared memo bit-identical to a fresh one by construction.
     """
 
     def __init__(
@@ -292,8 +330,7 @@ class DemandEngine:
     ):
         self.taskset = taskset
         self.horizon_cap = horizon_cap
-        self._memo = memo
-        self._last: tuple[tuple[int, ...], DemandScenario] | None = None
+        self._memo = {} if memo is None else memo
         self._high = tuple(t for t in taskset if t.is_high)
         self._high_ids = tuple(t.task_id for t in self._high)
         #: degraded LC tasks' HI-mode abstraction (empty under drop
@@ -317,9 +354,10 @@ class DemandEngine:
         #: dominated assignment inherits that certificate, and since the
         #: trigger refinement only subtracts demand *of the same
         #: assignment*, the certificate covers refined queries too.
-        #: Refined runs never anchor: the trigger cut's residues move with
-        #: the residual deadlines, so refined demand is not monotone under
-        #: deadline domination.  None = not yet learned (learned lazily by
+        #: Refined runs do not anchor, although refined demand is monotone
+        #: under deadline domination too (:func:`_hi_answer`, lemma (a)):
+        #: a refined anchor would be sound but would move the descent's
+        #: work counters.  None = not yet learned (learned lazily by
         #: a dedicated unrefined run, see :meth:`_ensure_anchor`); -1 =
         #: unavailable (the full-deadline horizon overruns the cap or the
         #: search aborted).
@@ -379,21 +417,9 @@ class DemandEngine:
             if t.task_id != excluded
         )
 
-    # -- scenario construction ----------------------------------------------
-    def scenario(self, vd: dict[int, int]) -> DemandScenario:
-        """The :class:`DemandScenario` for ``vd`` (cached)."""
-        sig = tuple(vd.get(t.task_id, t.deadline) for t in self.taskset)
-        if self._last is not None and self._last[0] == sig:
-            return self._last[1]
-        scenario = DemandScenario(self.taskset, vd, horizon_cap=self.horizon_cap)
-        self._last = (sig, scenario)
-        return scenario
-
     # -- memoized queries ----------------------------------------------------
     def _cached(self, key: tuple, compute):
         """Memo lookup; exceptions are cached and re-raised like values."""
-        if self._memo is None:
-            return compute()
         try:
             hit = self._memo[key]
         except KeyError:
@@ -415,7 +441,10 @@ class DemandEngine:
         lo_feasible_exact`."""
         return self._cached(
             ("lo", self._sig_all(vd)),
-            lambda: lo_feasible_exact(self.scenario(vd)._lo, self.horizon_cap),
+            lambda: lo_feasible_exact(
+                DemandScenario(self.taskset, vd, horizon_cap=self.horizon_cap)._lo,
+                self.horizon_cap,
+            ),
         )
 
     def _hi_meta(self, sig: tuple, tasks: list[_ModeTask]) -> tuple:
@@ -435,24 +464,17 @@ class DemandEngine:
 
     def hi_check(
         self, vd: dict[int, int], refine: bool, not_before: int = 0
-    ) -> tuple[int | None, int | None]:
-        """Earliest HI-mode violation and the demand there, fused.
+    ) -> tuple[int | None, int | None, int]:
+        """Earliest HI-mode violation, the demand there and the scan front.
 
-        Returns ``(None, None)`` on a pass; may raise
+        Returns ``(violation, demand, front)`` — see :func:`_hi_answer` for
+        the front — or ``(None, None, 0)`` on a pass; may raise
         :class:`HorizonExceeded` exactly as the underlying scenario does.
         ``not_before`` is a scan hint for callers that can prove no
-        violation exists below it (see
-        :meth:`DemandScenario.hi_violation`); the returned values are the
-        same with or without it, so memo entries ignore the hint.  The
-        stateless (memo-free) engine also ignores it, preserving the
-        published full-scan behavior of the from-scratch path.
+        violation exists below it (the descent passes the fronts earlier
+        checks returned); the answer is the same with or without it, so
+        memo entries ignore the hint.
         """
-        if self._memo is None:
-            scenario = self.scenario(vd)
-            violation = scenario.hi_violation(refine=refine)
-            if violation is None:
-                return (None, None)
-            return (violation, scenario.hi_demand_at(violation, refine=refine))
         sig = self._sig_high(vd)
         memo = self._memo
         key = ("hi", sig, refine)
@@ -467,31 +489,30 @@ class DemandEngine:
         banked = memo.get(("hib", sig, refine))
         if banked is not None:
             if banked:
-                value: tuple[int | None, int | None] = (None, None)
+                value = _PASS
             else:
                 tasks = self._hi_tasks(vd)
-                value = _forward_hi_check(
+                value = _hi_answer(
                     tasks,
-                    self._hi_meta(sig, tasks),
-                    refine,
-                    not_before,
-                    len(self._high),
+                    *_forward_hi_check(
+                        tasks,
+                        self._hi_meta(sig, tasks),
+                        refine,
+                        not_before,
+                        len(self._high),
+                    ),
                 )
             memo[key] = ("value", value)
             return value
 
-        def compute() -> tuple[int | None, int | None]:
+        def compute() -> tuple[int | None, int | None, int]:
             # No local HC task means no local mode switch: degraded LC
             # demand never materializes, so the check passes vacuously
             # (mirrors DemandScenario.hi_violation's empty-_hi early out).
             if not self._high:
-                return (None, None)
+                return _PASS
             tasks = self._hi_tasks(vd)
             meta = self._hi_meta(sig, tasks)
-            if _dbf._KERNEL == "forward":
-                return _forward_hi_check(
-                    tasks, meta, refine, not_before, len(self._high)
-                )
             return self._qpa_hi_check(tasks, meta, refine, not_before)
 
         return self._cached(key, compute)
@@ -502,8 +523,9 @@ class DemandEngine:
         meta: tuple,
         refine: bool,
         not_before: int,
-    ) -> tuple[int | None, int | None]:
-        """QPA-kerneled :func:`_forward_hi_check` — identical results.
+    ) -> tuple[int | None, int | None, int]:
+        """:func:`_forward_hi_check` decided by QPA — identical violation
+        and demand, returned with their front (:func:`_hi_answer`).
 
         Three layers, ordered so each call site pays its cheapest decider:
 
@@ -529,22 +551,26 @@ class DemandEngine:
             return (
                 violation,
                 _hi_point_demand(tasks, violation, refine, n_trigger),
+                0,  # no breakpoint lies below the marker
             )
-        # Scalar peek: ~30% of descent violations sit on the very next
+        # Scalar peek: ~90% of descent violations sit on the very next
         # breakpoint past the front — check a couple of points before
-        # sizing the first window.
-        resume = not_before
-        for _ in range(_MICRO_WALK):
-            point = _next_breakpoint(tasks, resume, ramps=True)
-            if point is None or point > horizon:
+        # sizing the first window.  ``below`` tracks the largest
+        # breakpoint below ``point``, so a violation there comes with its
+        # front (:func:`_hi_answer`) at no extra cost.
+        below, point = _adjacent_breakpoints(tasks, not_before)
+        for step in range(_MICRO_WALK):
+            if step:
+                below, point = point, _next_breakpoint(tasks, point + 1, ramps=True)
+            if point > horizon:
                 demand = _hi_point_demand(tasks, horizon, refine, n_trigger)
                 if demand > horizon:
-                    return (horizon, demand)
-                return (None, None)  # every remaining check point covered
+                    return (horizon, demand, 0 if below is None else below + 1)
+                return _PASS  # every remaining check point covered
             demand = _hi_point_demand(tasks, point, refine, n_trigger)
             if demand > point:
-                return (point, demand)
-            resume = point + 1
+                return (point, demand, 0 if below is None else below + 1)
+        resume = point + 1
         # One window of about 64 check points from there: the bulk of the
         # remaining violations land within it.
         demand_at = partial(
@@ -555,14 +581,14 @@ class DemandEngine:
             tasks, resume, horizon, demand_at, ramps=True, stop=stop
         )
         if found is not None:
-            return found
+            return _hi_answer(tasks, *found)
         if stop > horizon:
-            return (None, None)  # the window covered the whole region
+            return _PASS  # the window covered the whole region
         status, bound = self._qpa_decide(tasks, horizon, refine)
         if status == "pass":
-            return (None, None)
+            return _PASS
         found = first_violation(tasks, stop, bound, demand_at, ramps=True)
-        return (None, None) if found is None else found
+        return _PASS if found is None else _hi_answer(tasks, *found)
 
     def _qpa_decide(
         self, tasks: list[_ModeTask], horizon: int, refine: bool
@@ -663,8 +689,6 @@ class DemandEngine:
         :meth:`hi_violation`.
         """
         memo = self._memo
-        if memo is None:
-            return self.hi_violation(vd, refine) is None
         sig = self._sig_high(vd)
         key = ("hi", sig, refine)
         hit = memo.get(key)
@@ -687,8 +711,6 @@ class DemandEngine:
                 return True
             if not refine and not obool:
                 return False
-        if _dbf._KERNEL == "forward":
-            return self.hi_violation(vd, refine) is None
         if not self._high:
             memo[("hib", sig, refine)] = True
             return True
@@ -713,29 +735,15 @@ class DemandEngine:
                 _hi_point_demand, tasks, refine=refine, n_trigger=len(self._high)
             )
             found = first_violation(tasks, 0, bound, demand_at, ramps=True)
-            value = (None, None) if found is None else found
-            memo[key] = ("value", value)
+            memo[key] = ("value", _PASS if found is None else _hi_answer(tasks, *found))
             return found is None
         feasible = status == "pass"
         memo[("hib", sig, refine)] = feasible
         return feasible
 
-    def hi_demand_at(self, vd: dict[int, int], length: int, refine: bool) -> int:
-        """Total HI-mode demand at one interval length."""
-        if self._memo is None:
-            return self.scenario(vd).hi_demand_at(length, refine=refine)
-        return self._cached(
-            ("hid", self._sig_high(vd), length, refine),
-            lambda: _hi_point_demand(
-                self._hi_tasks(vd), length, refine, len(self._high)
-            ),
-        )
-
     def hi_gain(self, task: MCTask, vd_now: int, shrink: int, length: int) -> int:
-        if self._memo is None:
-            return _hi_gain(task, vd_now, shrink, length)
-        # Inlined hi_mode_dbf difference on plain ints (the caller
-        # guarantees an HC task): identical arithmetic, no attribute hops.
+        """:func:`_hi_gain` inlined on plain ints (the caller guarantees an
+        HC task): identical arithmetic, no attribute hops."""
         period, wcet_lo, wcet_hi = task.period, task.wcet_lo, task.wcet_hi
         x_now = length - (task.deadline - vd_now)
         x_new = x_now - shrink
@@ -748,36 +756,6 @@ class DemandEngine:
         else:
             d_new = 0
         return d_now - d_new
-
-    def min_shrink_for_gain(
-        self, task: MCTask, vd_now: int, length: int
-    ) -> int | None:
-        return _min_shrink_for_gain(task, vd_now, length)
-
-    def shrink_to_clear(
-        self, task: MCTask, vd_now: int, length: int, deficit: int
-    ) -> int:
-        if self._memo is None:
-            return _shrink_to_clear(task, vd_now, length, deficit)
-
-        def compute() -> int:
-            # _shrink_to_clear with the closed-form staircase inversion —
-            # same minimal shrink the historical bisection found.
-            max_shrink = vd_now - task.wcet_lo
-            target = min(deficit, self.hi_gain(task, vd_now, max_shrink, length))
-            if target <= 0:
-                return max_shrink
-            return _invert_shrink(task, vd_now, length, target)
-
-        return self._cached(("stc", task.task_id, vd_now, length, deficit), compute)
-
-    def lo_shrink_probe(self, vd: dict[int, int], task: MCTask):
-        """The (immutable, hence shareable) :class:`LoShrinkProbe` for
-        varying ``task``'s deadline with every other task fixed at ``vd``."""
-        return self._cached(
-            ("lsp", task.task_id, self._sig_others(vd, task.task_id)),
-            lambda: self.scenario(vd).lo_shrink_probe(task),
-        )
 
     def _lo_others_entry(
         self, vd: dict[int, int], task: MCTask, sig_o: tuple
@@ -818,14 +796,15 @@ class DemandEngine:
     ) -> LoShrinkProbe:
         """Field-identical :class:`LoShrinkProbe` from cached scaffolding.
 
-        Skips the :class:`DemandScenario` construction the ``("lsp", ...)``
-        path pays: the cached others list and worst-case horizon are the
-        very values the probe's ``__init__`` derives (same fold order, same
-        formulas), so the replica's verdict methods behave identically.
-        When the scaffolding marks the horizon unavailable, the replica is
-        returned always-infeasible *without* entering the ``("lsp")`` memo
-        — the real constructor would have raised there, and the V* caller
-        treats both outcomes as "no feasible shrink".
+        Skips the :class:`DemandScenario` construction
+        :meth:`DemandScenario.lo_shrink_probe` pays: the cached others list
+        and worst-case horizon are the very values the probe's ``__init__``
+        derives (same fold order, same formulas), so the replica's verdict
+        methods behave identically.  When the scaffolding marks the horizon
+        unavailable, the replica is returned always-infeasible *without*
+        entering the ``("lsp", ...)`` memo — the real constructor would
+        have raised there, and the V* caller treats both outcomes as "no
+        feasible shrink".
         """
         memo = self._memo
         key = ("lsp", task.task_id, sig_o)
@@ -914,30 +893,12 @@ class DemandEngine:
         tasks' deadlines) and the answer is ``min(desired, base - V*)``.
         Probes go through :class:`~repro.analysis.dbf.LoShrinkProbe`, which
         precomputes the other tasks' demand once instead of rebuilding the
-        whole scenario per probe; the memoized engine additionally caches
-        ``V*``, which is independent of the task's own current deadline —
+        whole scenario per probe; the engine caches ``V*``, which is
+        independent of the task's own current deadline —
         so every later descent iteration that re-picks this task (with any
         remaining ``base``, against any deficit) costs one lookup.
         """
         base = vd[task.task_id]
-
-        if self._memo is None:
-            # From-scratch behavior: desired-bounded binary search per call.
-            try:
-                probe = self.lo_shrink_probe(vd, task)
-            except HorizonExceeded:
-                return 0
-            if probe.feasible(base - desired):
-                return desired
-            lo, hi = 0, desired - 1
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if probe.feasible(base - mid):
-                    lo = mid
-                else:
-                    hi = mid - 1
-            return lo
-
         # Warm path: most descent iterations ask for a shrink that is
         # plainly LO-feasible.  Prove it cheaply — an O(1) density accept,
         # then the O(n·k) upper-bound screen, both gated behind the
@@ -947,14 +908,13 @@ class DemandEngine:
         # the probed deadline, so the smallest accepted deadline is cached
         # per surrounding assignment and repeated picks cost one lookup.
         sig_o = self._sig_others(vd, task.task_id)
-        if _dbf._KERNEL != "forward":
-            target = base - desired
-            if (
-                target >= task.wcet_lo
-                and self._memo.get(("vmin", task.task_id, sig_o)) is None
-                and self._lo_fast_feasible(vd, task, target, sig_o)
-            ):
-                return desired
+        target = base - desired
+        if (
+            target >= task.wcet_lo
+            and self._memo.get(("vmin", task.task_id, sig_o)) is None
+            and self._lo_fast_feasible(vd, task, target, sig_o)
+        ):
+            return desired
 
         v_min = self.lo_min_deadline(vd, task, sig_o)
         if v_min is None:
@@ -966,25 +926,21 @@ class DemandEngine:
     ) -> int | None:
         """Smallest LO-feasible virtual deadline ``V*`` for ``task``; None
         when even the task's full deadline is infeasible under the probe's
-        verdicts.  On the warm engine it is memoized per surrounding
-        assignment — the scalar descent's :meth:`max_lo_feasible_shrink`,
-        the block planner and the V* floor reject share the entry; the
-        memo-free engine builds the :class:`LoShrinkProbe` from scratch.
+        verdicts.  It is memoized per surrounding assignment — the scalar
+        descent's :meth:`max_lo_feasible_shrink`, the block planner and the
+        V* floor reject share the entry.
 
         Both halves of the probe's verdict invert in closed form
         (:meth:`LoShrinkProbe.min_feasible_deadline`), so the value is the
         minimum a ``feasible(v)`` bisection settles on, without the
         probe evaluations.
         """
-        if sig_o is None and self._memo is not None:
+        if sig_o is None:
             sig_o = self._sig_others(vd, task.task_id)
 
         def compute() -> int | None:
             try:
-                if self._memo is None:
-                    probe = self.lo_shrink_probe(vd, task)
-                else:
-                    probe = self._lo_probe_fast(vd, task, sig_o)
+                probe = self._lo_probe_fast(vd, task, sig_o)
             except HorizonExceeded:
                 return None
             return probe.min_feasible_deadline()
@@ -1018,9 +974,9 @@ def tune_virtual_deadlines(
         Passed through to :class:`DemandScenario`; exceeding it rejects.
     engine:
         Evaluation layer to issue dbf queries through; a fresh
-        :class:`DemandEngine` (from-scratch behavior) when omitted.
-        Callers passing a memo-backed engine (the incremental contexts)
-        get identical outcomes with repeated work deduplicated.
+        :class:`DemandEngine` when omitted.  Callers passing an engine on
+        a shared memo (the incremental contexts) get identical outcomes
+        with repeated work deduplicated.
     """
     outcome = _tune_virtual_deadlines_impl(
         taskset, policy, refine, horizon_cap, engine
@@ -1043,7 +999,7 @@ def _tune_virtual_deadlines_impl(
     if policy not in ("steepest", "ratio"):
         raise ValueError(f"unknown tuning policy {policy!r}")
     if engine is None:
-        engine = _default_engine(taskset, horizon_cap)
+        engine = DemandEngine(taskset, horizon_cap)
 
     high_tasks = list(taskset.high_tasks)
     vd = {t.task_id: t.deadline for t in high_tasks}
@@ -1104,7 +1060,7 @@ def _tune_virtual_deadlines_impl(
                 False, vd, 0, f"HI infeasible at V* floor (l*={violation})"
             )
 
-    if _dbf._KERNEL == "block" and engine._memo is not None:
+    if _dbf._KERNEL == "block":
         return _descend_block(high_tasks, vd, policy, refine, engine)
     return _descend(high_tasks, vd, policy, refine, engine)
 
@@ -1120,15 +1076,14 @@ def run_tuning_stages(
     This is the fallback-chain shape of :class:`~repro.analysis.ecdf.
     ECDFTest` (and, with a single stage, of :class:`~repro.analysis.ey.
     EYTest`): later stages only run when every earlier stage rejected, and
-    the last outcome is returned either way.  When ``engine`` is omitted
-    every stage builds a fresh engine, reproducing the historical
-    from-scratch cost; the incremental contexts pass one memo-backed engine
-    so the stages share all common dbf work.
+    the last outcome is returned either way.  The stages share one engine
+    — a fresh one when ``engine`` is omitted; the incremental contexts pass
+    one on the core's memo — so they share all common dbf work.
     """
     if not stages:
         raise ValueError("at least one tuning stage is required")
     if engine is None:
-        engine = _default_engine(taskset, horizon_cap)
+        engine = DemandEngine(taskset, horizon_cap)
     outcome: TuningOutcome | None = None
     for policy, refine in stages:
         outcome = tune_virtual_deadlines(
@@ -1137,22 +1092,6 @@ def run_tuning_stages(
         if outcome.schedulable:
             break
     return outcome
-
-
-def _default_engine(taskset: TaskSet, horizon_cap: int) -> DemandEngine:
-    """The engine a caller gets when it passes none.
-
-    Under the qpa and block kernels the engine carries a private per-run
-    memo so the whole kernel machinery (warm anchors, witness-level
-    checks, screen caches, V* entries) serves the from-scratch path too —
-    memoization only deduplicates pure queries, so outcomes are identical either way (the
-    property the memo/no-memo differential tests assert).  Under the
-    forward oracle kernel the engine stays memo-free, preserving the
-    historical from-scratch cost profile the benchmarks baseline against.
-    """
-    if _dbf._KERNEL != "forward":
-        return DemandEngine(taskset, horizon_cap, memo={})
-    return DemandEngine(taskset, horizon_cap)
 
 
 def _scaled_deadlines(high_tasks: list[MCTask], x: float) -> dict[int, int]:
@@ -1175,19 +1114,17 @@ def _uniform_scaling_search(
     descent (including on horizon-cap trouble, which the descent handles
     with its own conservative semantics).
 
-    The search never consults the descent policy, so on a memo-backed
-    engine its outcome is cached per refinement flag — the ECDF fallback
-    chain's second stage skips the bisection entirely.
+    The search never consults the descent policy, so its outcome is cached
+    per refinement flag — the ECDF fallback chain's second stage skips the
+    bisection entirely.  The cache lives on the engine, not the
+    cross-probe memo: the outcome depends on the whole candidate, and an
+    engine serves exactly one.
     """
-    if engine._memo is not None:
-        # Cached on the engine, not the cross-probe memo: the outcome
-        # depends on the whole candidate, and an engine serves exactly one.
-        cached = engine._uniform.get(refine)
-        if cached is None:
-            cached = (_uniform_scaling_search_impl(high_tasks, refine, engine),)
-            engine._uniform[refine] = cached
-        return cached[0]
-    return _uniform_scaling_search_impl(high_tasks, refine, engine)
+    cached = engine._uniform.get(refine)
+    if cached is None:
+        cached = (_uniform_scaling_search_impl(high_tasks, refine, engine),)
+        engine._uniform[refine] = cached
+    return cached[0]
 
 
 def _uniform_scaling_search_impl(
@@ -1199,10 +1136,10 @@ def _uniform_scaling_search_impl(
 
     Split into a HI phase (the bisection — a pure function of the HC
     tasks, the refinement flag and, under degraded service, the LC
-    members) and a LO verdict on the winning assignment.  On a memo-backed
-    engine the HI phase is cached across *candidates*: probing different
-    LC tasks onto the same core leaves the HC set unchanged, so only the
-    final LO check differs — the same sharing the per-``(HC, Dv)`` HI memo
+    members) and a LO verdict on the winning assignment.  The HI phase is
+    cached in the memo across *candidates*: probing different LC tasks
+    onto the same core leaves the HC set unchanged, so only the final LO
+    check differs — the same sharing the per-``(HC, Dv)`` HI memo
     entries already exploit, lifted to the whole search.
     """
     best = _uniform_hi_phase(high_tasks, refine, engine)
@@ -1225,13 +1162,11 @@ def _uniform_hi_phase(
     descent, exactly as the historical single-function search did.
     """
     memo = engine._memo
-    key = None
-    if memo is not None:
-        key = ("unib", engine._high_ids, engine._lc_sig, refine)
-        hit = memo.get(key)
-        if hit is not None:
-            best = hit[0]
-            return dict(best) if best is not None else None
+    key = ("unib", engine._high_ids, engine._lc_sig, refine)
+    hit = memo.get(key)
+    if hit is not None:
+        best = hit[0]
+        return dict(best) if best is not None else None
 
     def hi_ok(vd: dict[int, int]) -> bool | None:
         try:
@@ -1240,8 +1175,7 @@ def _uniform_hi_phase(
             return None
 
     def store(best: dict[int, int] | None) -> dict[int, int] | None:
-        if key is not None:
-            memo[key] = (dict(best) if best is not None else None,)
+        memo[key] = (dict(best) if best is not None else None,)
         return best
 
     granularity = 1.0 / (2 * max(t.deadline for t in high_tasks))
@@ -1291,9 +1225,10 @@ def _vstar_floor_violation(
       breakpoints at or below the horizon, so a violation at ``F`` is a
       violation at every assignment that dominates ``F``.
 
-    Refined demand is not monotone under deadline domination (the
-    trigger cut moves with the residual deadlines), so refined stages
-    never take this reject.  None also covers a HI check that overruns
+    Refined demand is non-decreasing in every ``vd_i`` too
+    (:func:`_hi_answer`, lemma (a)), so the reject would be sound for
+    refined stages as well; they do not take it, which keeps their
+    descent work unchanged.  None also covers a HI check that overruns
     the horizon cap: the caller then descends as before.
     """
     floor = {}
@@ -1318,29 +1253,31 @@ def _descend(
     The historical loop re-ran the HI check and re-scored every candidate
     on each iteration, including the *freeze* iterations that only rule a
     task out (its LO-feasible shrink came back 0).  Neither input changes
-    while ``vd`` is fixed: the memoized check returns the identical
-    ``(violation, demand)`` pair and the candidate scores are independent
-    of the frozen set — so the candidates are ranked **once per
-    assignment** and freeze iterations simply advance to the next entry.
+    while ``vd`` is fixed: the memoized check returns the identical answer
+    and the candidate scores are independent of the frozen set — so the
+    candidates are ranked **once per assignment** and freeze iterations
+    simply advance to the next entry.
     Iteration accounting, pick order (the descending ranking's first
     non-frozen entry equals the historical per-iteration argmax: the score
     key embeds ``-task_id``, a total order) and every outcome are
     unchanged; only the redundant re-evaluations are gone.
 
-    On a memo-backed engine the loop starts where the core's cached HI
-    trajectory stops being LO-feasible (:func:`_replay_trajectory`): the
-    iterations before that point are the ones the loop would have spent
-    following the trajectory step for step.
+    The loop starts where the core's cached HI trajectory stops being
+    LO-feasible (:func:`_replay_trajectory`): the iterations before that
+    point are the ones the loop would have spent following the trajectory
+    step for step.
+
+    Each HI check scans from the largest front the earlier checks proved
+    (:func:`_hi_answer`): no integer below it violates, now or after any
+    later shrink, so the scan finds the earliest violation a scan from 0
+    finds — a pure cost hint.
     """
     vd = dict(vd)
-    # Shrinking any Dv only lowers HI demand, so check points below the
-    # last seen violation stay feasible for the rest of the descent — the
-    # scan may resume there (a pure cost hint; see DemandEngine).
     done, front = 0, 0
-    if engine._memo is not None and high_tasks and _lo_cap_clear(engine):
+    if high_tasks and _lo_cap_clear(engine):
         done, front = _replay_trajectory(high_tasks, vd, policy, refine, engine)
     frozen: set[int] = set()
-    current: tuple[int | None, int | None] | None = None
+    current: tuple[int | None, int | None, int] | None = None
     ranked: list[tuple[tuple, MCTask, int]] | None = None
     for iteration in range(done + 1, _MAX_ITERATIONS + 1):
         if current is None:
@@ -1350,10 +1287,10 @@ def _descend(
                 return TuningOutcome(
                     False, vd, iteration, "HI horizon cap exceeded"
                 )
-        violation, demand = current
+        violation, demand, floor = current
         if violation is None:
             return TuningOutcome(True, vd, iteration)
-        front = violation
+        front = max(front, floor)
 
         deficit = demand - violation
         if ranked is None:
@@ -1424,11 +1361,11 @@ def _hi_trajectory(
 
     The descent with every LO check assumed to pass: each step commits
     the top-ranked candidate's full ``desired`` shrink.  Returns ``(steps,
-    end)`` — per step ``(task_id, new Dv, violation, demand)`` with the
-    HI check's answer *before* the step, and the memo-style answer at the
-    last assignment (``("value", (None, None))`` on a pass, ``("value",
-    (violation, demand))`` when no candidate remains, ``("raise", exc)``
-    on a HI horizon overrun, None when the iteration cap cut it short).
+    end)`` — per step ``(task_id, new Dv, violation, demand, front)`` with
+    the HI check's answer *before* the step, and the memo-style answer at
+    the last assignment (``("value", answer)`` on a pass or when no
+    candidate remains, ``("raise", exc)`` on a HI horizon overrun, None
+    when the iteration cap cut it short).
 
     HI demand and the ranking read only the HC tasks, the degraded LC
     members, the starting deadlines and the policy/refinement pair, so the
@@ -1451,21 +1388,17 @@ def _hi_trajectory(
         _ModeTask(t.wcet_hi, t.deadline - vd[t.task_id], t.period, t.wcet_lo)
         for t in engine._high
     ] + engine._lc_hi
-    n_trigger = len(engine._high)
     steps = []
     end = None
     front = 0
     for _ in range(_MAX_ITERATIONS):
         meta = _hi_meta_of(tasks, engine.horizon_cap)
         try:
-            if _dbf._KERNEL == "forward":
-                found = _forward_hi_check(tasks, meta, refine, front, n_trigger)
-            else:
-                found = engine._qpa_hi_check(tasks, meta, refine, front)
+            found = engine._qpa_hi_check(tasks, meta, refine, front)
         except HorizonExceeded as exc:
             end = ("raise", exc)
             break
-        violation, demand = found
+        violation, demand, floor = found
         if violation is None:
             end = ("value", found)
             break
@@ -1481,8 +1414,8 @@ def _hi_trajectory(
         tasks[slot[task.task_id]] = _ModeTask(
             task.wcet_hi, task.deadline - v_new, task.period, task.wcet_lo
         )
-        steps.append((task.task_id, v_new, violation, demand))
-        front = violation
+        steps.append((task.task_id, v_new) + found)
+        front = max(front, floor)
     trajectory = (tuple(steps), end)
     memo[key] = trajectory
     if _obs.active():
@@ -1520,7 +1453,7 @@ def _replay_trajectory(
 
     def feasible_after(count: int) -> bool:
         probe = dict(vd)
-        for task_id, v_new, _, _ in steps[:count]:
+        for task_id, v_new, _, _, _ in steps[:count]:
             probe[task_id] = v_new
         return engine.lo_feasible(probe)
 
@@ -1543,9 +1476,9 @@ def _replay_trajectory(
                     hi = mid - 1
             done = lo
     front = 0
-    for task_id, v_new, violation, _ in steps[:done]:
+    for task_id, v_new, _, _, floor in steps[:done]:
         vd[task_id] = v_new
-        front = violation
+        front = max(front, floor)
     answer = ("value", steps[done][2:]) if done < len(steps) else end
     if answer is not None:
         engine._memo.setdefault(("hi", engine._sig_high(vd), refine), answer)
@@ -1587,16 +1520,15 @@ def _descend_block(
     is not bit-identical to the scalar kernels'; the fig3–fig7
     differential suite pins the *verdicts* to parity.
 
-    Requires the memo-backed engine (the planner reads the ``("vmin",
-    ...)``/``("lofp", ...)`` scaffolding); the dispatch in
-    :func:`_tune_virtual_deadlines_impl` guarantees it.
+    The planner reads the engine's ``("vmin", ...)``/``("lofp", ...)``
+    memo scaffolding.
     """
     vd0 = vd
     vd = dict(vd)
     frozen: set[int] = set()
     front = 0
     jumped = False
-    current: tuple[int | None, int | None] | None = None
+    current: tuple[int | None, int | None, int] | None = None
     ranked: list[tuple[tuple, MCTask, int]] | None = None
 
     def fallback(outcome: TuningOutcome) -> TuningOutcome:
@@ -1616,10 +1548,10 @@ def _descend_block(
                 return fallback(
                     TuningOutcome(False, vd, iteration, "HI horizon cap exceeded")
                 )
-        violation, demand = current
+        violation, demand, floor = current
         if violation is None:
             return TuningOutcome(True, vd, iteration)
-        front = violation
+        front = max(front, floor)
 
         deficit = demand - violation
         if ranked is None:

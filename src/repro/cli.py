@@ -178,9 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "demand-kernel stack for the dbf analyses (default: "
-            "REPRO_DBF_KERNEL, else qpa); exported to workers; forward "
-            "and qpa give identical results, block is sound but may "
-            "accept more — see README"
+            "REPRO_DBF_KERNEL, else qpa); exported to workers; block "
+            "is sound but may accept more than qpa — see README"
         ),
     )
     figure.add_argument(
@@ -279,9 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "demand-kernel stack for the dbf analyses (default: "
-            "REPRO_DBF_KERNEL, else qpa); exported to workers; forward "
-            "and qpa give identical results, block is sound but may "
-            "accept more — see README"
+            "REPRO_DBF_KERNEL, else qpa); exported to workers; block "
+            "is sound but may accept more than qpa — see README"
         ),
     )
     campaign.add_argument(
@@ -375,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "demand-kernel stack for the dbf analyses (default: "
-            "REPRO_DBF_KERNEL, else qpa); forward and qpa give identical "
-            "results, block is sound but may accept more"
+            "REPRO_DBF_KERNEL, else qpa); block is sound but may accept "
+            "more than qpa"
         ),
     )
     trace.add_argument(

@@ -7,13 +7,13 @@ Two knobs control experiment scale everywhere (figures, benchmarks, CI):
 
 One more selects the demand kernel of :mod:`repro.analysis.dbf`:
 
-* ``REPRO_DBF_KERNEL`` — one of :data:`DBF_KERNELS`: ``forward``,
-  ``qpa`` (default) or ``block``, the demand-kernel stack used for
-  violation searches and shrink descents.  ``forward``/``qpa`` are
-  bit-identical down to the descent *trajectory*; ``block`` commits
-  multi-task shrinks in one step and is sound only: every set it
-  accepts is schedulable, but it can accept sets the other two reject
-  (see :func:`repro.analysis.dbf.set_demand_kernel`).  The resolution order
+* ``REPRO_DBF_KERNEL`` — one of :data:`DBF_KERNELS`: ``qpa`` (default)
+  or ``block``, the demand-kernel stack used for shrink descents.
+  ``block`` commits multi-task shrinks in one step and is sound only:
+  every set it accepts is schedulable, but it can accept sets ``qpa``
+  rejects (see :func:`repro.analysis.dbf.set_demand_kernel`).  The
+  in-order breakpoint walk is not a kernel value: it is the tests'
+  oracle for ``qpa``.  The resolution order
   is instance (``set_demand_kernel``) > CLI (``--demand-kernel``) >
   this knob > default.
 
@@ -79,9 +79,9 @@ __all__ = [
 OBS_MODES = ("off", "metrics", "trace")
 
 #: Valid demand kernels, in increasing machinery order — the one list the
-#: analysis, the env knob and the CLI all read.  ``forward`` and ``qpa``
-#: are trajectory-identical; ``block`` is sound only (it may accept more).
-DBF_KERNELS = ("forward", "qpa", "block")
+#: analysis, the env knob and the CLI all read.  ``block`` is sound only
+#: (it may accept more than ``qpa``).
+DBF_KERNELS = ("qpa", "block")
 
 #: Valid executor backends, in increasing machinery order ("" = auto) —
 #: the one list the runner, the env knob and the CLI all read.

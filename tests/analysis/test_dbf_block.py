@@ -1,6 +1,6 @@
 """Differential suite for the block demand kernel.
 
-The block kernel relaxes the trajectory contract of forward/qpa:
+The block kernel relaxes the trajectory contract of qpa:
 instead of one exact HI probe per single-task shrink,
 :func:`plan_block` walks the ranked candidates against a virtual copy of
 the assignment and commits the whole block of boundary jumps under a
@@ -8,7 +8,8 @@ single probe.  Its contract is *sound only*: every set it accepts is
 schedulable (LO and HI demand checks pass at the committed virtual
 deadlines), but it may accept a set the scalar descent rejects
 (:data:`BLOCK_ONLY_ACCEPT` is one).  What this suite pins is that
-contract, the forward/qpa verdict identity, that every committed jump
+contract, the verdict identity of qpa and the forward-walk oracle
+(:func:`tests.conftest.forward_oracle`), that every committed jump
 lands at or above the scalar kernel's V* boundary, and that every
 committed joint assignment is LO-feasible outright.
 """
@@ -42,8 +43,10 @@ from repro.experiments.figures import figure_plan
 from repro.model import Criticality, MCTask, TaskSet
 from repro.sim.validate import validate_against_simulation
 from repro.util.env import DBF_KERNELS
+from tests.conftest import forward_oracle
 
-KERNELS = ("forward", "qpa", "block")
+#: The forward-walk oracle, then both kernels.
+KERNELS = ("forward",) + DBF_KERNELS
 
 SERVICES = ("full-drop", "imprecise:0.5", "elastic:1.5")
 
@@ -55,7 +58,7 @@ CHAINS = (
 
 #: Two HC tasks (T, C_L, C_H, D) = (33, 13, 22, 33), (11, 2, 3, 8) under
 #: drop semantics: the scalar EY descent rejects it ("no shrinkable task
-#: at l*=29"), while a memo-backed block descent accepts it.
+#: at l*=29"), while the block descent accepts it.
 BLOCK_ONLY_ACCEPT = TaskSet(
     [
         MCTask(period=33, criticality=Criticality.HC, wcet_lo=13, wcet_hi=22,
@@ -67,6 +70,11 @@ BLOCK_ONLY_ACCEPT = TaskSet(
 
 
 def run_with_kernel(kernel, fn):
+    """``fn()`` under a demand kernel, or under the in-order walk
+    (:func:`tests.conftest.forward_oracle`) for ``"forward"``."""
+    if kernel == "forward":
+        with forward_oracle():
+            return fn()
     previous = set_demand_kernel(kernel)
     try:
         return fn()
@@ -156,8 +164,8 @@ class TestVerdictEquivalence:
     @settings(max_examples=100, deadline=None)
     def test_scenario_checks_identical(self, ts, service, data):
         """Block keeps QPA's decision procedure, so LO and HI verdicts
-        and earliest-violation witnesses agree across all three kernels,
-        with refinement on and off."""
+        and earliest-violation witnesses agree across both kernels and
+        the forward-walk oracle, with refinement on and off."""
         tagged = attach(ts, service)
         vd = {
             t.task_id: data.draw(
@@ -187,8 +195,8 @@ class TestVerdictEquivalence:
     @example(BLOCK_ONLY_ACCEPT, "full-drop")
     @settings(max_examples=60, deadline=None)
     def test_tuning_verdicts_identical(self, ts, service):
-        """run_tuning_stages gives forward and qpa the same verdict, fresh
-        and memo-backed engines, both stage chains; every block accept is
+        """run_tuning_stages gives qpa and the forward-walk oracle the
+        same verdict on both stage chains; every block accept is
         schedulable at its committed virtual deadlines.
 
         Unlike the qpa suite this deliberately does NOT compare iteration
@@ -201,17 +209,15 @@ class TestVerdictEquivalence:
             verdicts = []
             block_outcomes = []
             for kernel in KERNELS:
-                for memo in (None, {}):
-                    def run():
-                        engine = DemandEngine(tagged, 100_000, memo=memo)
-                        return run_tuning_stages(
-                            tagged, stages, 100_000, engine=engine
-                        )
-                    outcome = run_with_kernel(kernel, run)
-                    if kernel == "block":
-                        block_outcomes.append(outcome)
-                    else:
-                        verdicts.append(outcome.schedulable)
+                def run():
+                    engine = DemandEngine(tagged, 100_000)
+                    return run_tuning_stages(tagged, stages, 100_000, engine=engine)
+
+                outcome = run_with_kernel(kernel, run)
+                if kernel == "block":
+                    block_outcomes.append(outcome)
+                else:
+                    verdicts.append(outcome.schedulable)
             assert len(set(verdicts)) == 1
             for outcome in block_outcomes:
                 if outcome.schedulable:
@@ -219,28 +225,26 @@ class TestVerdictEquivalence:
 
 
 class TestBlockSoundOnly:
-    """Block may accept what forward/qpa reject, and such an accept is
-    still schedulable at the virtual deadlines it commits."""
+    """Block may accept what qpa rejects, and such an accept is still
+    schedulable at the virtual deadlines it commits."""
 
     STAGES = (("steepest", False),)
 
-    def tune(self, kernel, memo):
+    def tune(self, kernel):
         def run():
-            engine = DemandEngine(BLOCK_ONLY_ACCEPT, 100_000, memo=memo)
+            engine = DemandEngine(BLOCK_ONLY_ACCEPT, 100_000)
             return run_tuning_stages(
                 BLOCK_ONLY_ACCEPT, self.STAGES, 100_000, engine=engine
             )
         return run_with_kernel(kernel, run)
 
-    @pytest.mark.parametrize("kernel", ["forward", "qpa"])
-    @pytest.mark.parametrize("memo", [None, {}], ids=["fresh", "memo"])
-    def test_scalar_descent_rejects(self, kernel, memo):
-        outcome = self.tune(kernel, memo)
+    def test_scalar_descent_rejects(self):
+        outcome = self.tune("qpa")
         assert not outcome.schedulable
         assert "no shrinkable task at l*=29" in outcome.detail
 
     def test_block_accepts_schedulable_deadlines(self):
-        outcome = self.tune("block", {})
+        outcome = self.tune("block")
         assert outcome.schedulable
         assert DemandScenario(
             BLOCK_ONLY_ACCEPT, outcome.virtual_deadlines
@@ -292,8 +296,8 @@ class TestPlanBlockSoundness:
         boundary at the pre-jump assignment, and the joint post-jump
         assignment is LO-feasible outright.
 
-        The oracle is deliberately independent machinery: the memo-free
-        engine's ``max_lo_feasible_shrink``, a ``feasible(v)`` bisection
+        The oracle is deliberately independent machinery: a
+        ``feasible(v)`` bisection over the scenario's LoShrinkProbe
         instead of the closed-form V* the block planner uses.
         """
         tagged = attach(ts, service)
@@ -306,7 +310,7 @@ class TestPlanBlockSoundness:
         def plan():
             engine = DemandEngine(tagged, 100_000, memo={})
             try:
-                violation, demand = engine.hi_check(vd, refine)
+                violation, demand, _ = engine.hi_check(vd, refine)
             except HorizonExceeded:
                 return None
             if violation is None:
@@ -321,14 +325,24 @@ class TestPlanBlockSoundness:
             return
 
         def oracle_floors():
-            oracle = DemandEngine(tagged, 100_000)
+            scenario = DemandScenario(tagged, vd)
             floors = {}
             for tid in commits:
                 task = by_id[tid]
-                full = vd[tid] - task.wcet_lo
-                shrink = oracle.max_lo_feasible_shrink(vd, task, full)
+                try:
+                    probe = scenario.lo_shrink_probe(task)
+                except HorizonExceeded:
+                    floors[tid] = None
+                    continue
+                lo, hi = 0, vd[tid] - task.wcet_lo
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    if probe.feasible(vd[tid] - mid):
+                        lo = mid
+                    else:
+                        hi = mid - 1
                 # A zero shrink leaves V* unresolved between D and "never".
-                floors[tid] = vd[tid] - shrink if shrink else None
+                floors[tid] = vd[tid] - lo if lo else None
             return floors
 
         floors = run_with_kernel("qpa", oracle_floors)
@@ -403,9 +417,9 @@ class TestBlockCounters:
 @pytest.mark.slow
 class TestFigureVerdictParity:
     """fig3–fig7 at miniature scale: the full figure outputs — acceptance
-    ratios, sample counts and WAR tables — must be identical under all
-    three kernels at this scale (block is sound only, so this is observed
-    parity, not its contract)."""
+    ratios, sample counts and WAR tables — must be identical under both
+    kernels and the forward-walk oracle at this scale (block is sound
+    only, so its parity is observed, not its contract)."""
 
     @pytest.mark.parametrize(
         "name,kwargs",

@@ -58,18 +58,45 @@ def test_hi_mode_dbf_nonnegative_and_bounded(pair, length):
     assert value <= raw + task.wcet_hi  # crude envelope
 
 
-@given(hc_with_vd())
+@st.composite
+def lc_task(draw):
+    period = draw(st.integers(min_value=5, max_value=60))
+    wcet = draw(st.integers(min_value=1, max_value=max(1, period // 2)))
+    deadline = draw(st.integers(min_value=wcet, max_value=period))
+    return MCTask(
+        period=period,
+        criticality=Criticality.LC,
+        wcet_lo=wcet,
+        wcet_hi=wcet,
+        deadline=deadline,
+    )
+
+
+@given(
+    st.lists(hc_with_vd(), min_size=1, max_size=4),
+    st.lists(lc_task(), max_size=2),
+    st.sampled_from(["full-drop", "imprecise:0.5", "elastic:1.5"]),
+    st.data(),
+)
 @settings(max_examples=60)
-def test_shrinking_vd_never_helps_lo_never_hurts_hi(pair):
-    task, vd = pair
-    if vd <= task.wcet_lo:
+def test_shrinking_vd_never_helps_lo_never_hurts_hi(pairs, lcs, service, data):
+    """Shrinking any one virtual deadline by one never lowers LO demand
+    and never raises HI demand at any length, refined or not, with
+    degraded LC entries in HI mode: lemma (a) behind the descent's scan
+    front (:func:`repro.analysis.vdtuning._hi_answer`)."""
+    ts = TaskSet([task for task, _ in pairs] + lcs, service_model=service)
+    vd = {task.task_id: v for task, v in pairs}
+    task, v = data.draw(st.sampled_from(pairs))
+    if v <= task.wcet_lo:
         return
-    ts = TaskSet([task])
-    for length in range(0, 3 * task.period, 7):
-        loose = DemandScenario(ts, {task.task_id: vd})
-        tight = DemandScenario(ts, {task.task_id: vd - 1})
+    loose = DemandScenario(ts, vd)
+    tight = DemandScenario(ts, {**vd, task.task_id: v - 1})
+    for length in range(0, 3 * max(t.period for t in ts)):
         assert tight.lo_demand_at(length) >= loose.lo_demand_at(length)
-        assert tight.hi_demand_at(length) <= loose.hi_demand_at(length)
+        for refine in (False, True):
+            assert tight.hi_demand_at(length, refine) <= loose.hi_demand_at(
+                length, refine
+            ), (length, refine)
 
 
 @given(st.lists(hc_with_vd(), min_size=1, max_size=4))

@@ -6,23 +6,25 @@ violation point and tuning outcome must equal the forward breakpoint
 oracle's.  These tests assert that equivalence — across random task sets,
 service models, refinement on/off, scenario- and engine-level entry points
 — plus the closed-form shrink inversion and the closed-form V* against
-the historical bisections.  The forward walk itself (``first_violation``)
-is anchored to a whole-array reference scan: ``_breakpoints`` with
-``_lo_demand`` / :func:`reference_hi_demand`, including when an aborted
-QPA search bounds the walk by its last iterate.
+the historical bisections.  ``"forward"`` names the walk as an oracle
+(:func:`tests.conftest.forward_oracle`), not a kernel.  The forward walk
+itself (``first_violation``) is anchored to a whole-array reference scan:
+``_breakpoints`` with ``_lo_demand`` / :func:`reference_hi_demand`,
+including when an aborted QPA search bounds the walk by its last iterate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.analysis import dbf
+from repro.analysis import dbf, vdtuning
 from repro.analysis.dbf import (
     DemandScenario,
     LoShrinkProbe,
     _ModeTask,
+    _adjacent_breakpoints,
     _hi_point_demand,
     _lo_point_demand,
     _next_breakpoint,
@@ -46,6 +48,7 @@ from repro.analysis.vdtuning import (
 from repro.degradation.service import parse_service_model
 from repro.model import Criticality, MCTask, TaskSet
 from repro.util.env import DBF_KERNELS
+from tests.conftest import forward_oracle, oracle_descent
 
 
 @pytest.fixture
@@ -56,6 +59,11 @@ def qpa_kernel():
 
 
 def run_with_kernel(kernel, fn):
+    """``fn()`` under a demand kernel, or under the in-order walk
+    (:func:`tests.conftest.forward_oracle`) for ``"forward"``."""
+    if kernel == "forward":
+        with forward_oracle():
+            return fn()
     previous = set_demand_kernel(kernel)
     try:
         return fn()
@@ -99,6 +107,22 @@ def mc_taskset(draw, implicit=None):
             )
         )
     return TaskSet(tasks)
+
+
+def hc_set(rows):
+    """A task set of HC tasks from ``(T, C_L, C_H, D)`` rows."""
+    return TaskSet(
+        [
+            MCTask(
+                period=period,
+                criticality=Criticality.HC,
+                wcet_lo=wcet_lo,
+                wcet_hi=wcet_hi,
+                deadline=deadline,
+            )
+            for period, wcet_lo, wcet_hi, deadline in rows
+        ]
+    )
 
 
 @st.composite
@@ -292,6 +316,12 @@ class TestQPASearch:
             )
             prev = _prev_breakpoint(tasks, nxt + 1, ramps=False)
             assert prev == nxt
+        # The fused HI-mode pair the descent's scan peek takes its front from.
+        hi_tasks = scenario._hi + scenario._hi_lc
+        assert _adjacent_breakpoints(hi_tasks, point) == (
+            _prev_breakpoint(hi_tasks, point, ramps=True),
+            _next_breakpoint(hi_tasks, point, ramps=True),
+        )
 
     @given(scenario_inputs())
     @settings(max_examples=100, deadline=None)
@@ -364,33 +394,40 @@ class TestKernelEquivalence:
         )
 
     @given(mc_taskset(), st.sampled_from(["full-drop", "imprecise:0.5", "elastic:1.5"]))
+    # A scan front set to the last violation skipped an earlier one on
+    # these two (steepest + refine and steepest unrefined).
+    @example(
+        ts=hc_set([(43, 13, 19, 35), (85, 19, 19, 63), (40, 8, 8, 36)]),
+        service="full-drop",
+    )
+    @example(
+        ts=hc_set([(140, 23, 37, 89), (168, 4, 11, 103), (100, 21, 32, 70)]),
+        service="full-drop",
+    )
     @settings(max_examples=60, deadline=None)
     def test_tuning_outcomes_identical(self, ts, service):
         """run_tuning_stages returns the identical TuningOutcome —
-        including the iteration count, i.e. the descent trajectory — under
-        both kernels, for EY and ECDF chains, fresh and memo-backed
-        engines alike."""
+        including the iteration count, i.e. the descent trajectory — for
+        EY, ECDF and steepest + refine chains on the memo-backed engine,
+        under qpa and under the forward-walk oracle, as on a fresh side
+        whose descent takes every HI answer from an independent full scan
+        from 0 (:func:`tests.conftest.oracle_descent`)."""
         tagged = attach(ts, service)
         chains = (
             (("steepest", False),),
+            (("steepest", True),),
             (("ratio", True), ("steepest", True), ("steepest", False)),
         )
         for stages in chains:
-            outcomes = []
-            for kernel in ("forward", "qpa"):
-                for memo in (None, {}):
-                    def run():
-                        engine = DemandEngine(tagged, 100_000, memo=memo)
-                        return run_tuning_stages(
-                            tagged, stages, 100_000, engine=engine
-                        )
-                    outcomes.append(run_with_kernel(kernel, run))
-            first = outcomes[0]
-            for other in outcomes[1:]:
-                assert other.schedulable == first.schedulable
-                assert other.virtual_deadlines == first.virtual_deadlines
-                assert other.detail == first.detail
-                assert other.iterations == first.iterations
+            def run():
+                engine = DemandEngine(tagged, 100_000, memo={})
+                return run_tuning_stages(tagged, stages, 100_000, engine=engine)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(vdtuning, "_descend", oracle_descent)
+                fresh = run_with_kernel("qpa", run)
+            assert run_with_kernel("qpa", run) == fresh
+            assert run_with_kernel("forward", run) == fresh
 
     @pytest.mark.parametrize(
         "params, service",
@@ -424,8 +461,8 @@ class TestKernelEquivalence:
     def test_floor_reject_identical(self, params, service):
         """Pinned V* floor rejects: the unrefined stage of both chains
         stops at the floor with the identical outcome (detail, iteration
-        count, virtual deadlines) under every kernel, fresh and
-        memo-backed engines alike."""
+        count, virtual deadlines) under every kernel and under the
+        forward-walk oracle."""
         tagged = attach(
             TaskSet(
                 [
@@ -446,15 +483,14 @@ class TestKernelEquivalence:
             (("ratio", True), ("steepest", True), ("steepest", False)),
         )
         for stages in chains:
-            outcomes = []
-            for kernel in DBF_KERNELS:
-                for memo in (None, {}):
-                    def run():
-                        engine = DemandEngine(tagged, 100_000, memo=memo)
-                        return run_tuning_stages(
-                            tagged, stages, 100_000, engine=engine
-                        )
-                    outcomes.append(run_with_kernel(kernel, run))
+            def run():
+                return run_tuning_stages(
+                    tagged, stages, 100_000, engine=DemandEngine(tagged, 100_000)
+                )
+
+            outcomes = [
+                run_with_kernel(kernel, run) for kernel in ("forward",) + DBF_KERNELS
+            ]
             first = outcomes[0]
             assert not first.schedulable
             assert first.detail.startswith("HI infeasible at V* floor (l*=")
@@ -508,7 +544,7 @@ class TestKernelEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_engine_lo_feasible_matches_scenario(self, kernel, inputs):
         """``DemandEngine.lo_feasible`` is the scenario's LO verdict, on
-        memo-free engines and on one memo shared across probes.
+        a fresh memo and on one memo shared across probes.
 
         Each prefix of the set is probed the way a core's analysis context
         probes it — the committed tasks plus one candidate, on a memo
@@ -534,7 +570,7 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("kernel", DBF_KERNELS)
     def test_engine_lo_feasible_horizon_cap_is_false(self, kernel):
-        """A LO horizon past the cap counts as infeasible, memo or not."""
+        """A LO horizon past the cap counts as infeasible."""
         ts = TaskSet(
             [
                 MCTask(period=50, criticality=Criticality.HC, wcet_lo=10,
@@ -546,11 +582,8 @@ class TestKernelEquivalence:
         full = {ts[0].task_id: 30}
         with pytest.raises(dbf.HorizonExceeded):
             DemandScenario(ts, full, horizon_cap=10).lo_violation()
-        for memo in (None, {}):
-            engine = DemandEngine(ts, 10, memo=memo)
-            assert run_with_kernel(
-                kernel, lambda: engine.lo_feasible(full)
-            ) is False
+        engine = DemandEngine(ts, 10)
+        assert run_with_kernel(kernel, lambda: engine.lo_feasible(full)) is False
         assert DemandEngine(ts, 100_000).lo_feasible(full)
 
 
@@ -684,10 +717,11 @@ class TestVstarOwn:
     def test_warm_shrink_equals_bisection_under_every_kernel(
         self, kernel, ts, service, data
     ):
-        """Under every kernel the memo-backed max_lo_feasible_shrink —
-        accept screens first, closed-form V* behind them, cached across
-        repeated asks — returns the memo-free bisection's shrink, and so
-        does the shrink implied by lo_min_deadline's closed-form V*."""
+        """Under every kernel max_lo_feasible_shrink — accept screens
+        first, closed-form V* behind them, cached across repeated asks —
+        returns the shrink a desired-bounded bisection over the scenario's
+        LoShrinkProbe finds, and so does the shrink implied by
+        lo_min_deadline's closed-form V*."""
         tagged = attach(ts, service)
         high = [t for t in tagged if t.is_high]
         if not high:
@@ -704,8 +738,28 @@ class TestVstarOwn:
             if vd[task.task_id] > task.wcet_lo
         ]
 
-        def shrinks(memo):
-            engine = DemandEngine(tagged, 100_000, memo=memo)
+        def bisection():
+            scenario = DemandScenario(tagged, vd, horizon_cap=100_000)
+            out = []
+            for task, desired in asks:
+                base = vd[task.task_id]
+                try:
+                    probe = scenario.lo_shrink_probe(task)
+                except dbf.HorizonExceeded:
+                    out.append(0)
+                    continue
+                lo, hi = 0, desired
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    if probe.feasible(base - mid):
+                        lo = mid
+                    else:
+                        hi = mid - 1
+                out.append(lo)
+            return out * 2
+
+        def shrinks():
+            engine = DemandEngine(tagged, 100_000)
             # Ask twice so the second round answers from the warm cache.
             return [
                 engine.max_lo_feasible_shrink(vd, task, desired)
@@ -722,14 +776,14 @@ class TestVstarOwn:
                 out.append(min(desired, max(0, slack)))
             return out * 2
 
-        expected = run_with_kernel("forward", lambda: shrinks(None))
-        assert run_with_kernel(kernel, lambda: shrinks({})) == expected
+        expected = bisection()
+        assert run_with_kernel(kernel, shrinks) == expected
         assert run_with_kernel(kernel, implied) == expected
 
     @pytest.mark.parametrize("kernel", DBF_KERNELS)
     def test_wcet_above_period_never_shrinks_via_engine(self, kernel):
-        """A C_L > T task overloads LO mode on its own, so both engines
-        report no feasible deadline before any V* inversion runs."""
+        """A C_L > T task overloads LO mode on its own, so the engine
+        reports no feasible deadline before any V* inversion runs."""
         task = MCTask(
             period=5,
             criticality=Criticality.HC,
@@ -748,15 +802,13 @@ class TestVstarOwn:
         vd = {task.task_id: task.deadline}
 
         def query():
-            warm = DemandEngine(ts, 100_000, memo={})
-            cold = DemandEngine(ts, 100_000)
+            engine = DemandEngine(ts, 100_000)
             return (
-                warm.lo_min_deadline(vd, task),
-                warm.max_lo_feasible_shrink(vd, task, 2),
-                cold.max_lo_feasible_shrink(vd, task, 2),
+                engine.lo_min_deadline(vd, task),
+                engine.max_lo_feasible_shrink(vd, task, 2),
             )
 
-        assert run_with_kernel(kernel, query) == (None, 0, 0)
+        assert run_with_kernel(kernel, query) == (None, 0)
 
 
 # -- kernel switch / counters -------------------------------------------------
@@ -777,15 +829,16 @@ class TestKernelControls:
         assert demand_kernel() == before
 
     @pytest.mark.parametrize(
-        "name", ["sideways", "vec", "VEC", "", "qpa ", "Forward"]
+        "name", ["sideways", "vec", "VEC", "", "qpa ", "Forward", "forward"]
     )
     def test_unknown_kernel_rejected(self, name):
-        """Unknown names, the retired ``vec`` among them, are refused with
-        the list of valid kernels: no case folding, no trimming, no empty
-        fallback, and the active kernel stays as it was."""
+        """Unknown names, the retired ``vec`` and ``forward`` among them,
+        are refused with the list of valid kernels: no case folding, no
+        trimming, no empty fallback, and the active kernel stays as it
+        was."""
         before = demand_kernel()
         with pytest.raises(
-            ValueError, match="unknown demand kernel .*forward\\|qpa\\|block"
+            ValueError, match="unknown demand kernel .*; choose from qpa\\|block$"
         ):
             set_demand_kernel(name)
         assert demand_kernel() == before
@@ -1032,7 +1085,7 @@ class TestAbortBound:
             return (state, float("inf"))
 
         def check():
-            return DemandEngine(ts, 100_000, memo={}).hi_check(vd, refine)
+            return DemandEngine(ts, 100_000).hi_check(vd, refine)[:2]
 
         assert run_with_kernel("forward", check) == expected
         with pytest.MonkeyPatch.context() as patch:

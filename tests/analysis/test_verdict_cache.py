@@ -6,7 +6,7 @@ tests pin what the removal guarantees even when the retired
 ``REPRO_VERDICT_CACHE*`` knobs are still set in the environment:
 
 * the knobs switch nothing on and no longer raise on any value;
-* a ``block`` accept is never served to a later ``forward``/``qpa`` run
+* a ``block`` accept is never served to a later ``qpa`` run
   (the old cache key left out the demand kernel, and ``block`` is sound
   only, so it accepts sets the scalar descent rejects);
 * a repeated descent or partition pays its probes again.
@@ -48,10 +48,10 @@ TS = TaskSet([
            deadline=8),
 ])
 
-def tune(kernel, memo):
+def tune(kernel):
     previous = set_demand_kernel(kernel)
     try:
-        engine = DemandEngine(TS, 100_000, memo=memo)
+        engine = DemandEngine(TS, 100_000)
         outcome = run_tuning_stages(
             TS, (("steepest", False),), 100_000, engine=engine
         )
@@ -114,15 +114,11 @@ class TestStub:
 
 
 class TestNoCrossKernelVerdict:
-    @pytest.mark.parametrize("scalar", ["forward", "qpa"])
-    @pytest.mark.parametrize("memo", ["None", "{}"], ids=["fresh", "memo"])
-    def test_block_accept_not_served_to_scalar_kernel(
-        self, cache_dir, scalar, memo
-    ):
+    def test_block_accept_not_served_to_scalar_kernel(self, cache_dir):
         block, rejected = in_fresh_process(
             cache_dir,
-            f"""
-            print(json.dumps([tune("block", {{}}), tune({scalar!r}, {memo})]))
+            """
+            print(json.dumps([tune("block"), tune("qpa")]))
             """,
         )
         assert block[0] is True
@@ -139,7 +135,7 @@ class TestRepeatRunsRecompute:
             obs.set_recorder(obs.MetricsRecorder(obs.REGISTRY))
             runs = []
             for _ in range(2):
-                outcome = tune("qpa", None)
+                outcome = tune("qpa")
                 total = obs.REGISTRY.histogram("descent.iterations").total
                 runs.append([outcome, total])
             print(json.dumps(runs))

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
+from repro.analysis import dbf, vdtuning
+from repro.analysis.dbf import DemandScenario, HorizonExceeded
+from repro.analysis.vdtuning import TuningOutcome, _rank_candidates
 from repro.experiments.acceptance import clear_samples
 from repro.model import Criticality, MCTask, TaskSet
 
@@ -72,3 +77,74 @@ def heavy_taskset() -> TaskSet:
             lc_task(100, 30, name="l1"),
         ]
     )
+
+
+@contextmanager
+def forward_oracle():
+    """Decide every demand check by the in-order breakpoint walk.
+
+    Every QPA search aborts before its first iteration, so each caller
+    falls back to :func:`repro.analysis.dbf.first_violation` over its
+    whole range, and the upper-bound accept screens settle nothing: the
+    oracle the ``qpa`` kernel must match answer for answer.  The scalar
+    ``qpa`` descent runs on top of it.
+    """
+    def never(*args, **kwargs):
+        return False
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dbf, "_QPA_ITER_CAP", 0)
+        patch.setattr(dbf, "approx_accepts", never)
+        patch.setattr(vdtuning, "approx_accepts", never)
+        previous = dbf.set_demand_kernel("qpa")
+        try:
+            yield
+        finally:
+            dbf.set_demand_kernel(previous)
+
+
+def scan_hi_check(taskset, vd, refine, horizon_cap):
+    """Earliest HI violation and the demand there, by a full scan from 0
+    on a fresh :class:`DemandScenario`: no memo and no scan hint."""
+    scenario = DemandScenario(taskset, vd, horizon_cap=horizon_cap)
+    violation = scenario.hi_violation(refine=refine)
+    if violation is None:
+        return None, None
+    return violation, scenario.hi_demand_at(violation, refine=refine)
+
+
+def oracle_descent(high_tasks, vd, policy, refine, engine):
+    """The shrink descent as a plain step loop: per iteration one full HI
+    scan (:func:`scan_hi_check`), a fresh ranking and one LO probe, with
+    no trajectory replay and no scan front."""
+    vd = dict(vd)
+    frozen: set[int] = set()
+    for iteration in range(1, vdtuning._MAX_ITERATIONS + 1):
+        try:
+            violation, demand = scan_hi_check(
+                engine.taskset, vd, refine, engine.horizon_cap
+            )
+        except HorizonExceeded:
+            return TuningOutcome(False, vd, iteration, "HI horizon cap exceeded")
+        if violation is None:
+            return TuningOutcome(True, vd, iteration)
+        ranked = _rank_candidates(
+            high_tasks, vd, violation, demand - violation, policy, engine
+        )
+        candidate = next(
+            ((task, desired) for _, task, desired in ranked
+             if task.task_id not in frozen),
+            None,
+        )
+        if candidate is None:
+            return TuningOutcome(
+                False, vd, iteration, f"no shrinkable task at l*={violation}"
+            )
+        task, desired = candidate
+        shrink = engine.max_lo_feasible_shrink(vd, task, desired)
+        if shrink == 0 or engine.hi_gain(task, vd[task.task_id], shrink, violation) <= 0:
+            frozen.add(task.task_id)
+            continue
+        vd[task.task_id] -= shrink
+        frozen.clear()
+    return TuningOutcome(False, vd, vdtuning._MAX_ITERATIONS, "iteration cap reached")

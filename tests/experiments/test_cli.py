@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.dbf import set_demand_kernel
 from repro.cli import build_parser, main
+from repro.experiments.acceptance import clear_samples
 from repro.util.env import DBF_KERNELS, RUNNER_BACKENDS
+from tests.conftest import forward_oracle
 
 
 @pytest.fixture
@@ -115,6 +118,27 @@ DATA = Path(__file__).parent / "data"
 
 
 class TestFigure:
+    @pytest.mark.parametrize("name", ["fig4", "fig7b"])
+    def test_qpa_equals_forward_oracle(self, name, capsys, tmp_path, monkeypatch):
+        """The result file under qpa equals, byte for byte, the one computed
+        with the in-order walk in place of the QPA decider and the accept
+        screens (fig7b's elastic service puts degraded LC rows in HI mode,
+        where the walk's trigger restriction matters)."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["figure", name, "--samples", "2", "--m", "2", "-o"]
+        previous = set_demand_kernel("qpa")
+        try:
+            assert main([*argv, str(tmp_path / "qpa.json")]) == 0
+        finally:
+            set_demand_kernel(previous)
+        clear_samples()
+        with forward_oracle():
+            assert main([*argv, str(tmp_path / "forward.json")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "qpa.json").read_bytes() == (
+            tmp_path / "forward.json"
+        ).read_bytes()
+
     def test_fig6b_recorded_output(self, capsys, tmp_path, monkeypatch):
         """Constrained deadlines across the PH extremes, where whole buckets
         cannot be filled: the result file equals the recorded one byte for
@@ -298,17 +322,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig9"])
 
+    @pytest.mark.parametrize("retired", ["vec", "forward"])
     @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
-    def test_retired_vec_kernel_rejected(self, command, capsys):
+    def test_retired_kernel_rejected(self, command, retired, capsys):
         """Every --demand-kernel flag reads the one kernel list, so the
-        retired ``vec`` kernel is a usage error naming the valid ones."""
+        retired ``vec`` and ``forward`` kernels are a usage error naming
+        the valid ones."""
         target = ["--figures", "fig3"] if command == "campaign" else ["fig3"]
         with pytest.raises(SystemExit) as exit_info:
-            main([command, *target, "--demand-kernel", "vec"])
+            main([command, *target, "--demand-kernel", retired])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid choice: 'vec'" in err
-        assert "'forward', 'qpa', 'block'" in err
+        assert f"invalid choice: '{retired}'" in err
+        assert "'qpa', 'block'" in err
 
     @pytest.mark.parametrize("kernel", DBF_KERNELS)
     @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
@@ -330,12 +356,12 @@ class TestParser:
     @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
     def test_kernel_help_states_block_is_sound_only(self, command, capsys):
         """The help must not promise bit-identical results across kernels:
-        ``block`` may accept sets ``forward``/``qpa`` reject."""
+        ``block`` may accept sets ``qpa`` rejects."""
         with pytest.raises(SystemExit):
             main([command, "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        assert "forward and qpa give identical results" in text
-        assert "block is sound but may accept more" in text
+        assert "forward" not in text
+        assert "block is sound but may accept more than qpa" in text
         assert "bit-identical" not in text
 
     @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])

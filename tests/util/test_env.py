@@ -43,7 +43,7 @@ class TestDemandKernelKnob:
     def test_default_is_qpa(self, monkeypatch):
         monkeypatch.delenv("REPRO_DBF_KERNEL", raising=False)
         assert demand_kernel_from_env() == "qpa"
-        assert demand_kernel_from_env(fallback="forward") == "forward"
+        assert demand_kernel_from_env(fallback="block") == "block"
 
     @pytest.mark.parametrize("name", DBF_KERNELS)
     def test_parses_every_kernel(self, monkeypatch, name):
@@ -51,12 +51,15 @@ class TestDemandKernelKnob:
         assert demand_kernel_from_env() == name
 
     @pytest.mark.parametrize(
-        "bad", ["qpa2", "VEC", "vec", "fast", " qpa", "Block", "forward,qpa"]
+        "bad",
+        ["qpa2", "VEC", "vec", "fast", " qpa", "Block", "forward,qpa", "forward"],
     )
     def test_rejects_invalid(self, monkeypatch, bad):
+        """The retired ``forward`` kernel is rejected like any typo: the
+        in-order walk is a test oracle, not a kernel value."""
         monkeypatch.setenv("REPRO_DBF_KERNEL", bad)
         with pytest.raises(
-            ValueError, match="REPRO_DBF_KERNEL must be one of forward\\|qpa\\|block"
+            ValueError, match="REPRO_DBF_KERNEL must be one of qpa\\|block, got"
         ):
             demand_kernel_from_env()
 
