@@ -250,6 +250,7 @@ _COUNTERS = _OBS_REGISTRY.counter_scope(
         "qpa-iterations",  # total backward fixed-point iterations
         "qpa-runs",  # number of QPA searches started
         "floor-reject",  # unrefined tuning stages rejected at the V* floor
+        "floor-reject-refined",  # refined (ECDF) stages rejected there
     ),
 )
 
@@ -328,14 +329,25 @@ def _hi_point_demand(
         n_trigger = len(tasks)
     total = 0
     min_cut = None
+    # The clamps are written as compares: this is the kernel's hottest
+    # loop, and builtin min/max calls cost more than the arithmetic.
     for index, mode_task in enumerate(tasks):
         x = length - mode_task.deadline
         if x >= 0:
-            residue = x % mode_task.period
-            total += (x // mode_task.period + 1) * mode_task.wcet - min(
-                mode_task.wcet, max(0, mode_task.wcet_lo - residue)
-            )
-            cut = min(mode_task.wcet_lo, residue)
+            period = mode_task.period
+            wcet = mode_task.wcet
+            residue = x % period
+            cut = mode_task.wcet_lo
+            if residue < cut:
+                # inside the carry-over ramp: reduction C_L - residue,
+                # at most the HI budget
+                reduction = cut - residue
+                cut = residue
+                total += (x // period + 1) * wcet - (
+                    wcet if reduction > wcet else reduction
+                )
+            else:
+                total += (x // period + 1) * wcet
         else:
             cut = 0
         if index < n_trigger and (min_cut is None or cut < min_cut):
@@ -360,7 +372,7 @@ def _prev_breakpoint(tasks, length: int, ramps: bool) -> int | None:
             if candidate > best:
                 best = candidate
         if ramps and t.wcet_lo > 0:
-            end = d + min(t.wcet_lo, t.period)
+            end = d + (t.wcet_lo if t.wcet_lo < t.period else t.period)
             if end < length:
                 candidate = end + ((length - 1 - end) // t.period) * t.period
                 if candidate > best:
@@ -384,7 +396,7 @@ def _next_breakpoint(tasks, length: int, ramps: bool) -> int | None:
         if best is None or candidate < best:
             best = candidate
         if ramps and t.wcet_lo > 0:
-            end = d + min(t.wcet_lo, t.period)
+            end = d + (t.wcet_lo if t.wcet_lo < t.period else t.period)
             if end < length:
                 end = end - ((end - length) // t.period) * t.period
             if end < best:
@@ -409,7 +421,7 @@ def _adjacent_breakpoints(tasks, length: int) -> tuple[int | None, int | None]:
         if above is None or candidate < above:
             above = candidate
         if t.wcet_lo > 0:
-            end = d + min(t.wcet_lo, period)
+            end = d + (t.wcet_lo if t.wcet_lo < period else period)
             if end < length:
                 end = end - ((end - length) // period) * period
                 if end - period > below:
@@ -693,7 +705,9 @@ class DemandScenario:
         if total_u > 1.0 + 1e-12:
             return None
         numerator = sum(
-            (t.wcet / t.period) * max(0, t.period - t.deadline) for t in tasks
+            (t.wcet / t.period)
+            * (t.period - t.deadline if t.period > t.deadline else 0)
+            for t in tasks
         )
         if numerator == 0:
             return 0  # implicit-deadline EDF case: nothing to check

@@ -13,12 +13,12 @@ The engine implements the descent loop both published algorithms share:
 
 1. start from ``Dv_i = D_i``; if LO already fails, reject (shrinking only
    makes LO worse);
-2. unrefined stages only: put every HC task at its V* — its minimal
-   LO-feasible ``Dv`` with every other task at ``D_j`` — and reject if the
-   HI check fails there.  Lemma: any assignment a stage can accept is
-   LO-feasible, hence at or above every task's V* (LO demand only grows as
-   other deadlines shrink), and unrefined HI demand only grows with each
-   ``Dv_i``, so it fails the HI check too
+2. put every HC task at its V* — its minimal LO-feasible ``Dv`` with
+   every other task at ``D_j`` — and reject if the stage's HI check,
+   refined or not, fails there.  Lemma: any assignment a stage can accept
+   is LO-feasible, hence at or above every task's V* (LO demand only grows
+   as other deadlines shrink), and HI demand, refined or not, only grows
+   with each ``Dv_i``, so it fails the HI check too
    (:func:`_vstar_floor_violation`);
 3. while the HI check fails at its earliest violation ``l*``: pick one HC
    task by a *policy* and shrink its ``Dv`` just enough to clear the
@@ -354,10 +354,13 @@ class DemandEngine:
         #: dominated assignment inherits that certificate, and since the
         #: trigger refinement only subtracts demand *of the same
         #: assignment*, the certificate covers refined queries too.
-        #: Refined runs do not anchor, although refined demand is monotone
-        #: under deadline domination too (:func:`_hi_answer`, lemma (a)):
-        #: a refined anchor would be sound but would move the descent's
-        #: work counters.  None = not yet learned (learned lazily by
+        #: The same domination argument gives the V* floor reject of every
+        #: stage and the uniform-scaling bisection's ceiling
+        #: (:meth:`hi_feasible`).  Refined runs do not anchor, although
+        #: refined demand is monotone under deadline domination too
+        #: (:func:`_hi_answer`, lemma (a)): a refined anchor would be sound
+        #: but would cost one refined QPA search per engine, which has not
+        #: been measured.  None = not yet learned (learned lazily by
         #: a dedicated unrefined run, see :meth:`_ensure_anchor`); -1 =
         #: unavailable (the full-deadline horizon overruns the cap or the
         #: search aborted).
@@ -591,7 +594,11 @@ class DemandEngine:
         return _PASS if found is None else _hi_answer(tasks, *found)
 
     def _qpa_decide(
-        self, tasks: list[_ModeTask], horizon: int, refine: bool
+        self,
+        tasks: list[_ModeTask],
+        horizon: int,
+        refine: bool,
+        ceiling: int | None = None,
     ) -> tuple[str, int | None]:
         """Anchor-warmed QPA decision of the HI predicate on ``[0, horizon]``.
 
@@ -599,14 +606,17 @@ class DemandEngine:
         ``("abort", t)`` — abort means the caller must fall back to the
         forward walk, which only needs to reach the last iterate ``t``.
         Cold searches give the upper-bound screen one sweep first; warm
-        searches start at the full-deadline anchor, which bounds every
-        assignment's violations from above.
+        searches start at the lower of the full-deadline anchor, which
+        bounds every assignment's violations from above, and the caller's
+        ``ceiling``, a bound it proved for this assignment's violations.
         """
         self._ensure_anchor()
         start = horizon
         if self._qpa_anchor is not None and 0 <= self._qpa_anchor < start:
             start = self._qpa_anchor
-        elif approx_accepts(tasks, horizon, hi=True):
+        if ceiling is not None and ceiling < start:
+            start = ceiling
+        if start == horizon and approx_accepts(tasks, horizon, hi=True):
             _dbf._COUNTERS["approx-accept"] += 1
             return ("pass", None)
         n_trigger = len(self._high)
@@ -668,7 +678,9 @@ class DemandEngine:
         """Earliest HI-mode violation (None = pass); see :meth:`hi_check`."""
         return self.hi_check(vd, refine, not_before)[0]
 
-    def hi_feasible(self, vd: dict[int, int], refine: bool) -> bool:
+    def hi_feasible(
+        self, vd: dict[int, int], refine: bool, ceiling: list[int] | None = None
+    ) -> bool:
         """``hi_violation(vd, refine) is None``, with cross-refinement
         inference and witness-level evaluation.
 
@@ -687,6 +699,15 @@ class DemandEngine:
         entry; :meth:`hi_check` upgrades it to the earliest-point form on
         demand.  Raises :class:`HorizonExceeded` exactly like
         :meth:`hi_violation`.
+
+        ``ceiling`` is a cost hint for a caller probing a chain of
+        assignments that only shrink: a one-item list holding a bound on
+        every violating integer of ``vd`` (or None for no bound), which a
+        fresh QPA search starts at or below, like the anchor.  A search
+        that stops on a witness ``w`` lowers it to ``demand(w) - 1``, the
+        bound :meth:`_ensure_anchor` proves for every assignment ``vd``
+        dominates.  The answer, and every memo entry, is the same with or
+        without it.
         """
         memo = self._memo
         sig = self._sig_high(vd)
@@ -727,7 +748,9 @@ class DemandEngine:
             # Overload: a violation is guaranteed (the marker contract).
             memo[("hib", sig, refine)] = False
             return False
-        status, bound = self._qpa_decide(tasks, horizon, refine)
+        status, bound = self._qpa_decide(
+            tasks, horizon, refine, None if ceiling is None else ceiling[0]
+        )
         if status == "abort":
             # Hand the rest of the question to the forward walk, up to the
             # last iterate, and keep its earliest-form answer.
@@ -739,6 +762,10 @@ class DemandEngine:
             return found is None
         feasible = status == "pass"
         memo[("hib", sig, refine)] = feasible
+        if ceiling is not None and not feasible:
+            demand = _hi_point_demand(tasks, bound, refine, len(self._high))
+            if ceiling[0] is None or demand - 1 < ceiling[0]:
+                ceiling[0] = demand - 1
         return feasible
 
     def hi_gain(self, task: MCTask, vd_now: int, shrink: int, length: int) -> int:
@@ -1050,12 +1077,13 @@ def _tune_virtual_deadlines_impl(
         if uniform is not None:
             return uniform
 
-    # V* floor reject (unrefined stages only): one HI check at the per-task
-    # minimal LO-feasible deadlines settles descents that cannot accept.
-    if high_tasks and not refine:
-        violation = _vstar_floor_violation(high_tasks, vd, engine)
+    # V* floor reject: one HI check, under the stage's own refinement, at
+    # the per-task minimal LO-feasible deadlines settles descents that
+    # cannot accept.
+    if high_tasks:
+        violation = _vstar_floor_violation(high_tasks, vd, engine, refine)
         if violation is not None:
-            _dbf._COUNTERS["floor-reject"] += 1
+            _dbf._COUNTERS["floor-reject-refined" if refine else "floor-reject"] += 1
             return TuningOutcome(
                 False, vd, 0, f"HI infeasible at V* floor (l*={violation})"
             )
@@ -1160,6 +1188,13 @@ def _uniform_hi_phase(
     None covers both "no scaling is HI-feasible" and "a check overran the
     horizon cap" — in either case the caller falls back to the per-task
     descent, exactly as the historical single-function search did.
+
+    ``vd_i(x)`` is non-decreasing in ``x``, so every probe below a failing
+    ``x`` is dominated by its assignment, and by lemma (a) at
+    :func:`_hi_answer` violates only where that assignment does.  Each
+    failing probe's QPA witness therefore bounds every later probe's
+    violations (:meth:`DemandEngine.hi_feasible`'s ``ceiling``), and the
+    later searches start at the tightest such bound.
     """
     memo = engine._memo
     key = ("unib", engine._high_ids, engine._lc_sig, refine)
@@ -1167,10 +1202,11 @@ def _uniform_hi_phase(
     if hit is not None:
         best = hit[0]
         return dict(best) if best is not None else None
+    ceiling: list[int | None] = [None]
 
     def hi_ok(vd: dict[int, int]) -> bool | None:
         try:
-            return engine.hi_feasible(vd, refine)
+            return engine.hi_feasible(vd, refine, ceiling)
         except HorizonExceeded:
             return None
 
@@ -1206,13 +1242,14 @@ def _vstar_floor_violation(
     high_tasks: list[MCTask],
     vd: dict[int, int],
     engine: DemandEngine,
+    refine: bool,
 ) -> int | None:
-    """Earliest unrefined HI violation at the V* floor, or None.
+    """Earliest HI violation at the V* floor under ``refine``, or None.
 
     The floor ``F`` puts every HC task at its V* with every other task at
     its full deadline ``vd`` (``C_L`` when V* is None).  A violation
     there proves that neither the uniform-scaling search nor the descent
-    (scalar or block) can accept with ``refine=False``:
+    (scalar or block) can accept with this ``refine``:
 
     * every assignment either of them accepts is LO-feasible — the
       uniform search checks it, the descent and the block planner only
@@ -1220,23 +1257,27 @@ def _vstar_floor_violation(
     * LO demand only grows as other deadlines shrink, and LO feasibility
       in ``v_i`` is a suffix above V*, so any such assignment has
       ``vd_i >= F_i`` for every task (and V* never exceeds ``D_i``);
-    * unrefined HI demand is non-decreasing in every ``vd_i`` (shrinking
-      a deadline only removes demand), and its violations sit at
+    * HI demand, refined or not, is non-decreasing in every ``vd_i``
+      (:func:`_hi_answer`, lemma (a)), and its violations sit at
       breakpoints at or below the horizon, so a violation at ``F`` is a
       violation at every assignment that dominates ``F``.
 
-    Refined demand is non-decreasing in every ``vd_i`` too
-    (:func:`_hi_answer`, lemma (a)), so the reject would be sound for
-    refined stages as well; they do not take it, which keeps their
-    descent work unchanged.  None also covers a HI check that overruns
-    the horizon cap: the caller then descends as before.
+    A refined stage therefore rejects at ``F`` exactly when its own HI
+    check fails there.  That covers the cheaper-looking offset cut too:
+    refined demand at ``F`` is at least unrefined demand minus the
+    smallest trigger cut ``min C_L``.  (Deciding ``F`` with
+    :meth:`DemandEngine.hi_feasible` first and localizing only on a
+    reject measured more QPA iterations: :meth:`DemandEngine.hi_check`
+    finds most violations in its forward window, before any search.)
+    None also covers a HI check that overruns the horizon cap: the caller
+    then descends as before.
     """
     floor = {}
     for task in high_tasks:
         v_min = engine.lo_min_deadline(vd, task)
         floor[task.task_id] = task.wcet_lo if v_min is None else v_min
     try:
-        return engine.hi_violation(floor, False)
+        return engine.hi_violation(floor, refine)
     except HorizonExceeded:
         return None
 
@@ -1628,15 +1669,18 @@ def _rank_candidates(
         first = 1 if r0 < wcet_lo else (r0 - wcet_lo + 1)
         if first > max_shrink:
             continue
-        d_now = (x // period + 1) * wcet_hi - max(0, wcet_lo - r0)
+        d_now = (x // period + 1) * wcet_hi - (wcet_lo - r0 if r0 < wcet_lo else 0)
         x_floor = x - max_shrink
         if x_floor >= 0:
-            d_floor = (x_floor // period + 1) * wcet_hi - max(
-                0, wcet_lo - x_floor % period
+            residue = x_floor % period
+            d_floor = (x_floor // period + 1) * wcet_hi - (
+                wcet_lo - residue if residue < wcet_lo else 0
             )
         else:
             d_floor = 0
-        target = min(deficit, d_now - d_floor)
+        target = d_now - d_floor
+        if deficit < target:
+            target = deficit
         if target <= 0:
             desired = max_shrink
         else:
@@ -1645,8 +1689,9 @@ def _rank_candidates(
             desired = first
         x_new = x - desired
         if x_new >= 0:
-            d_new = (x_new // period + 1) * wcet_hi - max(
-                0, wcet_lo - x_new % period
+            residue = x_new % period
+            d_new = (x_new // period + 1) * wcet_hi - (
+                wcet_lo - residue if residue < wcet_lo else 0
             )
         else:
             d_new = 0

@@ -430,39 +430,54 @@ class TestKernelEquivalence:
             assert run_with_kernel("forward", run) == fresh
 
     @pytest.mark.parametrize(
-        "params, service",
+        "params, service, refined_at_floor",
         [
             # (period, HC?, C_L, C_H, D) per task; each pin's scalar
-            # descent ran 28-40 iterations before the V* floor settled it.
+            # descent ran 28-40 iterations before the V* floor settled its
+            # unrefined stage.
             (
                 [(37, True, 6, 6, 24), (32, True, 5, 12, 32),
                  (36, True, 4, 14, 27), (5, False, 1, 1, 1)],
                 "full-drop",
+                True,
             ),
             (
                 [(20, True, 2, 3, 20), (39, True, 6, 15, 39),
                  (9, True, 2, 4, 9), (34, False, 8, 8, 34),
                  (14, False, 4, 4, 14)],
                 "full-drop",
+                False,
             ),
             (
                 [(35, True, 4, 16, 33), (28, True, 1, 5, 23),
                  (21, True, 5, 5, 19), (28, False, 1, 1, 26),
                  (17, False, 5, 5, 6)],
                 "imprecise:0.5",
+                True,
             ),
             (
                 [(38, True, 10, 19, 38), (7, True, 1, 2, 7),
                  (9, False, 3, 3, 9), (12, False, 2, 2, 12)],
                 "imprecise:0.5",
+                True,
+            ),
+            # ECDF's refined stages descended 46 (ratio) and 43 (steepest)
+            # iterations to "no shrinkable task" before the refined floor.
+            (
+                [(29, True, 4, 18, 28), (40, True, 2, 14, 36),
+                 (20, False, 8, 8, 11)],
+                "full-drop",
+                True,
             ),
         ],
     )
-    def test_floor_reject_identical(self, params, service):
-        """Pinned V* floor rejects: the unrefined stage of both chains
-        stops at the floor with the identical outcome (detail, iteration
-        count, virtual deadlines) under every kernel and under the
-        forward-walk oracle."""
+    def test_floor_reject_identical(self, params, service, refined_at_floor):
+        """Pinned V* floor rejects: the unrefined stage (EY's only one,
+        ECDF's last) stops at the floor, and so do ECDF's refined stages
+        where ``refined_at_floor``, each with the identical outcome
+        (detail, zero iterations, virtual deadlines) under every kernel
+        and under the forward-walk oracle.  Every floor reject's verdict
+        is the one the full-scan descent reaches with the floor off."""
         tagged = attach(
             TaskSet(
                 [
@@ -496,6 +511,28 @@ class TestKernelEquivalence:
             assert first.detail.startswith("HI infeasible at V* floor (l*=")
             assert first.iterations == 0
             assert all(other == first for other in outcomes[1:])
+        for policy, refine in chains[1]:
+            def stage():
+                return vdtuning.tune_virtual_deadlines(
+                    tagged, policy, refine, 100_000
+                )
+
+            outcomes = [
+                run_with_kernel(kernel, stage) for kernel in ("forward",) + DBF_KERNELS
+            ]
+            first = outcomes[0]
+            assert all(other == first for other in outcomes[1:])
+            at_floor = first.detail.startswith("HI infeasible at V* floor (l*=")
+            assert at_floor == (refined_at_floor or not refine)
+            if not at_floor:
+                continue
+            assert first.iterations == 0
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(vdtuning, "_vstar_floor_violation", lambda *_: None)
+                patch.setattr(vdtuning, "_descend", oracle_descent)
+                descended = run_with_kernel("qpa", stage)
+            assert descended.schedulable == first.schedulable
+            assert descended.iterations > 0
 
     def test_anchor_dominance_regression(self, qpa_kernel):
         """Pinned regression: QPA's witness is the largest *breakpoint*
@@ -865,6 +902,7 @@ class TestKernelControls:
             "qpa-iterations",
             "qpa-runs",
             "floor-reject",
+            "floor-reject-refined",
         }
         assert sum(counters.values()) > 0
         dbf.reset_kernel_counters()

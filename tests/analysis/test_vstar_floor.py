@@ -1,13 +1,15 @@
-"""The V* floor reject of unrefined tuning stages.
+"""The V* floor reject of the tuning stages.
 
-Before an unrefined stage (EY, ECDF's last stage) pays a shrink descent,
+Before a stage (EY, and each of ECDF's three) pays a shrink descent,
 :func:`repro.analysis.vdtuning._vstar_floor_violation` puts every HC task
 at its minimal LO-feasible deadline V* (the other tasks at their full
-deadlines) and runs one unrefined HI check; a violation there rejects the
-stage.  These tests pin the lemma the reject rests on by brute force over
-every virtual-deadline assignment of tiny task sets, check that the reject
-never changes a verdict of the descent it replaces, and that refined
-stages never take it.
+deadlines) and runs one HI check with the stage's own refinement; a
+violation there rejects the stage.  These tests pin the lemma the reject
+rests on by brute force over every virtual-deadline assignment of tiny
+task sets, refined and unrefined, and check that the reject never changes
+a verdict of the descent it replaces.  The uniform-scaling bisection's
+ceiling rests on the same lemma (HI demand is monotone in every virtual
+deadline); its tests close the file.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
+from repro.analysis import dbf
 from repro.analysis.dbf import DemandScenario, HorizonExceeded
 from repro.analysis.vdtuning import (
     DemandEngine,
     _descend,
+    _uniform_hi_phase,
     _uniform_scaling_search,
     _vstar_floor_violation,
     run_tuning_stages,
@@ -96,35 +100,39 @@ def lo_feasible(ts, vd):
         return False
 
 
-def hi_passes_unrefined(ts, vd):
+def hi_passes(ts, vd, refine):
     try:
         scenario = DemandScenario(ts, vd, horizon_cap=CAP)
-        return scenario.hi_violation(refine=False) is None
+        return scenario.hi_violation(refine=refine) is None
     except HorizonExceeded:
         return False
 
 
 class TestExhaustiveOracle:
+    @pytest.mark.parametrize("refine", (False, True), ids=("unrefined", "refined"))
     @pytest.mark.parametrize("service", SERVICES)
-    def test_floor_reject_leaves_no_acceptable_assignment(self, service):
-        """Whenever EY stops at the floor, every LO-feasible assignment in
-        ``prod [C_L_i, D_i]`` dominates the floor and fails the unrefined
-        HI check — so no stage that needs both could have accepted.  (Sets
-        an earlier gate settles are skipped: most of them violate at the
-        floor trivially, by HI overload.)"""
+    def test_floor_reject_leaves_no_acceptable_assignment(self, service, refine):
+        """Whenever a stage stops at the floor, every LO-feasible
+        assignment in ``prod [C_L_i, D_i]`` dominates the floor and fails
+        that stage's HI check (refined for ECDF's first two stages) — so
+        no stage that needs both could have accepted.  (Sets an earlier
+        gate settles are skipped: most of them violate at the floor
+        trivially, by HI overload.)"""
+        policy = "ratio" if refine else "steepest"
         rng = np.random.default_rng(15)
         rejects = 0
         for _ in range(3000):
             ts = tiny_taskset(rng, service)
             high = list(ts.high_tasks)
             vd = full_deadlines(ts)
-            memo_free = _vstar_floor_violation(high, vd, DemandEngine(ts, CAP))
+            fresh = _vstar_floor_violation(high, vd, DemandEngine(ts, CAP), refine)
             warm = DemandEngine(ts, CAP, memo={})
-            assert _vstar_floor_violation(high, vd, warm) == memo_free
-            outcome = tune_virtual_deadlines(ts, "steepest", False, CAP)
+            _vstar_floor_violation(high, vd, warm, not refine)  # shared memo
+            assert _vstar_floor_violation(high, vd, warm, refine) == fresh
+            outcome = tune_virtual_deadlines(ts, policy, refine, CAP)
             if not outcome.detail.startswith(FLOOR):
                 continue
-            assert outcome.detail == f"{FLOOR} (l*={memo_free})"
+            assert outcome.detail == f"{FLOOR} (l*={fresh})"
             rejects += 1
             floor = floor_deadlines(ts, warm)
             assert floor == floor_deadlines(ts, DemandEngine(ts, CAP))
@@ -136,7 +144,7 @@ class TestExhaustiveOracle:
                 assert all(
                     assignment[tid] >= floor[tid] for tid in floor
                 ), (ts, assignment, floor)
-                assert not hi_passes_unrefined(ts, assignment), (
+                assert not hi_passes(ts, assignment, refine), (
                     ts,
                     assignment,
                     floor,
@@ -244,20 +252,14 @@ class TestVerdictDifferential:
             rejects += assert_chains_keep_verdicts(ts)
         assert rejects >= 20
 
-    @given(heavy_taskset())
-    @settings(max_examples=150, deadline=None)
-    def test_refined_stage_is_never_floor_rejected(self, ts):
-        for policy in ("ratio", "steepest"):
-            outcome = tune_virtual_deadlines(ts, policy, True, CAP)
-            assert not outcome.detail.startswith(FLOOR)
-
 
 class TestRefinedStages:
     def test_refined_descent_accepts_behind_an_unrefined_floor_reject(self):
         """The trigger refinement can accept what the unrefined floor
-        rejects, so refined stages must not take the reject: here ECDF's
-        first stage accepts after a descent (11 scalar iterations) while EY
-        stops at the floor."""
+        rejects, so a refined stage checks the floor with its own
+        refinement: here ECDF's first stage passes its refined floor check
+        and accepts after a descent (11 scalar iterations) while EY stops
+        at the floor."""
         ts = TaskSet(
             [
                 MCTask(period=10, criticality=Criticality.HC, wcet_lo=2,
@@ -271,6 +273,92 @@ class TestRefinedStages:
         ey = run_tuning_stages(ts, EY_CHAIN, CAP)
         assert not ey.schedulable
         assert ey.detail.startswith(FLOOR)
+        high = list(ts.high_tasks)
+        engine = DemandEngine(ts, CAP)
+        assert _vstar_floor_violation(high, full_deadlines(ts), engine, True) is None
         refined = tune_virtual_deadlines(ts, "ratio", True, CAP)
         assert refined.schedulable and refined.iterations > 0  # a descent
         assert run_tuning_stages(ts, ECDF_CHAIN, CAP).schedulable
+
+
+def hc_set(params):
+    return TaskSet(
+        [
+            MCTask(
+                period=period,
+                criticality=Criticality.HC,
+                wcet_lo=wcet_lo,
+                wcet_hi=wcet_hi,
+                deadline=deadline,
+            )
+            for period, wcet_lo, wcet_hi, deadline in params
+        ]
+    )
+
+
+def bisect(ts, refine, ceiling):
+    """``_uniform_hi_phase`` on a fresh engine, with the bisection
+    ceiling on or dropped; returns the best assignment, the engine's memo
+    and the QPA iterations it took."""
+    engine = DemandEngine(ts, CAP)
+    dbf.reset_kernel_counters()
+    if ceiling:
+        best = _uniform_hi_phase(list(ts.high_tasks), refine, engine)
+    else:
+        hi_feasible = DemandEngine.hi_feasible
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                DemandEngine,
+                "hi_feasible",
+                lambda self, vd, refine, ceiling=None: hi_feasible(self, vd, refine),
+            )
+            best = _uniform_hi_phase(list(ts.high_tasks), refine, engine)
+    return best, engine._memo, dbf.kernel_counters()["qpa-iterations"]
+
+
+def assert_hi_entries_exact(memo, ts):
+    """Every ``("hi", ...)`` and ``("hib", ...)`` entry equals a fresh
+    engine's full check at that assignment."""
+    for key, value in memo.items():
+        if key[0] not in ("hi", "hib"):
+            continue
+        kind, sig, refine = key
+        if sig and sig[-1][0] == "lc":
+            sig = sig[:-1]
+        try:
+            fresh = DemandEngine(ts, CAP).hi_check(dict(sig), refine)
+        except HorizonExceeded:
+            assert kind == "hi" and value[0] == "raise", key
+            continue
+        if kind == "hi":
+            assert value == ("value", fresh), key
+        else:
+            assert value == (fresh[0] is None), key
+
+
+class TestBisectionCeiling:
+    """Each failing probe of the uniform-scaling bisection bounds the
+    violations of every later (dominated) probe, and the later QPA
+    searches start at that ceiling: a cost hint only."""
+
+    @given(heavy_taskset(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_same_best_and_exact_memo(self, ts, refine):
+        best, memo, _ = bisect(ts, refine, ceiling=True)
+        assert bisect(ts, refine, ceiling=False)[0] == best
+        assert_hi_entries_exact(memo, ts)
+
+    @pytest.mark.parametrize(
+        "params, refine",
+        [
+            ([(29, 1, 14, 19), (37, 11, 19, 27)], False),
+            ([(19, 5, 9, 11), (46, 6, 24, 46)], True),
+        ],
+    )
+    def test_pinned_sets_take_fewer_qpa_iterations(self, params, refine):
+        ts = hc_set(params)
+        best, memo, with_ceiling = bisect(ts, refine, ceiling=True)
+        unbounded, _, without = bisect(ts, refine, ceiling=False)
+        assert best == unbounded
+        assert with_ceiling < without
+        assert_hi_entries_exact(memo, ts)

@@ -251,15 +251,25 @@ class TestKernelSummary:
         assert kernel_summary(since=baseline) == {"EY": {"qpa-accept": 3}}
 
     def test_floor_rejects_reach_the_summary(self, registry):
-        """A batched EY sweep folds the ``dbf`` scope's ``floor-reject``
-        delta into ``kernel.<algorithm>.floor-reject``, reported raw."""
+        """A batched sweep folds the ``dbf`` scope's floor-reject deltas
+        into ``kernel.<algorithm>.<counter>``, reported raw: EY's
+        unrefined ``floor-reject`` and ECDF's ``floor-reject-refined``."""
         from repro.experiments.acceptance import kernel_summary
 
         config = SweepConfig(label="floor", m=2, samples_per_bucket=4)
         grid = UtilizationGrid(u_hh_values=(0.6,), inner_step=0.3)
-        AcceptanceSweep(config, grid=grid).run([get_algorithm("ca-f-f-ey")])
-        assert registry.counters("kernel.")["kernel.ca-f-f-ey.floor-reject"] > 0
-        assert kernel_summary()["ca-f-f-ey"]["floor-reject"] > 0
+        AcceptanceSweep(config, grid=grid).run(
+            [get_algorithm("ca-f-f-ey"), get_algorithm("cu-udp-ecdf")]
+        )
+        counters = registry.counters("kernel.")
+        summary = kernel_summary()
+        for algorithm, counter in (
+            ("ca-f-f-ey", "floor-reject"),
+            ("cu-udp-ecdf", "floor-reject-refined"),
+        ):
+            assert counters[f"kernel.{algorithm}.{counter}"] > 0
+            assert summary[algorithm][counter] > 0
+        assert "floor-reject-refined" not in summary["ca-f-f-ey"]
 
     def test_descent_counters_join_the_row(self, registry):
         """The cached-trajectory counters land in the ``descent`` row,

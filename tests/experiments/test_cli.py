@@ -162,6 +162,17 @@ class TestFigure:
         capsys.readouterr()
         assert out.read_bytes() == (DATA / "fig5-samples8-m4.json").read_bytes()
 
+    def test_fig4_recorded_output(self, capsys, tmp_path, monkeypatch):
+        """Implicit deadlines at m = 4, where ECDF's refined stages often
+        stop at the V* floor: the result file equals the recorded one byte
+        for byte (CI ``cmp``s the same command's output)."""
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "fig4.json"
+        code = main(["figure", "fig4", "--samples", "8", "--m", "4", "-o", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (DATA / "fig4-samples8-m4.json").read_bytes()
+
     def test_tiny_figure_run(self, capsys, tmp_path, monkeypatch):
         # run in tmp so an ambient REPRO_OBS=trace writes its default
         # repro-obs.json/repro-trace.json here, not over committed files
