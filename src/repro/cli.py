@@ -313,10 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     status.add_argument(
         "--straggler-factor",
         type=float,
-        default=None,
+        default=4.0,
         help=(
             "flag in-flight units older than k x the running shard-seconds "
-            "p95 (default: REPRO_OBS_STRAGGLER, else 4.0)"
+            "p95 (k >= 1, default 4.0)"
         ),
     )
 
@@ -698,7 +698,7 @@ def _cmd_status(args) -> int:
     from repro.obs.status import CampaignStatus, render_status
     from repro.util.env import journal_flush_interval_from_env
 
-    if args.straggler_factor is not None and args.straggler_factor < 1.0:
+    if args.straggler_factor < 1.0:
         raise SystemExit(
             f"--straggler-factor must be >= 1, got {args.straggler_factor}"
         )

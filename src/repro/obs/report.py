@@ -2,14 +2,17 @@
 
 A journal (:mod:`repro.obs.journal`) outlives the campaign that wrote
 it, so two journals — today's run and last week's — can be compared long
-after both processes exited.  :func:`summarize_journal` reduces one
-journal to a :class:`RunSummary` (shards executed, wall seconds,
-throughput, shard-latency quantiles, per-sweep breakdowns, fault
-counters); :func:`compare_runs` diffs a summary against a baseline and
-flags regressions past a configurable threshold; :func:`render_report`
-renders the per-figure/per-bucket tables.  The CLI exits non-zero when
-any comparison regresses, which is what makes ``repro report --baseline
-BENCH_fabric.json`` a ready-made CI perf tripwire.
+after both processes exited.  :func:`summarize_journal` projects one
+journal's fold (:class:`~repro.obs.fold.JournalFold`, the tally that
+``repro status`` and the progress line render too) into a
+:class:`RunSummary` (shards executed, wall seconds, throughput,
+shard-latency quantiles, per-sweep breakdowns, fault counters), summed
+over the runs of a resumed campaign.  :func:`compare_runs` diffs a
+summary against a baseline and flags regressions past a configurable
+threshold; :func:`render_report` renders the per-figure/per-bucket
+tables.  The CLI exits non-zero when any comparison regresses, which is
+what makes ``repro report --baseline BENCH_fabric.json`` a ready-made
+CI perf tripwire.
 
 Baselines come in two shapes and :func:`load_baseline` accepts both:
 
@@ -31,6 +34,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.obs.fold import JournalFold, latency_quantiles
 from repro.obs.registry import Histogram
 from repro.util.tables import format_table
 
@@ -83,62 +87,46 @@ class Comparison:
 
 
 def summarize_journal(path: str | Path, events=None) -> RunSummary:
-    """Reduce a journal to a :class:`RunSummary`.
+    """Reduce a journal to a :class:`RunSummary`: a projection of its fold.
 
     ``events`` short-circuits the file read when the caller already
     holds the parsed list (tests, ``repro report`` over many journals).
+    A resumed campaign's runs are summed: counters add up, and wall
+    time is the sum of each run's own mono span.
     """
     from repro.obs.journal import read_events
 
     if events is None:
         events = read_events(path)
-    summary = RunSummary(name=str(path))
+    fold = JournalFold().absorb(events)
+    runs = fold.runs()
     overall = Histogram()
     per_sweep: dict[tuple[str, int | None], Histogram] = {}
-    first_mono: float | None = None
-    last_mono: float | None = None
-    for event in events:
-        mono = event.get("mono")
-        if isinstance(mono, (int, float)):
-            first_mono = mono if first_mono is None else first_mono
-            last_mono = mono
-        ev = event.get("ev")
-        if ev in ("open", "campaign-start") and event.get("campaign"):
-            summary.campaign = event["campaign"]
-        elif ev == "sweep-start":
-            summary.cached += int(event.get("cached", 0))
-        elif ev == "exec-done":
-            seconds = event.get("seconds")
-            if not isinstance(seconds, (int, float)):
-                continue
-            summary.executed += 1
-            summary.busy_seconds += seconds
-            overall.observe(seconds)
-            key = (event.get("label", "?"), event.get("m"))
-            histogram = per_sweep.get(key)
-            if histogram is None:
-                histogram = per_sweep[key] = Histogram()
-            histogram.observe(seconds)
-        elif ev == "retry":
-            summary.retries += 1
-        elif ev == "worker-lost":
-            summary.lost_workers += 1
-    if first_mono is not None and last_mono is not None:
-        summary.wall_seconds = last_mono - first_mono
+    for run in runs:
+        overall.merge_state(run.shard_seconds.state())
+        for key, sweep in run.sweeps.items():
+            if sweep.shard_seconds.count:
+                per_sweep.setdefault(key, Histogram()).merge_state(
+                    sweep.shard_seconds.state()
+                )
+    summary = RunSummary(
+        name=str(path),
+        campaign=fold.campaign,
+        executed=overall.count,
+        cached=sum(run.cached_units() for run in runs),
+        retries=sum(run.retries for run in runs),
+        lost_workers=sum(run.lost_workers for run in runs),
+        wall_seconds=sum(run.wall_seconds() for run in runs),
+        busy_seconds=sum(run.busy_seconds for run in runs),
+        latency=latency_quantiles(overall),
+    )
     if summary.executed and summary.wall_seconds > 0:
         summary.shards_per_sec = summary.executed / summary.wall_seconds
-    summary.latency = {
-        "p50": overall.quantile(0.5),
-        "p95": overall.quantile(0.95),
-        "p99": overall.quantile(0.99),
-    }
     summary.sweeps = {
         key: {
             "executed": histogram.count,
             "seconds": round(histogram.total, 6),
-            "p50": histogram.quantile(0.5),
-            "p95": histogram.quantile(0.95),
-            "p99": histogram.quantile(0.99),
+            **latency_quantiles(histogram),
         }
         for key, histogram in sorted(
             per_sweep.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0)

@@ -1,20 +1,17 @@
 """Live campaign status from the event journal: ``repro status``.
 
-:class:`CampaignStatus` folds journal events (see
-:mod:`repro.obs.journal`) into the state a second terminal wants while a
-campaign runs — workers alive, per-sweep progress, fault counters,
-shard-latency quantiles and straggler detection — and
-:func:`render_status` turns it into the text block the CLI prints.  The
-fold is pure and incremental (one event at a time, any prefix of a
-journal is a valid state), which is what lets ``--follow`` tail a
-running campaign through a :class:`~repro.obs.journal.JournalFollower`
-without re-reading the file.
+:class:`CampaignStatus` is the journal fold (:class:`~repro.obs.fold.
+JournalFold`) plus the straggler rule, and :func:`render_status` turns
+it into the text block the CLI prints: workers alive, per-sweep
+progress, fault counters, shard-latency quantiles and stragglers.  A
+resumed campaign's journal holds several runs; the status shows the
+latest one, so ``--follow`` keeps tailing after a resume's ``open``.
 
 Straggler rule: a unit is *in flight* from its ``claim``/``exec-start``
 event until its ``done``/``exec-done``; once at least
 :data:`MIN_LATENCY_SAMPLES` shard latencies are known, any in-flight
 unit older than ``k`` × the running shard-seconds p95 is flagged
-(``k`` = ``REPRO_OBS_STRAGGLER``, default 4.0).  Ages are computed on
+(``k`` = ``--straggler-factor``, default 4.0).  Ages are computed on
 the monotonic clock, which is system-wide on Linux — comparable between
 the campaign's workers and the status process watching them.
 """
@@ -24,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs import clock
-from repro.obs.registry import Histogram
-from repro.util.env import straggler_factor_from_env
+from repro.obs.fold import JournalFold
 from repro.util.tables import format_table
 
 __all__ = ["CampaignStatus", "Straggler", "render_status"]
@@ -48,140 +44,12 @@ class Straggler:
     threshold: float
 
 
-@dataclass
-class _SweepProgress:
-    total: int = 0
-    done: int = 0
-    cached: int = 0
-    retried: int = 0
+class CampaignStatus(JournalFold):
+    """The journal fold with the straggler rule of a live status view."""
 
-
-class CampaignStatus:
-    """Incremental fold of journal events into a live status view."""
-
-    def __init__(self, straggler_factor: float | None = None):
-        self.straggler_factor = (
-            straggler_factor
-            if straggler_factor is not None
-            else straggler_factor_from_env()
-        )
-        self.schema: str | None = None
-        self.campaign: str | None = None
-        self.ended = False
-        self.workers_alive: int | None = None
-        self.workers_total: int | None = None
-        self.lost_workers = 0
-        self.lease_expiries = 0
-        self.retries = 0
-        self.crashes = 0
-        self.postmortems = 0
-        self.busy_seconds = 0.0
-        self.shard_seconds = Histogram()
-        self.sweeps: dict[tuple[str, int | None], _SweepProgress] = {}
-        #: key -> (start mono, label, m, bucket) for units in flight
-        self.inflight: dict[str, tuple[float, str, int | None, float | None]] = {}
-        self.first_mono: float | None = None
-        self.last_mono: float | None = None
-        self.last_snapshot: dict | None = None
-        self.events = 0
-
-    # -- folding ------------------------------------------------------------
-    def absorb(self, events) -> "CampaignStatus":
-        for event in events:
-            self.apply(event)
-        return self
-
-    def apply(self, event: dict) -> None:
-        self.events += 1
-        mono = event.get("mono")
-        if isinstance(mono, (int, float)):
-            self.first_mono = mono if self.first_mono is None else self.first_mono
-            self.last_mono = mono
-        ev = event.get("ev")
-        if ev == "open":
-            self.schema = event.get("schema")
-            self.campaign = event.get("campaign", self.campaign)
-        elif ev == "campaign-start":
-            self.campaign = event.get("campaign", self.campaign)
-        elif ev == "campaign-end":
-            self.ended = True
-        elif ev == "sweep-start":
-            progress = self._sweep(event)
-            progress.total += int(event.get("units", 0))
-            progress.cached += int(event.get("cached", 0))
-            progress.done += int(event.get("cached", 0))
-        elif ev == "done":
-            self._sweep(event).done += 1
-            self.inflight.pop(event.get("key", ""), None)
-        elif ev == "claim" or ev == "exec-start":
-            key = event.get("key")
-            if key and isinstance(mono, (int, float)):
-                # exec-start refreshes a claim's stamp: age then measures
-                # the *attempt*, not time spent waiting in the queue.
-                self.inflight[key] = (
-                    mono,
-                    event.get("label", "?"),
-                    event.get("m"),
-                    event.get("bucket"),
-                )
-        elif ev == "exec-done":
-            self.inflight.pop(event.get("key", ""), None)
-            seconds = event.get("seconds")
-            if isinstance(seconds, (int, float)):
-                self.shard_seconds.observe(seconds)
-                self.busy_seconds += seconds
-        elif ev == "retry":
-            self.retries += 1
-            self._sweep(event).retried += 1
-        elif ev == "reclaim":
-            self.inflight.pop(event.get("key", ""), None)
-        elif ev == "worker-lost":
-            self.lost_workers += 1
-        elif ev == "lease-expired":
-            self.lease_expiries += 1
-        elif ev == "workers":
-            self.workers_alive = event.get("alive")
-            self.workers_total = event.get("total")
-        elif ev == "crash":
-            self.crashes += 1
-        elif ev == "postmortem":
-            self.postmortems += 1
-        elif ev == "snapshot":
-            self.last_snapshot = event.get("registry")
-
-    def _sweep(self, event: dict) -> _SweepProgress:
-        key = (event.get("label", "?"), event.get("m"))
-        progress = self.sweeps.get(key)
-        if progress is None:
-            progress = self.sweeps[key] = _SweepProgress()
-        return progress
-
-    # -- derived views --------------------------------------------------------
-    def total_units(self) -> int:
-        return sum(p.total for p in self.sweeps.values())
-
-    def done_units(self) -> int:
-        return sum(p.done for p in self.sweeps.values())
-
-    def utilization(self) -> float | None:
-        """Busy worker seconds over available worker seconds, so far."""
-        if (
-            not self.workers_total
-            or self.first_mono is None
-            or self.last_mono is None
-        ):
-            return None
-        wall = self.last_mono - self.first_mono
-        if wall <= 0:
-            return None
-        return min(1.0, self.busy_seconds / (self.workers_total * wall))
-
-    def latency_quantiles(self) -> dict[str, float | None]:
-        return {
-            "p50": self.shard_seconds.quantile(0.5),
-            "p95": self.shard_seconds.quantile(0.95),
-            "p99": self.shard_seconds.quantile(0.99),
-        }
+    def __init__(self, straggler_factor: float = 4.0):
+        super().__init__()
+        self.straggler_factor = straggler_factor
 
     def stragglers(self, now: float | None = None) -> list[Straggler]:
         """In-flight units older than ``k`` × the running p95.

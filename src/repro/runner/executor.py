@@ -16,7 +16,7 @@ backends only decide *where* and *with what fault tolerance* units run.
   workers (its own module).
 
 :func:`resolve_backend` picks between them, and :class:`FabricObserver`
-fans backend lifecycle events out to progress, obs and the journal.
+publishes backend lifecycle events to the journal and the progress fold.
 """
 
 from __future__ import annotations
@@ -109,85 +109,86 @@ class WorkerCrashError(RuntimeError):
         super().__init__(message)
 
 
+def _unit_fields(unit: WorkUnit) -> dict:
+    """The identity fields every per-unit journal event carries."""
+    return {
+        "key": unit_key(unit),
+        "label": unit.config.label,
+        "m": unit.config.m,
+        "bucket": unit.bucket,
+    }
+
+
 @dataclass
 class FabricObserver:
-    """Bridges backend lifecycle events to progress + obs + the journal.
+    """Publishes backend lifecycle events to the journal and progress.
 
-    Backends call these hooks; the observer fans them out to the
-    (optional) :class:`~repro.runner.progress.ProgressReporter`, to the
-    obs registry when recording is on (``runner.retries`` /
-    ``runner.lost-workers`` counters, worker liveness and heartbeat-age
-    gauges), and to the event journal when ``REPRO_OBS_JOURNAL`` is set
+    Backends call these hooks; each event is published once through
+    :meth:`publish`, which journals it when ``REPRO_OBS_JOURNAL`` is set
     (``retry`` / ``reclaim`` / ``worker-lost`` / ``workers`` /
-    ``lease-expired`` events; on every reclaim the postmortem bundle is
-    journaled too, so forensic evidence survives even when the retry
-    eventually succeeds).  A default-constructed observer is a cheap
+    ``lease-expired``) and applies it to the (optional)
+    :class:`~repro.runner.progress.ProgressReporter`'s journal fold.  The
+    hooks also feed the obs registry when recording is on
+    (``runner.retries`` / ``runner.lost-workers`` counters, worker
+    liveness and heartbeat-age gauges), and every reclaim journals its
+    postmortem bundle, so forensic evidence survives even when the retry
+    eventually succeeds.  A default-constructed observer is a cheap
     no-op sink, so backends never need ``if observer`` checks.
     """
 
     progress: "ProgressReporter | None" = None
 
+    def publish(self, ev: str, unit: WorkUnit | None = None, **fields) -> None:
+        """Journal one lifecycle event and apply it to the progress fold.
+
+        ``unit`` adds its key, label, m and bucket.  With neither sink
+        on, no event is built: the unit key is a hash, and ``done``
+        fires once per shard.
+        """
+        journal = active_journal()
+        if journal is None and self.progress is None:
+            return
+        if unit is not None:
+            fields.update(_unit_fields(unit))
+        if journal is not None:
+            journal.emit(ev, **fields)
+        if self.progress is not None:
+            self.progress.apply({"ev": ev, **fields})
+
     def unit_retried(self, unit: WorkUnit, attempt: int) -> None:
         if obs.active():
             obs.REGISTRY.add("runner.retries")
-        if self.progress is not None:
-            self.progress.unit_retried()
-        journal = active_journal()
-        if journal is not None:
-            journal.emit(
-                "retry",
-                key=unit_key(unit),
-                label=unit.config.label,
-                m=unit.config.m,
-                bucket=unit.bucket,
-                attempt=attempt,
-            )
+        self.publish("retry", unit, attempt=attempt)
 
     def unit_reclaimed(
         self, unit: WorkUnit, slot: int, heartbeat_age: float | None
     ) -> None:
         """A leased unit was taken back from a dead/wedged worker."""
-        journal = active_journal()
-        if journal is None:
-            return
-        key = unit_key(unit)
-        journal.emit(
-            "reclaim",
-            key=key,
-            label=unit.config.label,
-            m=unit.config.m,
-            bucket=unit.bucket,
-            slot=slot,
-            heartbeat_age=heartbeat_age,
-        )
-        # Durable forensics even when the re-dispatch later succeeds:
-        # the bundle rides the journal, not a file per reclaim.
-        journal.emit(
-            "postmortem", key=key, bundle=assemble_postmortem(str(journal.path), key)
-        )
-
-    def lease_expired(self, unit: WorkUnit, slot: int) -> None:
+        self.publish("reclaim", unit, slot=slot, heartbeat_age=heartbeat_age)
         journal = active_journal()
         if journal is not None:
-            journal.emit("lease-expired", key=unit_key(unit), slot=slot)
+            # Durable forensics even when the re-dispatch later succeeds:
+            # the bundle rides the journal, not a file per reclaim.
+            key = unit_key(unit)
+            journal.emit(
+                "postmortem",
+                key=key,
+                bundle=assemble_postmortem(str(journal.path), key),
+            )
+
+    def lease_expired(self, unit: WorkUnit, slot: int) -> None:
+        if self.progress is not None or active_journal() is not None:
+            self.publish("lease-expired", key=unit_key(unit), slot=slot)
 
     def worker_lost(self, worker: int, heartbeat_age: float | None) -> None:
         if obs.active():
             obs.REGISTRY.add("runner.lost-workers")
-        if self.progress is not None:
-            self.progress.worker_lost()
-        journal = active_journal()
-        if journal is not None:
-            journal.emit("worker-lost", slot=worker, heartbeat_age=heartbeat_age)
+        self.publish("worker-lost", slot=worker, heartbeat_age=heartbeat_age)
 
     def workers_changed(self, alive: int, total: int) -> None:
         if obs.active():
             obs.REGISTRY.set_gauge("runner.workers-alive", alive)
-        if self.progress is not None:
-            self.progress.set_workers(alive, total)
-        journal = active_journal()
-        if journal is not None:
-            journal.emit("workers", alive=alive, total=total)
+        self.publish("workers", alive=alive, total=total)
 
     def heartbeat_age(self, age: float) -> None:
         if obs.active():
@@ -209,16 +210,9 @@ def timed_unit(unit: WorkUnit, backend: str) -> BucketOutcome:
     unit shipped (the "last shipped spans" a postmortem reports).
     """
     journal = active_journal()
-    key = unit_key(unit) if journal is not None else ""
+    fields = _unit_fields(unit) if journal is not None else {}
     if journal is not None:
-        journal.emit(
-            "exec-start",
-            key=key,
-            label=unit.config.label,
-            m=unit.config.m,
-            bucket=unit.bucket,
-            backend=backend,
-        )
+        journal.emit("exec-start", **fields, backend=backend)
     prior_spans = len(obs.spans()) if journal is not None and obs.tracing() else 0
     start = clock.monotonic()
     with obs.span(
@@ -233,21 +227,13 @@ def timed_unit(unit: WorkUnit, backend: str) -> BucketOutcome:
     if obs.active():
         obs.REGISTRY.observe("runner.shard-seconds", seconds)
     if journal is not None:
-        extra = {}
         if obs.tracing():
             census: dict[str, int] = {}
             for record in obs.spans()[prior_spans:]:
                 census[record.name] = census.get(record.name, 0) + 1
-            extra["spans"] = census
+            fields["spans"] = census
         journal.emit(
-            "exec-done",
-            key=key,
-            label=unit.config.label,
-            m=unit.config.m,
-            bucket=unit.bucket,
-            backend=backend,
-            seconds=round(seconds, 6),
-            **extra,
+            "exec-done", **fields, backend=backend, seconds=round(seconds, 6)
         )
     return outcome
 

@@ -13,7 +13,7 @@ defines the ``ExecutorBackend`` protocol (in-process ``serial`` and the
 parallel ``cluster`` of :mod:`repro.runner.cluster`) and
 :mod:`repro.runner.store` the ``ShardStore`` persistence interface.  This module is the conductor:
 load what the store already has, hand the rest to a backend, absorb obs
-payloads, record outcomes and progress.
+payloads, record outcomes and publish their lifecycle events.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.runner.executor import (
     default_jobs,
     resolve_backend,
 )
-from repro.runner.store import unit_key
 from repro.runner.units import WorkUnit, decompose_sweep
 from repro.util.env import journal_flush_interval_from_env
 
@@ -63,30 +62,27 @@ def execute_units(
     Every backend produces bit-identical outcomes; the serial path is
     what ``cluster`` is verified against.
 
-    With ``REPRO_OBS_JOURNAL`` set, the conductor journals the sweep's
-    shape (``sweep-start`` with unit/cached counts), each merged outcome
-    (``done``) and a registry ``snapshot`` every journal-flush interval —
-    all observe-only: outcomes, cache writes and merge order are
+    The conductor publishes the sweep's shape (``sweep-start`` with
+    unit/cached counts), each merged outcome (``done``) and
+    ``sweep-done`` through the :class:`FabricObserver`: to the journal
+    when ``REPRO_OBS_JOURNAL`` is set (plus a registry ``snapshot``
+    every journal-flush interval) and to ``progress``'s fold.  All of it
+    is observe-only: outcomes, cache writes and merge order are
     untouched, which the journal differential suite asserts.
     """
-    if progress is not None:
-        progress.add_total(len(units))
-
+    observer = FabricObserver(progress)
     outcomes: list[BucketOutcome | None] = [None] * len(units)
     pending: list[int] = []
     for idx, unit in enumerate(units):
         cached = cache.load(unit) if cache is not None else None
         if cached is not None:
             outcomes[idx] = cached
-            if progress is not None:
-                progress.unit_done(cached=True)
         else:
             pending.append(idx)
 
-    journal = active_journal()
-    if journal is not None and units:
+    if units:
         config = units[0].config
-        journal.emit(
+        observer.publish(
             "sweep-start",
             label=config.label,
             m=config.m,
@@ -95,37 +91,24 @@ def execute_units(
             pending=len(pending),
         )
 
-    def record(idx: int, outcome: BucketOutcome) -> None:
-        outcomes[idx] = outcome
-        if cache is not None:
-            cache.store(units[idx], outcome)
-        if progress is not None:
-            progress.unit_done()
-
     if pending:
+        journal = active_journal()
         flush_every = journal_flush_interval_from_env()
         last_snapshot = clock.monotonic()
         executor = resolve_backend(
-            backend,
-            jobs=jobs,
-            pending=len(pending),
-            observer=FabricObserver(progress),
+            backend, jobs=jobs, pending=len(pending), observer=observer
         )
         executor.submit([units[i] for i in pending])
         try:
             for result in executor.as_completed():
                 if result.payload is not None:
                     obs.absorb_payload(result.payload)
-                record(pending[result.pos], result.outcome)
+                idx = pending[result.pos]
+                outcomes[idx] = result.outcome
+                if cache is not None:
+                    cache.store(units[idx], result.outcome)
+                observer.publish("done", units[idx])
                 if journal is not None:
-                    unit = units[pending[result.pos]]
-                    journal.emit(
-                        "done",
-                        key=unit_key(unit),
-                        label=unit.config.label,
-                        m=unit.config.m,
-                        bucket=unit.bucket,
-                    )
                     now = clock.monotonic()
                     if now - last_snapshot >= flush_every:
                         journal.emit("snapshot", registry=obs.snapshot())
@@ -133,9 +116,8 @@ def execute_units(
         finally:
             executor.shutdown()
 
-    if journal is not None and units:
-        config = units[0].config
-        journal.emit("sweep-done", label=config.label, m=config.m)
+    if units:
+        observer.publish("sweep-done", label=config.label, m=config.m)
     return [outcome for outcome in outcomes if outcome is not None]
 
 

@@ -5,11 +5,13 @@ hours; :class:`ProgressReporter` keeps a single self-overwriting status
 line on a stream (stderr by default) with completion counts, cache hits,
 fault-recovery retries, executor worker liveness and a smoothed ETA
 merged across however many sweeps (and whichever backend) the campaign
-runs.  It is intentionally dumb and injectable — a plain object with
-``add_total``/``unit_done``/``unit_retried``/``worker_lost``/
-``set_workers``/``finish``
-— so the fabric can drive it without knowing about terminals, and tests
-can drive it with a fake clock and a ``StringIO``.
+runs.  It counts nothing itself: the fabric publishes each lifecycle
+event once (:meth:`~repro.runner.executor.FabricObserver.publish`), and
+the reporter applies it to a :class:`~repro.obs.fold.JournalFold`, the
+same fold ``repro status`` and ``repro report`` read from the journal.
+The reporter only renders the status line, the ETA and the summary
+line.  It is injectable, so tests can drive it with events, a fake
+clock and a ``StringIO``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import sys
 from typing import Callable, TextIO
 
 from repro.obs import clock as _clock
+from repro.obs.fold import JournalFold
 
 __all__ = ["ProgressReporter", "format_eta"]
 
@@ -35,12 +38,13 @@ def format_eta(seconds: float) -> str:
 
 
 class ProgressReporter:
-    """Counts shards as they finish and renders ``done/total`` + ETA.
+    """Renders ``done/total`` + ETA from a fold of the run's events.
 
-    The total is accrued incrementally (``add_total``) because a campaign
-    discovers its sweeps one figure at a time; the ETA simply scales
-    elapsed wall time by the remaining fraction, which converges quickly
-    since shards are similarly sized.
+    The total grows with each ``sweep-start`` because a campaign
+    discovers its sweeps one figure at a time; retries and lost workers
+    never touch it, since a re-dispatched unit completes exactly once.
+    The ETA simply scales elapsed wall time by the remaining fraction,
+    which converges quickly since shards are similarly sized.
     """
 
     def __init__(
@@ -56,52 +60,36 @@ class ProgressReporter:
         self._clock = clock
         self._started: float | None = None
         self._last_render = float("-inf")
-        self.total = 0
-        self.completed = 0
-        self.cached = 0
-        self.retried = 0
-        self.lost = 0
-        self.workers_alive: int | None = None
-        self.workers_total: int | None = None
+        self.fold = JournalFold()
 
-    # -- event intake -----------------------------------------------------------
-    def add_total(self, units: int) -> None:
-        """Announce ``units`` more shards of upcoming work."""
+    def apply(self, event: dict) -> None:
+        """Fold one lifecycle event and refresh the line (always once the
+        event completed the last announced shard)."""
         if self._started is None:
             self._started = self._clock()
-        self.total += units
-        self._render()
+        completed = self.completed
+        self.fold.apply(event)
+        self._render(force=completed < self.completed == self.total)
 
-    def unit_done(self, cached: bool = False) -> None:
-        """Record one finished shard (served from cache if ``cached``)."""
-        self.completed += 1
-        if cached:
-            self.cached += 1
-        self._render(force=self.completed == self.total)
+    @property
+    def total(self) -> int:
+        return self.fold.total_units()
 
-    def unit_retried(self) -> None:
-        """Record one shard re-dispatched after its worker was lost/hung.
+    @property
+    def completed(self) -> int:
+        return self.fold.done_units()
 
-        Retries never touch ``total``: the unit was already announced and
-        will complete exactly once, so the ETA stays a merged view of
-        real remaining work across whatever backend is executing it.
-        """
-        self.retried += 1
-        self._render()
+    @property
+    def cached(self) -> int:
+        return self.fold.cached_units()
 
-    def worker_lost(self) -> None:
-        """Record one executor worker declared dead (killed, hung or
-        heartbeat-stale) and replaced; its claimed shards were reclaimed
-        and re-dispatched, so like retries this never touches ``total``.
-        """
-        self.lost += 1
-        self._render()
+    @property
+    def retried(self) -> int:
+        return self.fold.retries
 
-    def set_workers(self, alive: int, total: int) -> None:
-        """Record executor worker liveness (fabric backends report this)."""
-        self.workers_alive = alive
-        self.workers_total = total
-        self._render()
+    @property
+    def lost(self) -> int:
+        return self.fold.lost_workers
 
     def finish(self) -> None:
         """Render the final state and terminate the status line."""
@@ -111,7 +99,7 @@ class ProgressReporter:
 
     # -- rendering --------------------------------------------------------------
     def elapsed_seconds(self) -> float:
-        """Wall time (monotonic) since the first ``add_total``."""
+        """Wall time (monotonic) since the first event."""
         return 0.0 if self._started is None else self._clock() - self._started
 
     def summary_line(self) -> str:
@@ -156,11 +144,9 @@ class ProgressReporter:
             parts.append(f"{self.retried} retried")
         if self.lost:
             parts.append(f"{self.lost} lost")
-        if (
-            self.workers_total is not None
-            and self.completed < self.total
-        ):
-            parts.append(f"workers {self.workers_alive}/{self.workers_total}")
+        fold = self.fold
+        if fold.workers_total is not None and self.completed < self.total:
+            parts.append(f"workers {fold.workers_alive}/{fold.workers_total}")
         eta = self.eta_seconds()
         if eta is not None and self.completed < self.total:
             parts.append(f"eta {format_eta(eta)}")

@@ -24,7 +24,7 @@ And one selects the observability recorder of :mod:`repro.obs`:
   for the Chrome-trace export).  Recording never changes results — it
   only decides what diagnostics are collected alongside them.
 
-Three configure the durable telemetry plane of :mod:`repro.obs.journal`:
+Two configure the durable telemetry plane of :mod:`repro.obs.journal`:
 
 * ``REPRO_OBS_JOURNAL`` — path of the append-only JSONL event journal
   the conductor and every worker write; empty (default) disables the
@@ -32,9 +32,6 @@ Three configure the durable telemetry plane of :mod:`repro.obs.journal`:
 * ``REPRO_OBS_JOURNAL_FLUSH`` — cadence in seconds of the periodic
   registry snapshots and worker heartbeat stamps journaled alongside the
   per-unit events (default 2.0).
-* ``REPRO_OBS_STRAGGLER`` — straggler factor ``k`` for ``repro status``:
-  an in-flight unit counts as a straggler once its age exceeds ``k`` ×
-  the running shard-seconds p95 (default 4.0).
 
 Four configure the campaign fabric of :mod:`repro.runner`:
 
@@ -68,7 +65,6 @@ __all__ = [
     "obs_mode_from_env",
     "journal_path_from_env",
     "journal_flush_interval_from_env",
-    "straggler_factor_from_env",
     "runner_backend_from_env",
     "runner_store_from_env",
     "heartbeat_interval_from_env",
@@ -192,22 +188,6 @@ def journal_path_from_env(fallback: str = "") -> str:
 def journal_flush_interval_from_env(fallback: float = 2.0) -> float:
     """Journal snapshot/heartbeat cadence (s): ``REPRO_OBS_JOURNAL_FLUSH``."""
     return positive_float_env("REPRO_OBS_JOURNAL_FLUSH", fallback)
-
-
-def straggler_factor_from_env(fallback: float = 4.0) -> float:
-    """Straggler factor ``k`` for ``repro status``: ``REPRO_OBS_STRAGGLER``.
-
-    A unit in flight longer than ``k`` × the running shard-seconds p95 is
-    flagged.  Values below 1 would flag faster-than-typical units, which
-    is always a misconfiguration.
-    """
-    value = positive_float_env("REPRO_OBS_STRAGGLER", fallback)
-    if value < 1.0:
-        raise ValueError(
-            f"REPRO_OBS_STRAGGLER must be >= 1 (k x p95 of shard seconds), "
-            f"got {value}"
-        )
-    return value
 
 
 def runner_backend_from_env(fallback: str = "") -> str:

@@ -1,7 +1,10 @@
 """``repro status``: the event fold, straggler rule and rendering."""
 
+import json
+
 import pytest
 
+from repro.cli import main
 from repro.obs.journal import Journal, JournalFollower
 from repro.obs.status import (
     MIN_LATENCY_SAMPLES,
@@ -123,11 +126,6 @@ class TestStragglers:
         status.apply(ev("exec-start", 500.0, key="a", label="fig3", m=2))
         assert status.inflight["a"][0] == 500.0
 
-    def test_factor_validated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_STRAGGLER", "0.5")
-        with pytest.raises(ValueError, match="REPRO_OBS_STRAGGLER"):
-            CampaignStatus()
-
 
 class TestRender:
     def test_render_mentions_everything(self):
@@ -149,6 +147,30 @@ class TestRender:
             "stragglers (k=4)",
         ):
             assert needle in text, f"{needle!r} missing from:\n{text}"
+
+
+class TestCli:
+    @pytest.mark.parametrize("bad", ["0.5", "0.999"])
+    def test_factor_validated(self, tmp_path, bad):
+        path = tmp_path / "j.jsonl"
+        path.write_text("")
+        with pytest.raises(SystemExit, match="--straggler-factor"):
+            main(["status", str(path), "--straggler-factor", bad])
+
+    def test_factor_default_and_flag(self, tmp_path, capsys):
+        assert CampaignStatus().straggler_factor == 4.0
+        events = [
+            *(ev("exec-done", i, key=f"k{i}", label="fig3", m=2, seconds=0.1)
+              for i in range(MIN_LATENCY_SAMPLES)),
+            ev("claim", 10.0, key="slow", label="fig3", m=2),
+            ev("campaign-end", 100.0),
+        ]
+        path = tmp_path / "j.jsonl"
+        path.write_text("".join(json.dumps(e) + "\n" for e in events))
+        assert main(["status", str(path)]) == 0
+        assert "stragglers (k=4)" in capsys.readouterr().out
+        assert main(["status", str(path), "--straggler-factor", "1000"]) == 0
+        assert "stragglers" not in capsys.readouterr().out
 
 
 class TestFollowIntegration:

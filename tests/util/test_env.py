@@ -13,7 +13,6 @@ from repro.util.env import (
     journal_path_from_env,
     lease_timeout_from_env,
     m_values_from_env,
-    straggler_factor_from_env,
     obs_mode_from_env,
     positive_float_env,
     positive_int_env,
@@ -184,21 +183,6 @@ class TestJournalKnobs:
         with pytest.raises(ValueError, match="REPRO_OBS_JOURNAL_FLUSH"):
             journal_flush_interval_from_env()
 
-    def test_straggler_factor_default_and_parse(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS_STRAGGLER", raising=False)
-        assert straggler_factor_from_env() == 4.0
-        monkeypatch.setenv("REPRO_OBS_STRAGGLER", "2.5")
-        assert straggler_factor_from_env() == 2.5
-        monkeypatch.setenv("REPRO_OBS_STRAGGLER", "1")
-        assert straggler_factor_from_env() == 1.0
-
-    @pytest.mark.parametrize("bad", ["0", "-4", "0.5", "0.999", "lots"])
-    def test_straggler_factor_rejects_invalid(self, monkeypatch, bad):
-        """Below 1 would flag faster-than-typical units — always a typo."""
-        monkeypatch.setenv("REPRO_OBS_STRAGGLER", bad)
-        with pytest.raises(ValueError, match="REPRO_OBS_STRAGGLER"):
-            straggler_factor_from_env()
-
 
 class TestPositiveFloatEnv:
     def test_fallback_when_unset(self, monkeypatch):
@@ -234,3 +218,13 @@ class TestRetiredKnobs:
         assert not [n for n in env.__all__ if "verdict" in n]
         assert not [n for n in vars(env) if "verdict" in n]
         assert "REPRO_VERDICT_CACHE" not in (env.__doc__ or "")
+
+    def test_straggler_knob_is_gone(self, monkeypatch):
+        """``--straggler-factor`` is the one way to set the factor."""
+        from repro.obs.status import CampaignStatus
+        from repro.util import env
+
+        assert not [n for n in vars(env) if "straggler" in n]
+        assert "REPRO_OBS_STRAGGLER" not in (env.__doc__ or "")
+        monkeypatch.setenv("REPRO_OBS_STRAGGLER", "0.5")
+        assert CampaignStatus().straggler_factor == 4.0
