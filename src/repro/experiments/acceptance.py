@@ -24,6 +24,8 @@ depend on the pipeline choice — it is purely a throughput knob.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.generator import (
     GeneratorConfig,
@@ -45,6 +47,7 @@ __all__ = [
     "clear_samples",
     "merge_outcomes",
     "retain_sample",
+    "retained_samples",
     "sample_key",
     "settled_summary",
     "take_new_samples",
@@ -370,12 +373,17 @@ def retain_sample(key: tuple, arrays: tuple) -> None:
     _NEW.append(key)
 
 
+def retained_samples() -> Mapping[tuple, tuple]:
+    """Every held sample, ``key -> arrays``, as a read-only live view."""
+    return MappingProxyType(_SAMPLES)
+
+
 def take_new_samples() -> list[tuple[tuple, tuple]]:
     """``(key, arrays)`` of every sample retained since the last call.
 
     A cluster worker ships these back with each outcome; the parent folds
-    them in with :func:`retain_sample`, so the next sweep's workers,
-    forked from it, inherit them.
+    them in with :func:`retain_sample` and forwards them to the workers
+    that lack them with their next unit.
     """
     new = [(key, _SAMPLES[key]) for key in _NEW]
     _NEW.clear()

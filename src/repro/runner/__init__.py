@@ -14,7 +14,8 @@ exactly those shards and runs them fast, restartably and survivably:
 * :mod:`repro.runner.cluster` — the one parallel backend,
   :class:`~repro.runner.cluster.ClusterBackend`: parent-assigned units,
   heartbeat liveness, re-dispatch of units lost to killed workers, an
-  opt-in lease for hung ones, exactly-once merge.
+  opt-in lease for hung ones, exactly-once merge, and one worker fleet
+  per process that later sweeps reuse.
 * :mod:`repro.runner.store` — the ``ShardStore`` interface over the
   content-addressed shard layout: :class:`~repro.runner.store.FsStore`
   and the flat multi-host

@@ -45,31 +45,53 @@ Worker deaths injected for testing go through :mod:`repro.runner.
 faults`, which SIGKILLs or hangs a worker mid-shard — after it journals
 its claim, before the outcome.
 
-Workers fork once per sweep, so they see the parent's state at sweep
-start; the parent makes that state warm.  It loads ``numpy.random``
-before spawning (``decompose_sweep`` has already cached the grid
-buckets), and it folds in the task-set samples each worker retained,
-which travel with the ``done`` message next to the obs payload (see
-:func:`repro.experiments.acceptance.take_new_samples`).  The next
-sweep's workers inherit them, so sibling service levels of a
-degradation figure generate their shared sample once.
+**One fleet per process.**  Workers outlive a sweep: a campaign is
+dozens of sweeps, and forking fresh workers for each one cost a fork,
+a cold first shard and a join per worker per sweep.  The process keeps
+one idle :class:`WorkerFleet`; a backend borrows it in ``as_completed``
+and hands it back in ``shutdown``.  A fleet is forked lazily, at the
+first pending unit, and only reused while nothing a forked worker froze
+has changed: the worker count, the heartbeat interval and the
+:func:`fork_state` (demand kernel, obs recorder and mode, every
+``REPRO_*`` variable).  Any mismatch closes it and forks a new one.  A
+sweep that ends in a :class:`~repro.runner.executor.WorkerCrashError`,
+an exception in the consumer or an interrupt closes the fleet too, so
+the next sweep starts on fresh workers.  :func:`close_workers` (also
+run ``atexit``) closes the idle fleet, and a worker whose parent is gone
+exits on its own within a quarter heartbeat interval.
+
+Since workers are not forked per sweep, nothing reaches them by fork
+inheritance: a dispatch is ``(seq, pos, unit, samples)`` on the worker's
+task pipe.  ``seq`` is numbered across the fleet's life, so a late
+report from an earlier sweep is recognized and dropped.  ``samples``
+carries the task-set samples the parent retains (see
+:func:`repro.experiments.acceptance.retain_sample`) that the worker does
+not hold yet — or tells it to drop what it holds first, after the parent
+evicted them.  Workers ship the samples they retain back next to the
+obs payload, so sibling service levels of a degradation figure generate
+their shared sample once, whichever worker runs them.
 """
 
 from __future__ import annotations
 
+import atexit
 import heapq
-import itertools
 import multiprocessing
+import os
 import threading
 import time
 import traceback
+import weakref
 from collections import deque
 from typing import Iterator, Sequence
 
 from repro import obs
+from repro.analysis import dbf
 from repro.experiments.acceptance import (
     BucketOutcome,
+    clear_samples,
     retain_sample,
+    retained_samples,
     take_new_samples,
 )
 from repro.obs import clock
@@ -95,7 +117,7 @@ from repro.util.env import (
     lease_timeout_from_env,
 )
 
-__all__ = ["ClusterBackend"]
+__all__ = ["ClusterBackend", "close_workers", "worker_pids"]
 
 #: Cap on the exponential re-dispatch backoff (seconds).
 BACKOFF_CAP = 2.0
@@ -137,7 +159,7 @@ def payload_busy_seconds(payload: dict | None) -> float:
 
 def _cluster_worker_main(
     slot: int,
-    units: list[WorkUnit],
+    parent: int,
     tasks,
     result_q,
     heartbeats,
@@ -146,8 +168,12 @@ def _cluster_worker_main(
     """Worker entry point: receive, run, report — until the parent stops us.
 
     Units arrive one at a time on this worker's own ``tasks`` pipe as
-    ``(seq, pos)``; the worker reports each on the shared result queue
-    and then waits for the next.
+    ``(seq, pos, unit, samples)``; the worker reports each on the shared
+    result queue and then waits for the next.  The heartbeat thread also
+    watches for the parent (pid ``parent``) to go away: a worker must
+    not outlive its conductor, and blocked in ``recv`` it would never
+    notice: the fork copied the write end of its own task pipe (and of
+    every pipe made before it), so the pipe never reaches EOF.
 
     With ``REPRO_OBS_JOURNAL`` set (inherited from the conductor's
     environment), the worker also journals each claim and a heartbeat
@@ -156,8 +182,8 @@ def _cluster_worker_main(
     this process's memory dies with it.
     """
     heartbeats[slot] = clock.monotonic()
-    # Samples the parent held are inherited, not new: ship only our own.
-    take_new_samples()
+    # Samples arrive over the pipe; what the fork copied is not tracked.
+    clear_samples()
     stop = threading.Event()
     flush_every = journal_flush_interval_from_env()
 
@@ -167,6 +193,8 @@ def _cluster_worker_main(
             journal.emit("heartbeat", slot=slot)
         last_emit = clock.monotonic()
         while not stop.wait(beat_every):
+            if os.getppid() != parent:
+                os._exit(0)
             now = clock.monotonic()
             heartbeats[slot] = now
             if journal is not None and now - last_emit >= flush_every:
@@ -177,10 +205,16 @@ def _cluster_worker_main(
     try:
         while True:
             try:
-                seq, pos = tasks.recv()
+                seq, pos, unit, samples = tasks.recv()
             except EOFError:
                 return
-            unit = units[pos]
+            if samples is not None:
+                reset, pairs = samples
+                if reset:
+                    clear_samples()
+                for key, arrays in pairs:
+                    retain_sample(key, arrays)
+                take_new_samples()  # the parent's, not ours to ship back
             journal = active_journal()
             if journal is not None:
                 journal.emit(
@@ -203,6 +237,175 @@ def _cluster_worker_main(
             )
     finally:
         stop.set()
+
+
+# -- the process's worker fleet -------------------------------------------------
+def fork_state() -> tuple:
+    """What a forked worker froze that a reused one must still match.
+
+    The demand kernel, the obs recorder (by identity, with its mode) and
+    every ``REPRO_*`` environment variable.  The recorder is held weakly,
+    so a fleet never keeps a replaced recorder's spans alive, and a dead
+    reference equals no live one.
+    """
+    return (
+        dbf.demand_kernel(),
+        weakref.ref(obs.get_recorder()),
+        obs.mode(),
+        tuple(sorted(
+            (name, value) for name, value in os.environ.items()
+            if name.startswith("REPRO_")
+        )),
+    )
+
+
+class WorkerFleet:
+    """Worker processes, their task pipes and the shared result channel.
+
+    A fleet lives across sweeps; :class:`ClusterBackend` borrows it for
+    one.  ``key`` is what it was forked under (see :func:`fork_state`);
+    ``seq`` numbers dispatches over the fleet's whole life; and
+    ``held[slot]`` is the set of sample keys that slot's worker holds,
+    mirrored from what was sent and shipped back.
+    """
+
+    def __init__(self, workers: int, heartbeat_interval: float, key: tuple):
+        self.key = key
+        self.heartbeat_interval = heartbeat_interval
+        self.ctx = worker_context()
+        self.procs: list = [None] * workers
+        self.pipes: list = [None] * workers  # slot -> (read end, write end)
+        self.held: list[set] = [set() for _ in range(workers)]
+        self.result_q = self.ctx.SimpleQueue()
+        self.heartbeats = self.ctx.Array("d", workers, lock=False)
+        self.seq = 0
+
+    def spawn(self, slot: int, now: float) -> None:
+        """Fork a fresh worker into ``slot`` (reaping any previous one)."""
+        # The parent keeps the read end open too, so a unit sent to a
+        # worker that has just died sits in the pipe instead of raising;
+        # the next reap reclaims it from the backend's ``_held``.
+        old = self.procs[slot]
+        if old is not None:
+            old.join(timeout=2.0)
+        self._close_pipe(slot)
+        self.pipes[slot] = self.ctx.Pipe(duplex=False)
+        self.held[slot] = set()
+        self.heartbeats[slot] = now
+        proc = self.ctx.Process(
+            target=_cluster_worker_main,
+            args=(
+                slot,
+                os.getpid(),
+                self.pipes[slot][0],
+                self.result_q,
+                self.heartbeats,
+                self.heartbeat_interval / 4.0,
+            ),
+            daemon=True,
+        )
+        proc.start()
+        self.procs[slot] = proc
+
+    def dispatch(self, slot: int, pos: int, unit: WorkUnit) -> int:
+        """Send ``unit`` to ``slot`` with the samples it lacks; its seq."""
+        seq = self.seq
+        self.seq += 1
+        self.pipes[slot][1].send((seq, pos, unit, self._samples_for(slot)))
+        return seq
+
+    def _samples_for(self, slot: int):
+        """``None``, or ``(reset, pairs)``: drop everything first when the
+        worker holds a sample the parent has evicted, then take ``pairs``."""
+        held = self.held[slot]
+        retained = retained_samples()
+        reset = not held <= retained.keys()
+        if reset:
+            held.clear()
+        pairs = [(key, arrays) for key, arrays in retained.items() if key not in held]
+        if not reset and not pairs:
+            return None
+        held.update(key for key, _ in pairs)
+        return reset, pairs
+
+    def absorb_samples(self, pairs, slot: int | None) -> None:
+        """Retain the samples a worker shipped back, and note that the
+        worker in ``slot`` holds them (``None``: the sender was replaced).
+
+        A shipped sample of a new group evicted the old one in the worker
+        as it does here, so what it holds is what the parent still has.
+        """
+        for key, arrays in pairs:
+            retain_sample(key, arrays)
+        if slot is not None and pairs:
+            held = self.held[slot]
+            held.intersection_update(retained_samples().keys())
+            held.update(key for key, _ in pairs)
+
+    def pids(self) -> list[int]:
+        return [proc.pid for proc in self.procs if proc is not None]
+
+    def close(self) -> None:
+        """Stop every worker and release the pipes."""
+        for proc in self.procs:
+            if proc is not None and proc.is_alive():
+                proc.terminate()
+        for proc in self.procs:
+            if proc is not None:
+                proc.join(timeout=2.0)
+                if proc.is_alive():  # pragma: no cover - stuck in kernel
+                    proc.kill()
+                    proc.join(timeout=2.0)
+        self.procs = [None] * len(self.procs)
+        for slot in range(len(self.pipes)):
+            self._close_pipe(slot)
+        self.result_q.close()
+
+    def _close_pipe(self, slot: int) -> None:
+        pipe, self.pipes[slot] = self.pipes[slot], None
+        if pipe is not None:
+            for end in pipe:
+                end.close()
+
+
+#: The process's idle fleet: ``None`` before the first parallel sweep,
+#: after :func:`close_workers`, and while a backend has it borrowed.
+_FLEET: WorkerFleet | None = None
+
+
+def _borrow_fleet(workers: int, heartbeat_interval: float) -> WorkerFleet:
+    """The idle fleet if it was forked under today's state, else a new one."""
+    global _FLEET
+    fleet, _FLEET = _FLEET, None
+    key = (workers, heartbeat_interval, fork_state())
+    if fleet is not None and fleet.key == key:
+        return fleet
+    if fleet is not None:
+        fleet.close()
+    return WorkerFleet(workers, heartbeat_interval, key)
+
+
+def _return_fleet(fleet: WorkerFleet) -> None:
+    global _FLEET
+    if _FLEET is not None:  # another backend returned one meanwhile
+        _FLEET.close()
+    _FLEET = fleet
+
+
+def close_workers() -> None:
+    """Close the idle fleet, if any; the next parallel sweep forks anew."""
+    global _FLEET
+    fleet, _FLEET = _FLEET, None
+    if fleet is not None:
+        fleet.close()
+
+
+def worker_pids() -> list[int]:
+    """Process ids of the idle fleet's workers (empty without one)."""
+    return [] if _FLEET is None else _FLEET.pids()
+
+
+atexit.register(close_workers)
 
 
 class ClusterBackend(ExecutorBackend):
@@ -242,16 +445,14 @@ class ClusterBackend(ExecutorBackend):
             "lost_workers": 0,
             "duplicates": 0,
             "worker_errors": 0,
+            "spawns": 0,
         }
         self._units: list[WorkUnit] = []
-        self._ctx = worker_context()
-        self._procs: list = []
-        self._pipes: list = []  # slot -> (read end, write end) of its task pipe
-        self._result_q = None
-        self._heartbeats = None
+        self._fleet: WorkerFleet | None = None
         self._shutdown = False
+        self._clean = False  # every unit merged: the fleet may be kept
         # dispatch bookkeeping (all parent-side, all per-run)
-        self._seq = itertools.count()
+        self._first_seq = 0  # fleet seqs below this belong to earlier runs
         self._held: dict[int, tuple[int, int, float]] = {}  # slot -> (seq, pos, t)
         self._ready: deque[int] = deque()  # positions awaiting an idle worker
         self._attempts: dict[int, int] = {}  # pos -> dispatch count
@@ -266,17 +467,16 @@ class ClusterBackend(ExecutorBackend):
     def as_completed(self) -> Iterator[UnitResult]:
         if not self._units:
             return
-        self._result_q = self._ctx.SimpleQueue()
-        self._heartbeats = self._ctx.Array("d", self.workers, lock=False)
         # numpy 2 imports numpy.random lazily, at ~10 ms of CPU: load it
-        # here once so every worker of every sweep inherits it.
+        # before the first fork so every worker inherits it.
         import numpy.random  # noqa: F401
 
+        fleet = self._fleet = _borrow_fleet(self.workers, self.heartbeat_interval)
+        self._first_seq = fleet.seq
         now = clock.monotonic()
-        self._procs = [None] * self.workers
-        self._pipes = [None] * self.workers
-        for slot in range(self.workers):
-            self._spawn(slot, now)
+        for slot, proc in enumerate(fleet.procs):
+            if proc is None or not proc.is_alive():
+                self._spawn(slot, now)
         self.observer.workers_changed(self.workers, self.workers)
         self._attempts = dict.fromkeys(range(len(self._units)), 1)
         self._ready.extend(range(len(self._units)))
@@ -294,19 +494,23 @@ class ClusterBackend(ExecutorBackend):
             if message is None:
                 continue
             kind, slot, seq, pos = message[0], message[1], message[2], message[3]
+            if seq < self._first_seq:
+                continue  # a straggler's report from an earlier run
             # A report from a worker already declared lost finds its slot
             # re-assigned (or empty); its unit was re-dispatched then.
             held = self._held.get(slot)
             current = held is not None and held[0] == seq
+            if kind == "done":
+                # Idempotent, so a duplicate's samples fold in harmlessly.
+                # Folded before the worker's next dispatch, whose samples
+                # must account for what it just retained.
+                fleet.absorb_samples(message[6], slot if current else None)
             if current:
                 # Hand the freed worker its next unit before the caller
                 # spends time on this one's outcome.
                 del self._held[slot]
                 self._assign(clock.monotonic())
             if kind == "done":
-                # Idempotent, so a duplicate's samples fold in harmlessly.
-                for key, arrays in message[6]:
-                    retain_sample(key, arrays)
                 if pos in self._done:
                     self.stats["duplicates"] += 1
                     continue
@@ -316,6 +520,7 @@ class ClusterBackend(ExecutorBackend):
             elif current:
                 self.stats["worker_errors"] += 1
                 self._retry_or_fail(pos, detail=message[4])
+        self._clean = True
 
         if obs.active():
             wall = clock.monotonic() - started
@@ -326,61 +531,36 @@ class ClusterBackend(ExecutorBackend):
                 )
 
     def shutdown(self) -> None:
+        """Hand the fleet back after a clean run; close it after any other.
+
+        A crash, a consumer exception or an interrupt may leave workers
+        mid-unit or the shared channel half-read, so those runs never
+        pass their workers on.
+        """
         if self._shutdown:
             return
         self._shutdown = True
-        for proc in self._procs:
-            if proc is not None and proc.is_alive():
-                proc.terminate()
-        for proc in self._procs:
-            if proc is not None:
-                proc.join(timeout=2.0)
-                if proc.is_alive():  # pragma: no cover - stuck in kernel
-                    proc.kill()
-                    proc.join(timeout=2.0)
-        self._procs = []
-        for slot in range(len(self._pipes)):
-            self._close_pipe(slot)
-        self._pipes = []
-        self._result_q = None
+        fleet, self._fleet = self._fleet, None
+        if fleet is not None:
+            if self._clean:
+                _return_fleet(fleet)
+            else:
+                fleet.close()
         self.observer.workers_changed(0, self.workers)
 
     # -- worker lifecycle -------------------------------------------------------
     def _spawn(self, slot: int, now: float) -> None:
-        # The parent keeps the read end open too, so a unit sent to a
-        # worker that has just died sits in the pipe instead of raising;
-        # the next reap reclaims it from ``_held``.
-        self._close_pipe(slot)
-        self._pipes[slot] = self._ctx.Pipe(duplex=False)
-        self._heartbeats[slot] = now
-        proc = self._ctx.Process(
-            target=_cluster_worker_main,
-            args=(
-                slot,
-                self._units,
-                self._pipes[slot][0],
-                self._result_q,
-                self._heartbeats,
-                self.heartbeat_interval / 4.0,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        self._procs[slot] = proc
-
-    def _close_pipe(self, slot: int) -> None:
-        pipe, self._pipes[slot] = self._pipes[slot], None
-        if pipe is not None:
-            for end in pipe:
-                end.close()
+        self._fleet.spawn(slot, now)
+        self.stats["spawns"] += 1
+        if obs.active():
+            obs.REGISTRY.add("runner.spawns")
 
     def _reap_lost_workers(self, now: float) -> None:
         """Declare dead/stale workers lost; re-dispatch their units fast."""
+        fleet = self._fleet
         max_age = 0.0
-        for slot, proc in enumerate(self._procs):
-            if proc is None:
-                continue
-            age = now - self._heartbeats[slot]
+        for slot, proc in enumerate(fleet.procs):
+            age = now - fleet.heartbeats[slot]
             max_age = max(max_age, age)
             if proc.is_alive() and age <= 2.0 * self.heartbeat_interval:
                 continue
@@ -388,32 +568,30 @@ class ClusterBackend(ExecutorBackend):
         self.observer.heartbeat_age(max_age)
 
     def _lose_worker(self, slot: int, heartbeat_age: float, now: float) -> None:
-        proc = self._procs[slot]
+        procs = self._fleet.procs
+        proc = procs[slot]
         self.stats["lost_workers"] += 1
         self.observer.worker_lost(slot, heartbeat_age)
         if proc.is_alive():  # stale heartbeat on a live process: put it down
             proc.kill()
         proc.join(timeout=2.0)
-        alive = sum(
-            1 for p in self._procs if p is not None and p.is_alive()
+        self.observer.workers_changed(
+            sum(1 for p in procs if p.is_alive()), self.workers
         )
-        self.observer.workers_changed(alive, self.workers)
         held = self._held.pop(slot, None)
         if held is not None and held[1] not in self._done:
             pos = held[1]
             self.observer.unit_reclaimed(self._units[pos], slot, heartbeat_age)
             self._retry_or_fail(pos, heartbeat_age=heartbeat_age)
-        if not self._shutdown:
-            self._spawn(slot, now)
-            self.observer.workers_changed(
-                sum(1 for p in self._procs if p is not None and p.is_alive()),
-                self.workers,
-            )
+        self._spawn(slot, now)
+        self.observer.workers_changed(
+            sum(1 for p in procs if p.is_alive()), self.workers
+        )
 
     # -- dispatch / retry -------------------------------------------------------
     def _assign(self, now: float) -> None:
         """Send the next ready unit to every idle worker."""
-        for slot in range(len(self._procs)):
+        for slot in range(self.workers):
             if slot in self._held:
                 continue
             while self._ready and self._ready[0] in self._done:
@@ -421,9 +599,8 @@ class ClusterBackend(ExecutorBackend):
             if not self._ready:
                 return
             pos = self._ready.popleft()
-            seq = next(self._seq)
+            seq = self._fleet.dispatch(slot, pos, self._units[pos])
             self._held[slot] = (seq, pos, now)
-            self._pipes[slot][1].send((seq, pos))
 
     def _expire_leases(self, now: float) -> None:
         """Put down every worker holding one unit past the lease.
@@ -434,7 +611,7 @@ class ClusterBackend(ExecutorBackend):
         for slot, (_, pos, since) in list(self._held.items()):
             if now - since > self.lease_timeout:
                 self.observer.lease_expired(self._units[pos], slot)
-                self._lose_worker(slot, now - self._heartbeats[slot], now)
+                self._lose_worker(slot, now - self._fleet.heartbeats[slot], now)
 
     def _retry_or_fail(
         self,
@@ -486,11 +663,12 @@ class ClusterBackend(ExecutorBackend):
 
         ``SimpleQueue`` has no timed ``get``; its reader connection does.
         """
-        reader = getattr(self._result_q, "_reader", None)
+        result_q = self._fleet.result_q
+        reader = getattr(result_q, "_reader", None)
         if reader is not None:
             if not reader.poll(timeout):
                 return None
-        elif self._result_q.empty():  # pragma: no cover - exotic platforms
+        elif result_q.empty():  # pragma: no cover - exotic platforms
             time.sleep(timeout)
             return None
-        return self._result_q.get()
+        return result_q.get()

@@ -11,6 +11,7 @@ from repro.analysis.dbf import DemandScenario, HorizonExceeded
 from repro.analysis.vdtuning import TuningOutcome, _rank_candidates
 from repro.experiments.acceptance import clear_samples
 from repro.model import Criticality, MCTask, TaskSet
+from repro.runner.cluster import close_workers
 
 
 @pytest.fixture(autouse=True)
@@ -20,6 +21,20 @@ def fresh_sample_store():
     clear_samples()
     yield
     clear_samples()
+
+
+@pytest.fixture(autouse=True)
+def fresh_workers():
+    """Every test ends by closing the process's cluster worker fleet.
+
+    A fleet is reused while the state it was forked under (demand
+    kernel, obs recorder, ``REPRO_*`` environment) is unchanged, but a
+    monkeypatch is invisible to that check: a worker forked before one
+    would never see it.  Closing after each test keeps a patch from
+    reaching, or missing, another test's workers.
+    """
+    yield
+    close_workers()
 
 
 def hc_task(
