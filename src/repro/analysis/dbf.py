@@ -76,7 +76,8 @@ Violation search
     its dbf term grows at the same unit rate, so ``dbf - cut_j`` is
     non-decreasing for every ``j`` and the refined demand is their max.
     An O(n·k) Fisher–Baruah-style upper-bound screen
-    (:func:`approx_accepts`) settles clear passes before the search runs.
+    (:func:`approx_accepts`) settles clear passes of the shrink descent's
+    LO probes before their exact search runs.
     :func:`set_demand_kernel` picks the shrink descent's kernel: ``qpa``
     or ``block``.
 """
@@ -216,7 +217,7 @@ def overload_marker(tasks) -> int:
     return min((t.deadline for t in tasks), default=0)
 
 
-#: Exact-step depth of the dbf upper-bound accept screens.  Sound for
+#: Exact-step depth of the dbf upper-bound accept screen.  Sound for
 #: every positive value; larger values trade screen cost for coverage.
 _APPROX_K = 3
 
@@ -245,8 +246,7 @@ _COUNTERS = _OBS_REGISTRY.counter_scope(
     "dbf",
     (
         "qpa-accept",  # checks settled by a QPA pass
-        "approx-accept",  # checks settled by the upper-bound screen
-        "approx-reject",  # probes settled by a point-violation reject screen
+        "approx-accept",  # LO shrink probes settled by the upper-bound screen
         "qpa-iterations",  # total backward fixed-point iterations
         "qpa-runs",  # number of QPA searches started
         "floor-reject",  # unrefined tuning stages rejected at the V* floor
@@ -263,8 +263,8 @@ def demand_kernel() -> str:
 def set_demand_kernel(name: str) -> str:
     """Select the demand kernel; returns the previous one.
 
-    ``"qpa"`` (the default) runs the screens + backward fixed-point search
-    and the scalar shrink descent; ``"block"`` keeps the QPA decision
+    ``"qpa"`` (the default) runs the backward fixed-point search and the
+    scalar shrink descent; ``"block"`` keeps the QPA decision
     procedure and additionally lets the shrink descent commit *blocks* of
     V* jumps across several tasks per exact probe
     (:mod:`repro.analysis.dbf_block`) — it relaxes the bit-identical
@@ -518,51 +518,43 @@ def qpa_violation_search(
     return ("pass", None, iterations)
 
 
-def _screen_points(tasks, horizon: int, k: int, ramps: bool) -> list[int]:
+def _screen_points(tasks, horizon: int, k: int) -> list[int]:
     """Candidate maxima of the k-step upper bound in ``[0, horizon]``.
 
     Every jump and kink of the bound: the first ``k+1`` step points of
     each task (the ``k+1``-th is the blend point where the staircase meets
-    its utilization-slope chord), the ramp ends inside the exact region,
-    and the horizon.  Between consecutive candidates the bound is linear,
-    so checking the bound at these points bounds it everywhere.  Unsorted
-    and not deduplicated: every consumer only asks whether *some* point
-    fails.
+    its utilization-slope chord) and the horizon.  Between consecutive
+    candidates the bound is linear, so checking the bound at these points
+    bounds it everywhere.  Unsorted and not deduplicated: the screen only
+    asks whether *some* point fails.
     """
     points = [horizon]
     for t in tasks:
         d = t.deadline
-        if d > horizon:
-            continue
-        jumps = range(d, min(d + k * t.period, horizon) + 1, t.period)
-        points.extend(jumps)
-        if ramps and t.wcet_lo > 0:
-            ramp = min(t.wcet_lo, t.period)
-            points.extend([j + ramp for j in jumps if j + ramp <= horizon])
+        if d <= horizon:
+            points.extend(range(d, min(d + k * t.period, horizon) + 1, t.period))
     return points
 
 
-def approx_accepts(tasks, horizon: int, hi: bool, k: int | None = None) -> bool:
-    """Sound accept screen: True proves ``demand(l) <= l`` on ``[0, horizon]``.
+def approx_accepts(tasks, horizon: int, k: int | None = None) -> bool:
+    """Sound LO accept screen: True proves ``demand(l) <= l`` on
+    ``[0, horizon]``.
 
     Fisher–Baruah-style k-step bound: each task contributes its exact
-    staircase (HI mode: carry-over reduction included) below its blend
-    point ``d + k T`` and the integer-ceiling chord
-    ``ceil(C (l - d + T) / T)`` — the line through the staircase corners,
-    an upper bound of the (unrefined) demand — above it.  The total bound
-    is piecewise linear between the O(n·k) candidate points, so demand
-    fits everywhere iff the bound fits at each of them.  The cores this
-    runs on hold a handful of tasks, so the bound is a scalar integer fold
-    that stops at the first point where it exceeds ``l``.  A False return
-    proves nothing (the screen is an accept filter, not a decider); the
-    unrefined bound also covers the refined HI demand, which only
-    subtracts.
+    staircase below its blend point ``d + k T`` and the integer-ceiling
+    chord ``ceil(C (l - d + T) / T)`` — the line through the staircase
+    corners, an upper bound of the demand — above it.  The total bound is
+    piecewise linear between the O(n·k) candidate points, so demand fits
+    everywhere iff the bound fits at each of them.  The cores this runs on
+    hold a handful of tasks, so the bound is a scalar integer fold that
+    stops at the first point where it exceeds ``l``.  A False return
+    proves nothing (the screen is an accept filter, not a decider).
     """
     if not tasks or horizon < 0:
         return True  # empty region or no demand: nothing can violate
     if k is None:
         k = _APPROX_K
-    for point in _screen_points(tasks, horizon, k, ramps=hi):
+    for point in _screen_points(tasks, horizon, k):
         bound = 0
         for t in tasks:
             x = point - t.deadline
@@ -571,10 +563,6 @@ def approx_accepts(tasks, horizon: int, hi: bool, k: int | None = None) -> bool:
             c, p = t.wcet, t.period
             if x < k * p:
                 bound += (x // p + 1) * c
-                if hi:
-                    carry = t.wcet_lo - x % p
-                    if carry > 0:
-                        bound -= min(c, carry)
             else:
                 bound -= (-c * (x + p)) // p  # integer ceiling of the chord
         if bound > point:
@@ -597,17 +585,13 @@ def _lo_violation_scan(
 ) -> int | None:
     """A LO-mode violation in ``(0, horizon]``.
 
-    The upper-bound screen settles clear passes, then the QPA search
-    decides the predicate.  With ``localize`` (the callers' default
-    contract) the result is the earliest violation: a found QPA witness
-    goes back to the forward walk for localization.  Boolean callers pass
+    The QPA search decides the predicate.  With ``localize`` (the
+    callers' default contract) the result is the earliest violation: a
+    found QPA witness goes back to the forward walk for localization.  Boolean callers pass
     ``localize=False`` and get the witness itself — the **largest**
     violating breakpoint — with no forward walk.
     """
     demand_at = partial(_lo_point_demand, tasks)
-    if approx_accepts(tasks, horizon, hi=False):
-        _COUNTERS["approx-accept"] += 1
-        return None
     status, bound, _ = qpa_violation_search(tasks, horizon, demand_at, ramps=False)
     if status == "pass":
         _COUNTERS["qpa-accept"] += 1
@@ -626,11 +610,10 @@ def lo_feasible_exact(tasks: list["_ModeTask"], cap: int) -> bool:
 
     The verdict of :meth:`DemandScenario.lo_violation` on an already built
     mode-task list — same float-folded horizon bound, same conservative
-    False on overload or cap overrun — decided at witness level: a screen
-    accept or a QPA pass returns True and a QPA violation returns False
-    without localizing the earliest violating length.  Only an aborted
-    search runs the forward walk.  Used by
-    ``DemandEngine.lo_feasible`` and the batch probe screens.
+    False on overload or cap overrun — decided at witness level: a QPA
+    pass returns True and a QPA violation returns False without
+    localizing the earliest violating length.  Only an aborted search
+    runs the forward walk.  Used by ``DemandEngine.lo_feasible``.
     """
     try:
         horizon = DemandScenario._horizon(tasks, cap)
@@ -802,9 +785,6 @@ class DemandScenario:
         demand_at = partial(
             _hi_point_demand, tasks, refine=refine, n_trigger=len(self._hi)
         )
-        if approx_accepts(tasks, horizon, hi=True):
-            _COUNTERS["approx-accept"] += 1
-            return None
         status, bound, _ = qpa_violation_search(tasks, horizon, demand_at, ramps=True)
         if status == "pass":
             _COUNTERS["qpa-accept"] += 1

@@ -82,11 +82,10 @@ class ECDFTest(SchedulabilityTest):
         return DemandContext(self, self.stages, self.horizon_cap, service=service)
 
     def batch_screen(self):
-        """Partial probe screen — the context's utilization pre-screen plus
-        the demand-level fast-path screens for this test's tuning chain."""
+        """Partial probe screen — the context's utilization pre-screen."""
         from repro.analysis.prefilter import DemandPreScreen
 
-        return DemandPreScreen(stages=self.stages, horizon_cap=self.horizon_cap)
+        return DemandPreScreen()
 
 
 register_test("ecdf", ECDFTest)

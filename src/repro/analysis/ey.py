@@ -59,11 +59,10 @@ class EYTest(SchedulabilityTest):
         return DemandContext(self, _EY_STAGES, self.horizon_cap, service=service)
 
     def batch_screen(self):
-        """Partial probe screen — the context's utilization pre-screen plus
-        the demand-level fast-path screens for this test's tuning chain."""
+        """Partial probe screen — the context's utilization pre-screen."""
         from repro.analysis.prefilter import DemandPreScreen
 
-        return DemandPreScreen(stages=_EY_STAGES, horizon_cap=self.horizon_cap)
+        return DemandPreScreen()
 
 
 register_test("ey", EYTest)

@@ -53,8 +53,8 @@ the codes of one step's probes on all sets and cores at once, and settles
 every set whose walk never leaves the decided region.  The EDF-VD screen
 is complete (every probe decides); the EY/ECDF screen mirrors the
 pre-screen of :class:`repro.analysis.context.DemandContext` and leaves
-probes that would need dbf work undecided, for the scalar
-:meth:`~ProbeScreen.decide_rows` of that one set to settle or abandon.
+probes that would need dbf work undecided, which drops that one set to
+the per-taskset path.
 
 Every filter and screen here is demand-kernel independent: the conditions
 are utilization arithmetic over the batch columns and never evaluate a
@@ -66,7 +66,6 @@ stay bit-identical — whichever kernel (``qpa`` or ``block``, see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -76,7 +75,6 @@ from repro.analysis.interface import SchedulabilityTest
 __all__ = [
     "SUM_MARGIN",
     "ProbeScreen",
-    "RowView",
     "EDFVDScreen",
     "DemandPreScreen",
     "PrefilterReport",
@@ -95,25 +93,6 @@ SUM_MARGIN = 1e-7
 _EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class RowView:
-    """Integer task parameters of one set, exposed to rows-aware screens.
-
-    Plain Python int lists indexed by the set's local row index (the same
-    indexing the replay's ledger walk uses), plus whether a degraded LC
-    service model rides on the batch.  Built lazily by
-    :func:`repro.core.batch.partition_batch` only when a screen sets
-    ``uses_rows``.
-    """
-
-    period: list[int]
-    wcet_lo: list[int]
-    wcet_hi: list[int]
-    deadline: list[int]
-    is_high: list[bool]
-    degraded: bool
-
-
 class ProbeScreen:
     """O(1) admission-probe decider over candidate utilization sums.
 
@@ -124,19 +103,9 @@ class ProbeScreen:
     verdict, or None when the verdict cannot be determined from the sums
     alone (the caller then abandons the columnar replay for that set).
     Implementations must be bit-exact mirrors of the corresponding
-    incremental context's arithmetic.
-
-    Screens that can settle more probes from the candidate's task
-    parameters set ``uses_rows`` and override :meth:`decide_rows`, which
-    additionally receives the committed rows of the candidate core (in
-    commit order), the probed row and a :class:`RowView` — the same
-    verdict contract applies.  :meth:`decide_many` is ``decide`` over
-    arrays, the form the lockstep replay calls once per step.
+    incremental context's arithmetic.  :meth:`decide_many` is ``decide``
+    over arrays, the form the lockstep replay calls once per step.
     """
-
-    #: whether the replay should build a :class:`RowView` and call
-    #: :meth:`decide_rows` instead of :meth:`decide`
-    uses_rows = False
 
     def decide(
         self,
@@ -147,19 +116,6 @@ class ProbeScreen:
         implicit: bool,
     ) -> bool | None:
         raise NotImplementedError
-
-    def decide_rows(
-        self,
-        a: float,
-        b: float,
-        c: float,
-        u_res: float,
-        implicit: bool,
-        members: list[int],
-        probe: int,
-        view: RowView,
-    ) -> bool | None:
-        return self.decide(a, b, c, u_res, implicit)
 
     def decide_many(self, a, b, c, u_res, implicit) -> np.ndarray:
         """:meth:`decide` over equal-shape float arrays, as int8 codes.
@@ -238,53 +194,14 @@ class EDFVDScreen(ProbeScreen):
 
 
 class DemandPreScreen(ProbeScreen):
-    """The utilization pre-screen of the EY/ECDF incremental context, plus
-    optional demand-level accept/reject screens over the candidate rows.
+    """The utilization pre-screen of the EY/ECDF incremental context.
 
     ``decide`` is the term-for-term transcription of the opening checks of
     :meth:`repro.analysis.context.DemandContext.analyze`: reject when
     ``a + b`` or ``c`` exceeds ``1 + 1e-9``; accept the implicit-deadline
     plain-EDF reserve ``a + c <= 1 + 1e-9``; everything else needs dbf work
-    and reports None.
-
-    Constructed with the owning test's ``(policy, refine)`` ``stages`` and
-    horizon cap, :meth:`decide_rows` additionally settles probes whose
-    verdict the *tuning fast path* determines, mirroring
-    :func:`repro.analysis.vdtuning.tune_virtual_deadlines` step for step
-    (identical float folds over the candidate rows in commit order):
-
-    * the utilization gates (reject) and the implicit-deadline certified
-      fast accept — on the tuning-level folds, which can decide where the
-      ledger sums sat just outside the pre-screen's epsilon;
-    * an exact LO-mode check at full deadlines — infeasibility there
-      rejects in *every* stage;
-    * the floor HI check at minimal virtual deadlines, ``Dv_i = C_i^L``:
-      a horizon-cap overrun, utilization overload or demand violation
-      there rejects in every stage (a violation of the *refined* demand
-      implies one of the unrefined, so testing with ``refine = any stage
-      refined`` covers mixed chains soundly); the violation itself is
-      found by the per-point reject screen (exact demand at the O(n·k)
-      screen points — a lower bound on the sup) with the QPA search as
-      the exact closer.
-
-    A candidate without HC rows accepts outright once LO passes (the
-    descent's vacuous HI pass).  Everything past the floor check — the
-    uniform-scaling bisection and the per-task descent — stays undecided
-    (None), as does any probe under a degraded service model.  Settles are
-    counted in the process-local kernel counters of
-    :mod:`repro.analysis.dbf` (``approx-reject`` for reject-screen
-    settles).
+    and reports None, which drops the set to the per-taskset path.
     """
-
-    def __init__(self, stages=None, horizon_cap=None):
-        from repro.analysis.dbf import DEFAULT_HORIZON_CAP
-
-        self._stages = tuple(stages) if stages else None
-        self._cap = DEFAULT_HORIZON_CAP if horizon_cap is None else horizon_cap
-        self.uses_rows = self._stages is not None
-        #: reject with the refined demand only when a refined stage exists
-        #: (refined violation => unrefined violation covers the rest)
-        self._reject_refine = any(r for _, r in self._stages or ())
 
     def decide(self, a, b, c, u_res, implicit):
         if a + b > 1.0 + _EPS or c > 1.0 + _EPS:
@@ -300,98 +217,6 @@ class DemandPreScreen(ProbeScreen):
         codes = np.where(accept, np.int8(1), np.int8(-1))
         codes[(a + b > one) | (c > one)] = 0
         return codes
-
-    def decide_rows(self, a, b, c, u_res, implicit, members, probe, view):
-        from repro.analysis import dbf as _dbf
-        from repro.analysis.dbf import (
-            DemandScenario,
-            HorizonExceeded,
-            _ModeTask,
-            lo_feasible_exact,
-        )
-
-        base = self.decide(a, b, c, u_res, implicit)
-        if base is not None or self._stages is None or view.degraded:
-            return base
-        rows = members + [probe]
-        period, wcet_lo, wcet_hi = view.period, view.wcet_lo, view.wcet_hi
-        deadline, is_high = view.deadline, view.is_high
-        # Tuning-level utilization folds: each accumulator left-folds its
-        # criticality class in candidate order, exactly like
-        # TaskSet.utilization on the materialized candidate.
-        u_ll = u_lh = u_hh = 0
-        for r in rows:
-            if is_high[r]:
-                u_lh = u_lh + wcet_lo[r] / period[r]
-                u_hh = u_hh + wcet_hi[r] / period[r]
-            else:
-                u_ll = u_ll + wcet_lo[r] / period[r]
-        if u_ll + u_lh > 1.0 + _EPS or u_hh > 1.0 + _EPS:
-            _dbf._COUNTERS["approx-reject"] += 1
-            return False  # "utilization above 1" in every stage
-        if all(deadline[r] == period[r] for r in rows) and (
-            u_ll + u_hh <= 1.0 + _EPS
-        ):
-            return True  # certified plain-EDF fast accept (stage 1)
-        lo_tasks = [
-            _ModeTask(wcet_lo[r], deadline[r], period[r], wcet_lo[r])
-            for r in rows
-        ]
-        if not lo_feasible_exact(lo_tasks, self._cap):
-            _dbf._COUNTERS["approx-reject"] += 1
-            return False  # "LO-mode infeasible at full deadlines" everywhere
-        hc = [r for r in rows if is_high[r]]
-        if not hc:
-            return True  # no HC task: the HI check passes vacuously
-        floor_tasks = [
-            _ModeTask(
-                wcet_hi[r], deadline[r] - wcet_lo[r], period[r], wcet_lo[r]
-            )
-            for r in hc
-        ]
-        try:
-            horizon = DemandScenario._horizon(floor_tasks, self._cap)
-            if horizon is not None:
-                horizon = max(horizon, max(t.deadline for t in floor_tasks))
-                if horizon > self._cap:
-                    raise HorizonExceeded(
-                        f"bound {horizon} exceeds cap {self._cap}"
-                    )
-        except HorizonExceeded:
-            _dbf._COUNTERS["approx-reject"] += 1
-            return False  # "HI horizon cap exceeded" in every stage
-        if horizon is None:
-            _dbf._COUNTERS["approx-reject"] += 1
-            return False  # HI overload: the floor check reports a violation
-        if self._floor_hi_infeasible(floor_tasks, horizon):
-            _dbf._COUNTERS["approx-reject"] += 1
-            return False  # "HI infeasible even at minimal Dv" in every stage
-        return None  # uniform scaling / descent territory
-
-    def _floor_hi_infeasible(self, floor_tasks, horizon: int) -> bool:
-        """Exact floor-HI violation decision (point screen, then QPA)."""
-        from repro.analysis.dbf import (
-            _APPROX_K,
-            _hi_point_demand,
-            _screen_points,
-            first_violation,
-            qpa_violation_search,
-        )
-
-        demand_at = partial(
-            _hi_point_demand, floor_tasks, refine=self._reject_refine
-        )
-        for point in _screen_points(floor_tasks, horizon, _APPROX_K, ramps=True):
-            if demand_at(point) > point:
-                return True
-        status, bound, _ = qpa_violation_search(
-            floor_tasks, horizon, demand_at, ramps=True
-        )
-        if status != "abort":
-            return status == "violation"
-        # The aborted search's last iterate bounds every violation.
-        found = first_violation(floor_tasks, 0, bound, demand_at, ramps=True)
-        return found is not None
 
 
 @dataclass

@@ -41,8 +41,8 @@ Policies (see README.md#fidelity-notes):
   a benefit/cost greedy rule.
 
 HI-demand of a task is monotonically non-increasing in ``Dv`` shrinkage, so
-the minimal sufficient shrink is found by binary search with scalar dbf
-evaluations.
+the minimal sufficient shrink is found in closed form by inverting the
+task's single-task HI staircase (:func:`_invert_shrink`).
 
 Evaluation layer
 ----------------
@@ -84,7 +84,6 @@ from repro.analysis.dbf import (
     _prev_breakpoint,
     approx_accepts,
     first_violation,
-    hi_mode_dbf,
     lc_hi_mode_entries,
     lo_feasible_exact,
     overload_marker,
@@ -124,56 +123,8 @@ class TuningOutcome:
     detail: str = ""
 
 
-def _hi_gain(task: MCTask, vd_now: int, shrink: int, length: int) -> int:
-    """HI-demand reduction at ``length`` when ``Dv`` shrinks by ``shrink``."""
-    return hi_mode_dbf(task, vd_now, length) - hi_mode_dbf(
-        task, vd_now - shrink, length
-    )
-
-
-def _min_shrink_for_gain(task: MCTask, vd_now: int, length: int) -> int | None:
-    """Smallest shrink with positive HI-demand gain at ``length``; None if
-    no shrink up to the structural limit (``Dv >= C_L``) helps."""
-    max_shrink = vd_now - task.wcet_lo
-    if max_shrink <= 0:
-        return None
-    residual = task.deadline - vd_now
-    x = length - residual
-    if x < 0:
-        return None  # shrinking moves the carry-over even further out
-    r0 = x % task.period
-    # Inside the carry-over ramp every unit shrink gains one unit; above the
-    # ramp the first ``r0 - C_L + 1`` units gain nothing.
-    first = 1 if r0 < task.wcet_lo else (r0 - task.wcet_lo + 1)
-    if first > max_shrink:
-        return None
-    return first
-
-
-def _shrink_to_clear(
-    task: MCTask, vd_now: int, length: int, deficit: int
-) -> int:
-    """Smallest shrink whose HI gain at ``length`` reaches
-    ``min(deficit, the task's maximum achievable gain)``.
-
-    When the task alone cannot clear the deficit, this still returns the
-    *minimal* shrink realizing its best contribution — over-shrinking would
-    needlessly inflate LO-mode demand and strand later adjustments.
-    Relies on HI-demand being non-increasing in the shrink amount; the
-    minimal shrink is recovered in closed form by inverting the task's
-    single-task HI staircase (:func:`_invert_shrink`), which the
-    differential suite checks against the historical bisection
-    (:func:`_shrink_to_clear_bisect`) point for point.
-    """
-    max_shrink = vd_now - task.wcet_lo
-    target = min(deficit, _hi_gain(task, vd_now, max_shrink, length))
-    if target <= 0:
-        return max_shrink
-    return _invert_shrink(task, vd_now, length, target)
-
-
 def _invert_shrink(task: MCTask, vd_now: int, length: int, target: int) -> int:
-    """Minimal ``s >= 1`` with ``_hi_gain(task, vd_now, s, length) >= target``.
+    """Minimal ``s >= 1`` whose HI gain at ``length`` reaches ``target``.
 
     ``gain(s) = H(x) - H(x - s)`` for the task's single-task HI staircase
     ``H(y) = (y//T + 1) C_H - max(0, C_L - y mod T)`` (0 for ``y < 0``) and
@@ -201,25 +152,6 @@ def _invert_shrink(task: MCTask, vd_now: int, length: int, target: int) -> int:
         else:
             y_star = jobs * period + wcet_lo - need
     return max(1, x - y_star)
-
-
-def _shrink_to_clear_bisect(
-    task: MCTask, vd_now: int, length: int, deficit: int
-) -> int:
-    """The historical bisection — the differential oracle for
-    :func:`_shrink_to_clear` (identical results, O(log D) gain probes)."""
-    max_shrink = vd_now - task.wcet_lo
-    target = min(deficit, _hi_gain(task, vd_now, max_shrink, length))
-    if target <= 0:
-        return max_shrink
-    lo, hi = 1, max_shrink
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _hi_gain(task, vd_now, mid, length) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def _forward_hi_check(
@@ -535,9 +467,9 @@ class DemandEngine:
         1. a short forward walk from ``not_before`` — the tuning descent's
            violation front moves slowly, so most *violations* are caught
            within the first window of check points;
-        2. the O(n·k) upper-bound screen, then the QPA backward search
-           (warm-started from the full-deadline anchor) — most *passes*
-           settle here without walking the rest of the horizon;
+        2. the QPA backward search (warm-started from the full-deadline
+           anchor) — most *passes* settle here without walking the rest
+           of the horizon;
         3. a QPA witness proves a violation exists but sits at its
            *largest* length, so the earliest one — the value the descent
            consumes — is recovered by resuming the forward walk up to the
@@ -605,8 +537,7 @@ class DemandEngine:
         Returns ``("pass", None)``, ``("violation", witness)`` or
         ``("abort", t)`` — abort means the caller must fall back to the
         forward walk, which only needs to reach the last iterate ``t``.
-        Cold searches give the upper-bound screen one sweep first; warm
-        searches start at the lower of the full-deadline anchor, which
+        Warm searches start at the lower of the full-deadline anchor, which
         bounds every assignment's violations from above, and the caller's
         ``ceiling``, a bound it proved for this assignment's violations.
         """
@@ -616,9 +547,6 @@ class DemandEngine:
             start = self._qpa_anchor
         if ceiling is not None and ceiling < start:
             start = ceiling
-        if start == horizon and approx_accepts(tasks, horizon, hi=True):
-            _dbf._COUNTERS["approx-accept"] += 1
-            return ("pass", None)
         n_trigger = len(self._high)
         status, bound, _ = qpa_violation_search(
             tasks,
@@ -657,9 +585,6 @@ class DemandEngine:
             return
         horizon = state[1]
         n_trigger = len(self._high)
-        if approx_accepts(tasks, horizon, hi=True):
-            self._qpa_anchor = 0
-            return
         status, witness, _ = qpa_violation_search(
             tasks,
             horizon,
@@ -769,8 +694,9 @@ class DemandEngine:
         return feasible
 
     def hi_gain(self, task: MCTask, vd_now: int, shrink: int, length: int) -> int:
-        """:func:`_hi_gain` inlined on plain ints (the caller guarantees an
-        HC task): identical arithmetic, no attribute hops."""
+        """HI-demand reduction at ``length`` when ``Dv`` shrinks by
+        ``shrink``: the task's single-task HI staircase difference on plain
+        ints (the caller guarantees an HC task)."""
         period, wcet_lo, wcet_hi = task.period, task.wcet_lo, task.wcet_hi
         x_now = length - (task.deadline - vd_now)
         x_new = x_now - shrink
@@ -903,7 +829,7 @@ class DemandEngine:
                 return False
             candidate = list(others)
             candidate.append(_ModeTask(task.wcet_lo, v, task.period, task.wcet_lo))
-            ok = approx_accepts(candidate, horizon, hi=False)
+            ok = approx_accepts(candidate, horizon)
         if ok:
             _dbf._COUNTERS["approx-accept"] += 1
             prepared[3] = v if accepted_v is None else min(accepted_v, v)
@@ -1654,9 +1580,10 @@ def _rank_candidates(
     """
     ranked: list[tuple[tuple, MCTask, int]] = []
     for task in high_tasks:
-        # Inlined _min_shrink_for_gain / _shrink_to_clear / _hi_gain on
-        # plain ints — the identical closed forms, sans attribute hops and
-        # memo round-trips, in the single hottest loop of the descent.
+        # The smallest useful shrink, the minimal shrink clearing the
+        # deficit (:func:`_invert_shrink`) and its HI gain, in closed form
+        # on plain ints: no attribute hops or memo round-trips in the
+        # single hottest loop of the descent.
         vd_now = vd[task.task_id]
         period, wcet_lo, wcet_hi = task.period, task.wcet_lo, task.wcet_hi
         max_shrink = vd_now - wcet_lo

@@ -35,8 +35,9 @@ every operation is the scalar walk's, element by element:
   ``kind="stable"`` argsort, both stable and carrying the callable rules'
   tie keys (task id, core index).
 
-Probes the vector codes leave undecided go through the screen's scalar
-``decide``/``decide_rows`` for that set alone.  The differential suite in
+A set whose first non-reject core is undecided drops to the scalar path;
+an invalid probe re-runs the scalar ``decide``, which raises the error a
+one-set walk raises.  The differential suite in
 ``tests/core/test_partition_batch.py`` asserts the equality across
 strategies, tests, core counts and service models rather than trusting
 the argument.
@@ -127,26 +128,6 @@ def _validate_batch_support(
             "assumptions (see SchedulabilityTest.supports, e.g. EDF-VD "
             "requires implicit deadlines)",
         )
-
-
-def _row_view(batch: TaskSetBatch, index: int):
-    """Per-set :class:`~repro.analysis.prefilter.RowView`, cached."""
-    from repro.analysis.prefilter import RowView
-
-    view = batch.replay_cache.get(("rows", index))
-    if view is None:
-        rows = batch.set_slice(index)
-        service = batch.service_model
-        view = RowView(
-            period=batch.period[rows].tolist(),
-            wcet_lo=batch.wcet_lo[rows].tolist(),
-            wcet_hi=batch.wcet_hi[rows].tolist(),
-            deadline=batch.deadline[rows].tolist(),
-            is_high=batch.is_high[rows].tolist(),
-            degraded=service is not None and not service.is_full_drop,
-        )
-        batch.replay_cache[("rows", index)] = view
-    return view
 
 
 #: The :class:`ProcessorState` fit metrics, term for term, over a ``(4,
@@ -253,10 +234,6 @@ def _lockstep_replay(
         task_implicit = np.zeros((n_max, n_sets), dtype=bool)
         task_implicit[position, set_of] = implicit_o
         core_implicit = np.ones((n_sets, m), dtype=bool)
-    if screen.uses_rows:
-        probe_row = np.full((n_sets, n_max), -1)
-        probe_row[set_of, position] = ordered - batch.offsets[pending][set_of]
-        core_of = np.full((n_sets, n_max), -1)
 
     hc_spec, lc_spec = strategy.hc_fit_spec, strategy.lc_fit_spec
     reorder = hc_spec[0] != "first" or lc_spec[0] != "first"
@@ -290,38 +267,18 @@ def _lockstep_replay(
         core = first if fit is None else fit.ravel()[base + first]
         placed = got == 1
         if not placed.all():
-            for r in np.flatnonzero(got < 0).tolist():
-                # First non-reject core undecided (-1) or invalid (-2):
-                # walk on in fit order through the scalar screen, as a
-                # one-set walk would (so invalid input raises ValueError).
-                s, row_codes, got[r] = int(live[r]), codes[r].tolist(), 0
-                row_fit = range(m) if fit is None else fit[r].tolist()
-                for j in row_fit[first[r] :]:
-                    admitted = row_codes[j] == 1
-                    if row_codes[j] < 0:
-                        a, b, c, u_res = cand[:, r, j].tolist()
-                        imp = True if all_implicit else bool(implicit[r, j])
-                        if not screen.uses_rows:
-                            admitted = screen.decide(a, b, c, u_res, imp)
-                        else:
-                            members = probe_row[s, :k][core_of[s, :k] == j]
-                            admitted = screen.decide_rows(
-                                a, b, c, u_res, imp, members.tolist(),
-                                int(probe_row[s, k]),
-                                _row_view(batch, int(pending[s])),
-                            )
-                    if admitted is None or admitted:
-                        got[r], core[r] = (-1 if admitted is None else 1), j
-                        break
-            placed = got == 1
+            for r in np.flatnonzero(got == -2).tolist():
+                # Invalid input at the first non-reject core: the scalar
+                # probe raises the ValueError a one-set walk would.
+                j = int(core[r])
+                imp = True if all_implicit else bool(implicit[r, j])
+                screen.decide(*cand[:, r, j].tolist(), imp)
             verdict[live[got == 0]] = 0
             verdict[live[got < 0]] = -1
         index = base + core
         ledger.reshape(4, -1)[:, index] = cand.reshape(4, -1)[:, index]
         if not all_implicit:
             core_implicit.reshape(-1)[index] = implicit.reshape(-1)[index]
-        if screen.uses_rows:
-            core_of[live, k] = core
         keep = placed & (counts[live] > k + 1) if k + 1 in ends else placed
     return verdict
 

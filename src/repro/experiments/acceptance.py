@@ -257,7 +257,7 @@ def kernel_summary(
     <counter>`` deltas into :data:`repro.obs.REGISTRY` (workers ship theirs
     back to the parent), and this folds them back into the report shape the
     ``--pipeline`` diagnostics print: the ``qpa-accept`` /
-    ``approx-accept`` / ``approx-reject`` settle counters, with the
+    ``approx-accept`` settle counters, with the
     run/iteration totals collapsed to ``qpa-iter-mean`` (mean backward
     fixed-point iterations per QPA search).  The block kernel's
     ``kernel.block.*`` scope lands under ``block`` with its raw counters.

@@ -193,7 +193,8 @@ class MCTaskSetGenerator:
         Each stream is consumed exactly as one scalar :meth:`generate` call
         would consume it, so the batch holds — column for column — the task
         sets ``[self.generate(rng, u_hh, u_lh, u_ll) for rng in rngs]``
-        would produce (failures are skipped, as in :meth:`generate_many`).
+        would produce, minus the failures (a set :meth:`generate` returns
+        None for is skipped).
         Cross-set draws are *not* fused into one stream on purpose: the
         sweep harness derives an independent generator per replicate so
         shards stay order-independent and resumable, and the batch contract
@@ -203,22 +204,6 @@ class MCTaskSetGenerator:
         return self.build(
             [r for r in records if r is not None], service_model=service_model
         )
-
-    def generate_many(
-        self,
-        rng: np.random.Generator,
-        u_hh: float,
-        u_lh: float,
-        u_ll: float,
-        count: int,
-    ) -> list[TaskSet]:
-        """Up to ``count`` task sets for the same targets (skips failures)."""
-        out = []
-        for _ in range(count):
-            ts = self.generate(rng, u_hh, u_lh, u_ll)
-            if ts is not None:
-                out.append(ts)
-        return out
 
     # -- phase 1: the draws -----------------------------------------------------
     def draw(

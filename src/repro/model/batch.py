@@ -245,8 +245,7 @@ class TaskSetBatch:
         self._u_res: np.ndarray | None = None
         #: memo for derived values consumers recompute across passes
         #: when several algorithms walk the same batch (the prefilter
-        #: sums, the ledger replay's per-set row views for rows-aware
-        #: screens); purely a cost cache
+        #: sums); purely a cost cache
         self.replay_cache: dict = {}
 
     # -- construction --------------------------------------------------------

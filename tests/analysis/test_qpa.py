@@ -36,19 +36,21 @@ from repro.analysis.dbf import (
     qpa_violation_search,
     set_demand_kernel,
 )
-from repro.analysis.prefilter import DemandPreScreen
 from repro.analysis.vdtuning import (
     DemandEngine,
-    _hi_gain,
     _invert_shrink,
-    _shrink_to_clear,
-    _shrink_to_clear_bisect,
     run_tuning_stages,
 )
 from repro.degradation.service import parse_service_model
 from repro.model import Criticality, MCTask, TaskSet
 from repro.util.env import DBF_KERNELS
-from tests.conftest import forward_oracle, oracle_descent
+from tests.conftest import (
+    forward_oracle,
+    hi_gain,
+    oracle_descent,
+    shrink_to_clear,
+    shrink_to_clear_bisect,
+)
 
 
 @pytest.fixture
@@ -326,28 +328,15 @@ class TestQPASearch:
     @given(scenario_inputs())
     @settings(max_examples=100, deadline=None)
     def test_upper_bound_screen_is_sound(self, inputs):
-        """approx_accepts == True implies the exact scan finds no
-        violation (for every k, both modes, refined and not)."""
+        """approx_accepts == True implies the exact LO scan finds no
+        violation (for every k)."""
         ts, vd, service = inputs
-        scenario = DemandScenario(attach(ts, service), vd)
+        tasks = DemandScenario(attach(ts, service), vd)._lo
         horizon = 150
-        for tasks, hi in ((scenario._lo, False), (scenario._hi + scenario._hi_lc, True)):
-            if not tasks:
-                continue
-            for k in (1, 2, 5):
-                if not approx_accepts(tasks, horizon, hi=hi, k=k):
-                    continue
-                points = DemandScenario._breakpoints(tasks, horizon, ramps=hi)
-                if hi:
-                    demand = reference_hi_demand(
-                        tasks, points, False, len(scenario._hi)
-                    )
-                    refined = reference_hi_demand(
-                        tasks, points, True, len(scenario._hi)
-                    )
-                    assert not (refined > points).any()
-                else:
-                    demand = DemandScenario._lo_demand(tasks, points)
+        points = DemandScenario._breakpoints(tasks, horizon, ramps=False)
+        demand = DemandScenario._lo_demand(tasks, points)
+        for k in (1, 2, 5):
+            if approx_accepts(tasks, horizon, k=k):
                 assert not (demand > points).any()
 
     def test_refined_hi_demand_is_monotone(self):
@@ -650,8 +639,8 @@ class TestShrinkInversion:
     @settings(max_examples=300, deadline=None)
     def test_closed_form_equals_bisection(self, case):
         task, vd_now, length, deficit = case
-        assert _shrink_to_clear(task, vd_now, length, deficit) == (
-            _shrink_to_clear_bisect(task, vd_now, length, deficit)
+        assert shrink_to_clear(task, vd_now, length, deficit) == (
+            shrink_to_clear_bisect(task, vd_now, length, deficit)
         )
 
     @given(shrink_case())
@@ -659,14 +648,14 @@ class TestShrinkInversion:
     def test_inversion_is_minimal(self, case):
         task, vd_now, length, deficit = case
         max_shrink = vd_now - task.wcet_lo
-        target = min(deficit, _hi_gain(task, vd_now, max_shrink, length))
+        target = min(deficit, hi_gain(task, vd_now, max_shrink, length))
         if target <= 0:
             return
         shrink = _invert_shrink(task, vd_now, length, target)
         assert 1 <= shrink <= max_shrink
-        assert _hi_gain(task, vd_now, shrink, length) >= target
+        assert hi_gain(task, vd_now, shrink, length) >= target
         if shrink > 1:
-            assert _hi_gain(task, vd_now, shrink - 1, length) < target
+            assert hi_gain(task, vd_now, shrink - 1, length) < target
 
 
 # -- closed-form V* ----------------------------------------------------------
@@ -898,7 +887,6 @@ class TestKernelControls:
         assert set(counters) == {
             "qpa-accept",
             "approx-accept",
-            "approx-reject",
             "qpa-iterations",
             "qpa-runs",
             "floor-reject",
@@ -1133,18 +1121,32 @@ class TestAbortBound:
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
     def test_floor_fallback_finds_violation_past_screen_points(self, cap):
-        """Pinned: the refined floor demand first violates at 49, which no
-        screen point hits and the capped search does not reach, so only
-        the forward fallback up to the last iterate settles it."""
-        floor_tasks = [_ModeTask(6, 1, 12, 6), _ModeTask(13, 13, 27, 8)]
+        """Pinned: at the V* floor (every HC task at ``Dv = C^L``) the
+        refined HI demand first violates at 49, past every step point the
+        k-step screen would check and out of the capped search's reach, so
+        only the forward fallback up to the last iterate settles it — and
+        the tuning rejects there, at the floor."""
+        ts = hc_set([(12, 6, 6, 7), (27, 8, 13, 21)])
+        floor_vd = {t.task_id: t.wcet_lo for t in ts}
+        floor_tasks = DemandScenario(ts, floor_vd)._hi
+        assert floor_tasks == [_ModeTask(6, 1, 12, 6), _ModeTask(13, 13, 27, 8)]
         assert reference_violations(
             floor_tasks, 400, True,
             lambda points: reference_hi_demand(floor_tasks, points, True),
         )[0] == 49
-        screen = DemandPreScreen(stages=(("ratio", True),))
+        assert 49 not in dbf._screen_points(floor_tasks, 400, dbf._APPROX_K)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dbf, "_QPA_ITER_CAP", cap)
-            assert screen._floor_hi_infeasible(floor_tasks, 400)
+            engine = DemandEngine(ts, 100_000, memo={})
+            assert run_with_kernel(
+                "qpa", lambda: engine.hi_violation(floor_vd, True)
+            ) == 49
+            outcome = run_with_kernel(
+                "qpa",
+                lambda: vdtuning.tune_virtual_deadlines(ts, "ratio", True, 100_000),
+            )
+        assert not outcome.schedulable
+        assert outcome.detail == "HI infeasible even at minimal Dv (l*=49)"
 
     @given(
         st.one_of(mc_taskset(), saturated_inputs().map(lambda inputs: inputs[0])),
@@ -1153,22 +1155,39 @@ class TestAbortBound:
     )
     @settings(max_examples=80, deadline=None)
     def test_capped_floor_check_equals_reference(self, ts, cap, refine):
-        """The prefilter's floor-HI decision under an aborting QPA."""
+        """The tuning's floor-HI decision (every HC task at ``Dv = C^L``)
+        under an aborting QPA: the engine returns the reference scan's
+        earliest violation over the scenario's own horizon."""
         high = [t for t in ts if t.is_high]
         if not high:
             return
-        floor_tasks = [
-            _ModeTask(t.wcet_hi, t.deadline - t.wcet_lo, t.period, t.wcet_lo)
-            for t in high
-        ]
-        horizon = 400
-        expected = bool(
-            reference_violations(
-                floor_tasks, horizon, True,
-                lambda points: reference_hi_demand(floor_tasks, points, refine),
-            )
+        floor_vd = {t.task_id: t.wcet_lo for t in high}
+        floor_tasks = DemandScenario(ts, floor_vd)._hi
+        cap_horizon = 100_000
+        try:
+            horizon = DemandScenario._horizon(floor_tasks, cap_horizon)
+        except dbf.HorizonExceeded:
+            return
+        if horizon is None:
+            return  # overload: the marker convention, not an exact front
+        horizon = max(horizon, max(t.deadline for t in floor_tasks))
+        if horizon > cap_horizon:
+            return
+        violating = reference_violations(
+            floor_tasks, horizon, True,
+            lambda points: reference_hi_demand(floor_tasks, points, refine),
         )
-        screen = DemandPreScreen(stages=(("ratio", refine),))
+        expected = violating[0] if violating else None
+        hi_meta = DemandEngine._hi_meta
+
+        def narrow_meta(engine, sig, tasks):
+            state, _ = hi_meta(engine, sig, tasks)
+            return (state, float("inf"))
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dbf, "_QPA_ITER_CAP", cap)
-            assert screen._floor_hi_infeasible(floor_tasks, horizon) == expected
+            patch.setattr(DemandEngine, "_hi_meta", narrow_meta)
+            engine = DemandEngine(ts, cap_horizon, memo={})
+            assert run_with_kernel(
+                "qpa", lambda: engine.hi_violation(floor_vd, refine)
+            ) == expected

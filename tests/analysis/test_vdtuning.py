@@ -3,16 +3,16 @@
 import pytest
 
 from repro.analysis.dbf import DEFAULT_HORIZON_CAP, DemandScenario
-from repro.analysis.vdtuning import (
-    TuningOutcome,
-    _hi_gain,
-    _min_shrink_for_gain,
-    _shrink_to_clear,
-    tune_virtual_deadlines,
-)
+from repro.analysis.vdtuning import TuningOutcome, tune_virtual_deadlines
 from repro.model import TaskSet
 
-from tests.conftest import hc_task, lc_task
+from tests.conftest import (
+    hc_task,
+    hi_gain,
+    lc_task,
+    min_shrink_for_gain,
+    shrink_to_clear,
+)
 
 
 class TestShrinkPrimitives:
@@ -20,39 +20,39 @@ class TestShrinkPrimitives:
         task = hc_task(20, 4, 8)
         # vd=12 -> residual 8; at l=9 residue 1 (inside ramp): unit shrink
         # moves the carry-over one unit earlier -> one more reduction unit.
-        assert _hi_gain(task, 12, 1, 9) == 1
+        assert hi_gain(task, 12, 1, 9) == 1
 
     def test_hi_gain_zero_above_ramp(self):
         task = hc_task(20, 4, 8)
         # at l=16 residue 8 >= C_L: unit shrink gains nothing.
-        assert _hi_gain(task, 12, 1, 16) == 0
+        assert hi_gain(task, 12, 1, 16) == 0
 
     def test_min_shrink_reaches_ramp(self):
         task = hc_task(20, 4, 8)
         # residue 8, C_L 4: need 8-4+1 = 5 units to start gaining.
-        assert _min_shrink_for_gain(task, 12, 16) == 5
+        assert min_shrink_for_gain(task, 12, 16) == 5
 
     def test_min_shrink_none_when_structurally_blocked(self):
         task = hc_task(20, 4, 8)
         # vd == C_L: no room at all.
-        assert _min_shrink_for_gain(task, 4, 16) is None
+        assert min_shrink_for_gain(task, 4, 16) is None
 
     def test_min_shrink_none_before_residual(self):
         task = hc_task(20, 4, 8)
         # l < residual: shrinking pushes the carry-over further out.
-        assert _min_shrink_for_gain(task, 12, 5) is None
+        assert min_shrink_for_gain(task, 12, 5) is None
 
     def test_shrink_to_clear_monotone(self):
         task = hc_task(50, 10, 30)
         for deficit in (1, 3, 7):
-            shrink = _shrink_to_clear(task, 40, 30, deficit)
-            gained = _hi_gain(task, 40, shrink, 30)
+            shrink = shrink_to_clear(task, 40, 30, deficit)
+            gained = hi_gain(task, 40, shrink, 30)
             assert gained >= min(
-                deficit, _hi_gain(task, 40, 40 - task.wcet_lo, 30)
+                deficit, hi_gain(task, 40, 40 - task.wcet_lo, 30)
             )
             if shrink > 1:
-                assert _hi_gain(task, 40, shrink - 1, 30) < deficit or (
-                    gained == _hi_gain(task, 40, shrink - 1, 30)
+                assert hi_gain(task, 40, shrink - 1, 30) < deficit or (
+                    gained == hi_gain(task, 40, shrink - 1, 30)
                 )
 
 

@@ -7,8 +7,12 @@ from contextlib import contextmanager
 import pytest
 
 from repro.analysis import dbf, vdtuning
-from repro.analysis.dbf import DemandScenario, HorizonExceeded
-from repro.analysis.vdtuning import TuningOutcome, _rank_candidates
+from repro.analysis.dbf import DemandScenario, HorizonExceeded, hi_mode_dbf
+from repro.analysis.vdtuning import (
+    TuningOutcome,
+    _invert_shrink,
+    _rank_candidates,
+)
 from repro.experiments.acceptance import clear_samples
 from repro.model import Criticality, MCTask, TaskSet
 from repro.runner.cluster import close_workers
@@ -100,8 +104,8 @@ def forward_oracle():
 
     Every QPA search aborts before its first iteration, so each caller
     falls back to :func:`repro.analysis.dbf.first_violation` over its
-    whole range, and the upper-bound accept screens settle nothing: the
-    oracle the ``qpa`` kernel must match answer for answer.  The scalar
+    whole range, and the descent's LO upper-bound screen settles nothing:
+    the oracle the ``qpa`` kernel must match answer for answer.  The scalar
     ``qpa`` descent runs on top of it.
     """
     def never(*args, **kwargs):
@@ -109,13 +113,83 @@ def forward_oracle():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dbf, "_QPA_ITER_CAP", 0)
-        patch.setattr(dbf, "approx_accepts", never)
         patch.setattr(vdtuning, "approx_accepts", never)
         previous = dbf.set_demand_kernel("qpa")
         try:
             yield
         finally:
             dbf.set_demand_kernel(previous)
+
+
+# The shrink primitives in their plain forms: the oracles of the closed
+# forms the descent inlines (vdtuning._rank_candidates, DemandEngine.hi_gain).
+
+def hi_gain(task: MCTask, vd_now: int, shrink: int, length: int) -> int:
+    """HI-demand reduction at ``length`` when ``Dv`` shrinks by ``shrink``."""
+    return hi_mode_dbf(task, vd_now, length) - hi_mode_dbf(
+        task, vd_now - shrink, length
+    )
+
+
+def min_shrink_for_gain(task: MCTask, vd_now: int, length: int) -> int | None:
+    """Smallest shrink with positive HI-demand gain at ``length``; None if
+    no shrink up to the structural limit (``Dv >= C_L``) helps."""
+    max_shrink = vd_now - task.wcet_lo
+    if max_shrink <= 0:
+        return None
+    residual = task.deadline - vd_now
+    x = length - residual
+    if x < 0:
+        return None  # shrinking moves the carry-over even further out
+    r0 = x % task.period
+    # Inside the carry-over ramp every unit shrink gains one unit; above the
+    # ramp the first ``r0 - C_L + 1`` units gain nothing.
+    first = 1 if r0 < task.wcet_lo else (r0 - task.wcet_lo + 1)
+    if first > max_shrink:
+        return None
+    return first
+
+
+def shrink_to_clear(
+    task: MCTask, vd_now: int, length: int, deficit: int
+) -> int:
+    """Smallest shrink whose HI gain at ``length`` reaches
+    ``min(deficit, the task's maximum achievable gain)``.
+
+    When the task alone cannot clear the deficit, this still returns the
+    *minimal* shrink realizing its best contribution — over-shrinking would
+    needlessly inflate LO-mode demand and strand later adjustments.
+    Relies on HI-demand being non-increasing in the shrink amount; the
+    minimal shrink is recovered in closed form by inverting the task's
+    single-task HI staircase
+    (:func:`repro.analysis.vdtuning._invert_shrink`), which the
+    differential suite checks against the historical bisection
+    (:func:`shrink_to_clear_bisect`) point for point.
+    """
+    max_shrink = vd_now - task.wcet_lo
+    target = min(deficit, hi_gain(task, vd_now, max_shrink, length))
+    if target <= 0:
+        return max_shrink
+    return _invert_shrink(task, vd_now, length, target)
+
+
+def shrink_to_clear_bisect(
+    task: MCTask, vd_now: int, length: int, deficit: int
+) -> int:
+    """The historical bisection — the differential oracle for
+    :func:`shrink_to_clear` (identical results, O(log D) gain probes)."""
+    max_shrink = vd_now - task.wcet_lo
+    target = min(deficit, hi_gain(task, vd_now, max_shrink, length))
+    if target <= 0:
+        return max_shrink
+    lo, hi = 1, max_shrink
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if hi_gain(task, vd_now, mid, length) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def scan_hi_check(taskset, vd, refine, horizon_cap):

@@ -225,8 +225,8 @@ class TestKernelSummary:
     def test_no_runs_means_no_iteration_mean(self, registry):
         from repro.experiments.acceptance import kernel_summary
 
-        registry.add("kernel.ECDF.approx-reject", 2)
-        assert kernel_summary() == {"ECDF": {"approx-reject": 2}}
+        registry.add("kernel.ECDF.approx-accept", 2)
+        assert kernel_summary() == {"ECDF": {"approx-accept": 2}}
 
     def test_block_scope_reports_raw_counters(self, registry):
         from repro.experiments.acceptance import kernel_summary

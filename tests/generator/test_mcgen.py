@@ -157,13 +157,6 @@ class TestGeneration:
         assert generator.bit_generator.state == state
         assert gen.stats["retries"] == 0
 
-    def test_generate_many_skips_failures(self):
-        gen = MCTaskSetGenerator(m=2)
-        batch = gen.generate_many(rng(6), 0.6, 0.3, 0.3, count=5)
-        assert 1 <= len(batch) <= 5
-        for ts in batch:
-            validate_taskset(ts)
-
     def test_stats_tracked(self):
         gen = MCTaskSetGenerator(m=2)
         gen.generate(rng(7), 0.5, 0.25, 0.3)
