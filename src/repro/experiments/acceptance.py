@@ -34,7 +34,7 @@ from repro.generator import (
     UtilizationGrid,
 )
 from repro.model import TaskSet, TaskSetBatch
-from repro.util.rng import derive_rng
+from repro.util.rng import replicate_rngs
 from repro.experiments.algorithms import PartitionedAlgorithm
 
 __all__ = [
@@ -346,7 +346,7 @@ _NEW: list[tuple] = []
 def sample_key(config: SweepConfig, bucket: float, points: list[GridPoint]) -> tuple:
     """The identity of one bucket's task-set sample.
 
-    Everything generation reads (the :func:`derive_rng` components and the
+    Everything generation reads (the :func:`replicate_rngs` components and the
     :class:`GeneratorConfig` fields) and nothing else: ``service`` is left
     out, so sweeps differing only in their service level share a key.
     The first five fields are the sample's *group* — one sweep's buckets.
@@ -465,10 +465,10 @@ class AcceptanceSweep:
         generator = self._generator
         before = dict(generator.stats)
         records = []
-        for replicate in range(cfg.samples_per_bucket):
-            rng = derive_rng(
-                cfg.label, cfg.m, cfg.deadline_type, cfg.p_high, bucket, replicate
-            )
+        for rng in replicate_rngs(
+            cfg.label, cfg.m, cfg.deadline_type, cfg.p_high, bucket,
+            count=cfg.samples_per_bucket,
+        ):
             # A few attempts across grid points: some (point, n) draws are
             # infeasible (e.g. U_HH too concentrated for the task count).
             for _ in range(6):

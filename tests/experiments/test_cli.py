@@ -173,6 +173,48 @@ class TestFigure:
         capsys.readouterr()
         assert out.read_bytes() == (DATA / "fig4-samples8-m4.json").read_bytes()
 
+    def test_fig3_recorded_output(self, capsys, tmp_path, monkeypatch):
+        """Implicit deadlines at m = 2, 4 and 8 under EDF-VD, whose draws
+        reach the randfixedsum fallback: the result file equals the
+        recorded one byte for byte (CI ``cmp``s the same command's
+        output), and the generator's work counters are the recorded ones
+        (the screened UUniFast-discard tail counts every attempt the
+        attempt loop would)."""
+        from repro import obs
+
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "fig3.json"
+        obs.clear()
+        previous = obs.set_recorder(obs.MetricsRecorder(obs.REGISTRY))
+        try:
+            code = main(
+                ["figure", "fig3", "--samples", "20", "--m", "2,4,8", "-o", str(out)]
+            )
+            counters = obs.REGISTRY.counters("generator.")
+        finally:
+            obs.set_recorder(previous)
+            obs.clear()
+        assert code == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (DATA / "fig3-samples20.json").read_bytes()
+        assert counters == {
+            "generator.samples": 30,
+            "generator.fold-attempts": 11947,
+            "generator.retries": 24,
+            "generator.coupling-fallbacks": 60,
+        }  # no "generator.empty-draws": every bucket can be filled
+
+    def test_fig6a_recorded_output(self, capsys, tmp_path, monkeypatch):
+        """Implicit deadlines across the PH extremes: the result file
+        equals the recorded one byte for byte (CI ``cmp``s the same
+        command's output)."""
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "fig6a.json"
+        code = main(["figure", "fig6a", "--samples", "4", "--m", "2,4", "-o", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (DATA / "fig6a-samples4.json").read_bytes()
+
     def test_tiny_figure_run(self, capsys, tmp_path, monkeypatch):
         # run in tmp so an ambient REPRO_OBS=trace writes its default
         # repro-obs.json/repro-trace.json here, not over committed files

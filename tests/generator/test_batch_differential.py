@@ -14,6 +14,7 @@ parameter grid and on explicit cases for every rare route.
 
 from __future__ import annotations
 
+import importlib
 from unittest import mock
 
 import numpy as np
@@ -24,9 +25,17 @@ from repro import obs
 from repro.experiments import acceptance
 from repro.experiments.acceptance import AcceptanceSweep, SweepConfig
 from repro.generator import GeneratorConfig, MCTaskSetGenerator
-from repro.generator.uunifast import randfixedsum, uunifast, uunifast_discard
+from repro.generator.uunifast import (
+    discard_values,
+    randfixedsum,
+    uunifast,
+    uunifast_discard,
+)
 from repro.model import TaskColumns, TaskSetBatch
-from repro.util.rng import derive_rng
+from repro.util.rng import derive_rng, replicate_rngs
+
+#: the module, not the function ``repro.generator`` exports under its name
+UUNIFAST = importlib.import_module("repro.generator.uunifast")
 
 
 def task_fields(taskset):
@@ -182,6 +191,182 @@ class TestUUniFastDiscardOracle:
         else:
             assert got is not None and np.array_equal(got, want)
         assert a.bit_generator.state == b.bit_generator.state
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n=st.integers(min_value=1, max_value=40),
+        u_min=st.sampled_from([0.0, 0.001, 0.05, 0.2]),
+        u_max=st.sampled_from([0.5, 0.9, 0.99, 1.0]),
+        frac=st.sampled_from(EDGE_FRACTIONS) | st.floats(min_value=0.0, max_value=1.0),
+        max_attempts=st.integers(min_value=1, max_value=300),
+        blocks=st.sampled_from([(16, 128), (1, 1), (3, 7)]),
+        buffered=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(
+        seed=3, n=20, u_min=0.001, u_max=0.99, frac=0.999, max_attempts=100,
+        blocks=(16, 128), buffered=True,
+    )
+    @example(
+        seed=4, n=8, u_min=0.001, u_max=0.99, frac=0.98, max_attempts=100,
+        blocks=(3, 7), buffered=True,
+    )
+    def test_block_path_matches_whole_vector_rejection(
+        self, seed, n, u_min, u_max, frac, max_attempts, blocks, buffered
+    ):
+        """With no scalar head every attempt takes the screened block path
+        (small blocks: many snapshots and redraws).  The values, the fold
+        count and the final state, a buffered half word from a task-count
+        draw included, are those of the attempt loop."""
+        total = n * (u_min + frac * (u_max - u_min))
+        if total < 0:
+            return
+        a = np.random.default_rng(seed)
+        b = np.random.default_rng(seed)
+        if buffered:
+            a.integers(2, 11)
+            b.integers(2, 11)
+        first, rows = blocks
+        with mock.patch.multiple(
+            UUNIFAST, _SCALAR_HEAD=0, _FIRST_BLOCK=first, _BLOCK_ROWS=rows
+        ):
+            got, folds = discard_values(a, n, total, u_min, u_max, max_attempts)
+        stats = reference_stats()
+        want = reference_uunifast_discard(
+            b, n, total, u_min, u_max, max_attempts, stats
+        )
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and np.array_equal(np.array(got), want)
+        assert folds == stats["fold_attempts"]
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def reference_transition_table(n, k, s):
+    """Stafford's ``t`` table built row by row on small numpy arrays."""
+    s1 = s - np.arange(k, k - n, -1)
+    s2 = np.arange(k + n, k, -1) - s
+
+    tiny = np.finfo(float).tiny
+    huge = np.finfo(float).max
+    w = np.zeros((n, n + 1))
+    w[0, 1] = huge
+    t = np.zeros((n - 1, n))
+    for i in range(2, n + 1):
+        tmp1 = w[i - 2, 1 : i + 1] * s1[:i] / i
+        tmp2 = w[i - 2, 0:i] * s2[n - i : n] / i
+        w[i - 1, 1 : i + 1] = tmp1 + tmp2
+        tmp3 = w[i - 1, 1 : i + 1] + tiny
+        tmp4 = s2[n - i : n] > s1[:i]
+        t[i - 2, 0:i] = (tmp2 / tmp3) * tmp4 + (1 - tmp1 / tmp3) * (~tmp4)
+    return t
+
+
+def reference_randfixedsum(rng, n, total, u_min=0.0, u_max=1.0):
+    """The historical randfixedsum, its ``w``/``t`` tables built row by row
+    on small numpy arrays, kept as the oracle."""
+    width = u_max - u_min
+    if width <= 0:
+        if abs(total - n * u_min) <= 1e-12:
+            return np.full(n, u_min)
+        return None
+    s = (total - n * u_min) / width
+    if s < -1e-12 or s > n + 1e-12:
+        return None
+    s = min(max(s, 0.0), float(n))
+    if n == 1:
+        return np.asarray([u_min + s * width])
+
+    k = int(min(max(np.floor(s), 0), n - 1))
+    s = max(k, min(s, k + 1))
+    t = reference_transition_table(n, k, s)
+
+    x = np.zeros(n + 1)
+    rt = rng.random(n - 1)
+    rs = rng.random(n - 1)
+    j = k + 1
+    sm = 0.0
+    pr = 1.0
+    for i in range(n - 1, 0, -1):
+        e = float(rt[n - 1 - i] <= t[i - 1, j - 1])
+        sx = rs[n - 1 - i] ** (1.0 / i)
+        sm += (1.0 - sx) * pr * s / (i + 1)
+        pr *= sx
+        x[n - 1 - i] = sm + pr * e
+        s = s - e
+        j = j - int(e)
+    x[n - 1] = sm + pr * s
+
+    values = x[:n]
+    rng.shuffle(values)
+    result = u_min + values * width
+    np.clip(result, u_min, u_max, out=result)
+    drift = total - result.sum()
+    if abs(drift) > 1e-9:
+        order = np.argsort(result) if drift > 0 else np.argsort(-result)
+        for idx in order:
+            room = (u_max - result[idx]) if drift > 0 else (result[idx] - u_min)
+            adjust = np.sign(drift) * min(abs(drift), room)
+            result[idx] += adjust
+            drift -= adjust
+            if abs(drift) <= 1e-12:
+                break
+    return result
+
+
+#: totals on and just inside both box edges, where ``k`` and the tables'
+#: extreme entries change
+RANDFIXEDSUM_FRACTIONS = [0.0, 1e-15, 1e-12, 1e-9, 0.5, 1 - 1e-9, 1 - 1e-12, 1.0]
+
+
+class TestRandfixedsumOracle:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n=st.integers(min_value=1, max_value=40),
+        bounds=st.sampled_from([(0.0, 1.0), (0.001, 0.99), (0.05, 0.5), (0.2, 0.9)]),
+        frac=st.sampled_from(RANDFIXEDSUM_FRACTIONS)
+        | st.floats(min_value=0.0, max_value=1.0),
+        integral=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(seed=0, n=40, bounds=(0.001, 0.99), frac=1.0, integral=False)
+    @example(seed=0, n=40, bounds=(0.001, 0.99), frac=0.0, integral=False)
+    @example(seed=1, n=7, bounds=(0.0, 1.0), frac=0.0, integral=True)
+    def test_matches_numpy_tables(self, seed, n, bounds, frac, integral):
+        """Values (dtype included) and the final state equal the numpy
+        tables' — at both box edges and, with ``integral``, at a total
+        whose mapped sum is a whole number (``k`` equal to the sum)."""
+        u_min, u_max = bounds
+        if integral:
+            frac = round(frac * n) / n
+        total = n * (u_min + frac * (u_max - u_min))
+        a = np.random.default_rng(seed)
+        b = np.random.default_rng(seed)
+        got = randfixedsum(a, n, total, u_min, u_max)
+        want = reference_randfixedsum(b, n, total, u_min, u_max)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @given(
+        n=st.integers(min_value=2, max_value=40),
+        frac=st.sampled_from(RANDFIXEDSUM_FRACTIONS)
+        | st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_table_is_the_numpy_table(self, n, frac):
+        """Every ``t`` entry equals the numpy rows' bit for bit (an entry
+        off by one ULP rarely flips a draw, so the values alone would
+        hide it)."""
+        s = n * frac
+        k = int(min(max(np.floor(s), 0), n - 1))
+        s = max(k, min(s, k + 1))
+        got = np.array(UUNIFAST._transition_table(n, k, s))
+        assert got.tobytes() == reference_transition_table(n, k, s).tobytes()
 
 
 @st.composite
@@ -490,19 +675,22 @@ def bucket_both(config, pick):
     sweep = AcceptanceSweep(config)
     buckets = sweep.bucket_points()
     bucket = sorted(buckets)[pick % len(buckets)]
-    created = []
+    finals = []
 
-    def recording(*components):
-        rng = derive_rng(*components)
-        created.append(rng)
-        return rng
+    def recording(*components, count):
+        # the helper reuses one generator: read each replicate's final
+        # state before reseeding it for the next
+        for rng in replicate_rngs(*components, count=count):
+            yield rng
+            finals.append(rng.bit_generator.state)
 
-    with mock.patch.object(acceptance, "derive_rng", recording):
+    with mock.patch.object(acceptance, "replicate_rngs", recording):
         batch = sweep.batch_for_bucket(bucket, buckets[bucket])
     stats, path = reference_stats(), []
     columns, rngs = reference_bucket(config, bucket, buckets[bucket], stats, path)
     assert_same_columns(batch, columns)
-    assert states(created) == states(rngs)
+    assert len(finals) == config.samples_per_bucket
+    assert finals == states(rngs)
     assert sweep._generator.stats == stats
     return batch, stats, path
 
@@ -646,6 +834,40 @@ class TestSettledDraws:
         assert vector.integers(m + 1, 5 * m + 1, size=64).tolist() == drawn
         assert scalar.bit_generator.state == vector.bit_generator.state
         assert scalar.random() == vector.random()
+
+    @pytest.mark.parametrize("k", [1, 9, 39])
+    def test_block_draw_is_the_row_draws(self, k):
+        """``random((B, k))`` holds the doubles of ``B`` successive
+        ``random(k)`` calls and leaves the same state, a buffered half
+        word included — the premise of the screened UUniFast-discard
+        tail."""
+        block, rows = derive_rng("block", k), derive_rng("block", k)
+        for rng in (block, rows):
+            rng.integers(7)
+        drawn = np.array([rows.random(k) for _ in range(97)])
+        assert np.array_equal(block.random((97, k)), drawn)
+        assert block.bit_generator.state == rows.bit_generator.state
+
+    def test_restore_and_redraw_is_the_sequential_state(self):
+        """After a task-count draw leaves ``has_uint32`` set, restoring a
+        snapshot and redrawing lands on the sequential state; ``advance``
+        over the same doubles reaches the same position but drops the
+        buffered half word, so the screened tail cannot use it."""
+        sequential, redrawn, advanced = (derive_rng("snapshot") for _ in range(3))
+        for rng in (sequential, redrawn, advanced):
+            rng.integers(2, 11)
+        assert sequential.bit_generator.state["has_uint32"] == 1
+        sequential.random(5 * 9)
+        snapshot = redrawn.bit_generator.state
+        redrawn.random((20, 9))
+        redrawn.bit_generator.state = snapshot
+        redrawn.random(5 * 9)
+        assert redrawn.bit_generator.state == sequential.bit_generator.state
+        advanced.bit_generator.advance(5 * 9)
+        want = sequential.bit_generator.state
+        got = advanced.bit_generator.state
+        assert got["state"] == want["state"]
+        assert got != want and got["has_uint32"] == 0
 
 
 class TestGenerateBatch:
