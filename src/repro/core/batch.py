@@ -2,15 +2,16 @@
 
 :func:`partition_batch` answers the sweep question — does
 :func:`repro.core.allocator.partition` succeed? — for every set of a
-:class:`~repro.model.batch.TaskSetBatch` at once, settling as much as
-possible from the utilization columns alone:
+:class:`~repro.model.batch.TaskSetBatch` under every algorithm of a shard
+at once, settling as much as possible from the utilization columns alone:
 
 1. the exact prefilter bank (:mod:`repro.analysis.prefilter`) rejects sets
    whose column sums prove partition failure for *any* allocation order;
 2. the **utilization-ledger replay** walks the actual allocation loop —
    same task order, same fit order, same probe arithmetic — for every
    pending set in lockstep, answering the admission probes through the
-   test's O(1) :class:`~repro.analysis.prefilter.ProbeScreen`.  For EDF-VD
+   test's O(1) :class:`~repro.analysis.prefilter.ProbeScreen`, one replay
+   per screen class for all algorithms whose tests share it.  For EDF-VD
    the screen is complete and the whole partition is a pure function of
    the ledger; for EY/ECDF the screen covers the utilization-decided
    region and a set drops out the moment a probe would need dbf work;
@@ -19,65 +20,63 @@ possible from the utilization columns alone:
 
 Exactness
 ---------
-Step ``k`` of the replay places the ``k``-th task of every live set at
-once over ``(4, sets, cores)`` float64 ledgers of ``(U_LL, U_LH, U_HH,
-U_res)``.  A verdict equals the scalar ``partition(...).success`` because
-every operation is the scalar walk's, element by element:
+A replay row is one (algorithm, pending set) pair; step ``k`` places the
+``k``-th task of every live row at once over ``(4, rows, cores)`` float64
+ledgers of ``(U_LL, U_LH, U_HH, U_res)``.  A verdict equals the scalar
+``partition(...).success`` because each row gets exactly its own
+algorithm's scalar operations, element by element:
 
 * the candidate sums are ``ledger + increment``, where a term the scalar
   ``+=`` fold of :class:`~repro.core.allocator.ProcessorState` skips adds
-  ``0.0`` — exact on the non-negative sums;
+  ``0.0`` — exact on the non-negative sums.  A task's increment does not
+  depend on when it is placed, so one ``(4, tasks)`` table serves all rows;
 * numpy's elementwise ``+ - * /`` are the IEEE double operations of the
   Python expressions, in the same order and without FMA contraction, so
   fit metrics and :meth:`ProbeScreen.decide_many` codes are bit-identical
   to the properties and ``decide`` verdicts they transcribe;
-* the allocation order is one ``np.lexsort`` and the fit order a
-  ``kind="stable"`` argsort, both stable and carrying the callable rules'
-  tie keys (task id, core index).
+* each row reads its tasks from its own strategy's allocation order (one
+  ``np.lexsort`` per order spec) and ranks cores by a ``kind="stable"``
+  argsort of its own strategy's fit key (zero for ``first``, whose stable
+  argsort is the identity); both carry the callable rules' tie keys.
 
 A set whose first non-reject core is undecided drops to the scalar path;
-an invalid probe re-runs the scalar ``decide``, which raises the error a
-one-set walk raises.  The differential suite in
-``tests/core/test_partition_batch.py`` asserts the equality across
-strategies, tests, core counts and service models rather than trusting
-the argument.
+an invalid probe re-runs the scalar ``decide``, whose error is raised in
+algorithm list order, as a loop of single-algorithm calls would.
+``tests/core/test_partition_batch.py`` asserts all of this differentially.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.model import TaskSetBatch
 from repro import obs as _obs
+from repro.analysis.dbf import kernel_counters
 from repro.analysis.interface import SchedulabilityTest
-from repro.analysis.prefilter import (
-    PrefilterBank,
-    ProbeScreen,
-    default_prefilter_bank,
-)
-from repro.core.allocator import (
-    PartitioningStrategy,
-    UnsupportedTasksetError,
-    partition,
-)
+from repro.analysis.prefilter import PrefilterBank, ProbeScreen, default_prefilter_bank
+from repro.core.allocator import PartitioningStrategy, UnsupportedTasksetError, partition
 
 __all__ = ["BatchPartitionOutcome", "partition_batch"]
 
 
 @dataclass
 class BatchPartitionOutcome:
-    """Per-set verdicts of one batched partitioning run.
+    """Per-set verdicts of one algorithm in a batched partitioning run.
 
     ``accepted[i]`` is exactly ``partition(batch.taskset(i), ...).success``;
     ``settled[i]`` records which mechanism produced it — a prefilter name
     (``"sum-lo"``, ``"sum-hi"``, ``"lone-task"``), ``"ledger"`` for the
     columnar replay, or ``"full"`` for the per-taskset fallback.
+    ``kernel`` holds the demand-kernel counter deltas of this algorithm's
+    own prefilter and fallback work.
     """
 
     accepted: list[bool] = field(default_factory=list)
     settled: list[str] = field(default_factory=list)
+    kernel: dict[str, int] = field(default_factory=dict)
 
     @property
     def accepted_count(self) -> int:
@@ -140,139 +139,127 @@ _FIT_METRICS = {
 }
 
 
-def _fit_key(spec: tuple, ledger: np.ndarray):
-    kind = spec[0]
-    if kind == "first":
-        return np.zeros(ledger.shape[1:])
-    if kind not in ("worst", "best") or spec[1] not in _FIT_METRICS:
-        raise ValueError(f"unknown fit spec {spec!r}")
-    metric = _FIT_METRICS[spec[1]](ledger)
-    return metric if kind == "worst" else -metric
-
-
-def _fit_order(hc_spec, lc_spec, ledger: np.ndarray, high: np.ndarray):
-    """Core try order per set (row) — the ``fit_spec`` twin: a stable
-    argsort of ``metric`` (``worst``), ``-metric`` (``best``) or 0.0
-    (``first``), i.e. the ``(metric, j)`` / ``(-metric, j)`` sort keys."""
-    key = _fit_key(hc_spec, ledger)
-    if lc_spec != hc_spec:
-        key = np.where(high[:, None], key, _fit_key(lc_spec, ledger))
-    return key.argsort(axis=1, kind="stable")
-
-
-def _allocation_order(batch: TaskSetBatch, pending: np.ndarray, spec: tuple):
-    """``(set_of, position, ordered)``: ``ordered[p]`` is the row that set
-    ``set_of[p]`` allocates ``position[p]``-th — the ``order_spec`` twin as
-    one ``np.lexsort`` over ``(set, class, -u_own, tie)``.  ``tie`` is the
-    task-id order: real ids for a materialized set; the local row index for
-    an unmaterialized one, which materializes with increasing ids.
+def _fit_key(specs: list[tuple], spec_of: np.ndarray, ledger: np.ndarray):
+    """Core sort key per row (set), the ``fit_spec`` twin: row ``r`` ranks
+    cores by ``specs[spec_of[r]]`` — ``metric`` (``worst``), ``-metric``
+    (``best``) or 0.0 (``first``), so a stable argsort gives the callable
+    rules' ``(metric, j)`` / ``(-metric, j)`` order.  None: no reordering.
     """
-    starts = batch.offsets[pending]
-    counts = batch.offsets[pending + 1] - starts
-    seg = np.cumsum(counts) - counts
-    set_of = np.repeat(np.arange(len(pending)), counts)
-    position = np.arange(len(set_of)) - np.repeat(seg, counts)
-    rows = starts[set_of] + position
-    high = batch.is_high[rows]
-    kind = spec[0]
-    if kind == "ca-nosort":
-        return set_of, position, rows[np.lexsort((position, ~high, set_of))]
+    key = None
+    for index, spec in enumerate(specs):
+        if spec[0] == "first":
+            continue
+        if spec[0] not in ("worst", "best") or spec[1] not in _FIT_METRICS:
+            raise ValueError(f"unknown fit spec {spec!r}")
+        metric = _FIT_METRICS[spec[1]](ledger)
+        metric = metric if spec[0] == "worst" else -metric
+        key = np.where((spec_of == index)[:, None], metric, 0.0 if key is None else key)
+    return key
+
+
+def _allocation_orders(batch: TaskSetBatch, specs) -> np.ndarray:
+    """The ``order_spec`` twins, concatenated: entry ``n * tasks +
+    offsets[i] + k`` is the row set ``i`` allocates ``k``-th under
+    ``specs[n]``, one ``np.lexsort`` over ``(set, class, -u_own, tie)`` per
+    spec.  ``tie`` is the task-id order: real ids for a materialized set;
+    the local row index for an unmaterialized one (ids increase with it).
+    """
+    offsets, high, u_lo = batch.offsets, batch.is_high, batch.u_lo
+    set_of = np.repeat(np.arange(len(batch)), np.diff(offsets))
+    position = np.arange(batch.n_tasks) - offsets[set_of]
     tie = position.copy()
-    slot = dict(zip(pending.tolist(), seg.tolist()))
     for index, ts in batch._sets.items():
-        if index in slot:
-            tie[slot[index] : slot[index] + len(ts)] = [t.task_id for t in ts]
-    u_lo = batch.u_lo[rows]
-    minus_own = -np.where(high, batch.u_hi[rows], u_lo)
-    if kind == "ca":
-        keys = (tie, minus_own, ~high, set_of)
-    elif kind == "cu":
-        keys = (tie, minus_own, set_of)
-    elif kind == "heavy-lc-first":
-        heavy_high_light = np.where(high, 1, np.where(u_lo >= spec[1], 0, 2))
-        keys = (tie, minus_own, heavy_high_light, set_of)
-    else:
-        raise ValueError(f"unknown order spec {spec!r}")
-    return set_of, position, rows[np.lexsort(keys)]
+        tie[offsets[index] : offsets[index + 1]] = [t.task_id for t in ts]
+    minus_own = -np.where(high, batch.u_hi, u_lo)
+    orders = []
+    for spec in specs:
+        kind = spec[0]
+        if kind == "ca-nosort":
+            keys = (position, ~high, set_of)
+        elif kind == "ca":
+            keys = (tie, minus_own, ~high, set_of)
+        elif kind == "cu":
+            keys = (tie, minus_own, set_of)
+        elif kind == "heavy-lc-first":
+            heavy_high_light = np.where(high, 1, np.where(u_lo >= spec[1], 0, 2))
+            keys = (tie, minus_own, heavy_high_light, set_of)
+        else:
+            raise ValueError(f"unknown order spec {spec!r}")
+        orders.append(np.lexsort(keys))
+    return np.concatenate(orders)
 
 
-def _lockstep_replay(
-    batch: TaskSetBatch,
-    pending: np.ndarray,
-    m: int,
-    screen: ProbeScreen,
-    strategy: PartitioningStrategy,
-) -> np.ndarray:
-    """Every pending set's allocation walk, one task of each per step.
-
-    Step ``k`` probes the ``k``-th task of every live set on all cores
-    at once over ``(4, sets, cores)`` ledgers of ``(U_LL, U_LH, U_HH,
-    U_res)``; a set leaves the live arrays when it finishes, fails or
-    turns undecided.  Returns one code per pending set: 1 accepted, 0
-    rejected, -1 undecided (the set falls through to :func:`partition`).
+def _lockstep_replay(batch, m, screen: ProbeScreen, strategies, pending):
+    """The walks of ``pending[s]`` under ``strategies[s]``, one task per
+    row per step: row ``r`` walks ``sets[r]`` under ``strategies[alg[r]]``
+    until it finishes, fails or turns undecided.  Returns per strategy one
+    code per pending set — 1 accepted, 0 rejected, -1 undecided (left to
+    :func:`partition`) — and ``{s: the error of s's first invalid probe}``.
     """
-    n_sets = len(pending)
-    counts = batch.offsets[pending + 1] - batch.offsets[pending]
-    n_max = int(counts.max())
-    set_of, position, ordered = _allocation_order(
-        batch, pending, strategy.order_spec
-    )
-    high_o = batch.is_high[ordered]
-    u_lo_o = batch.u_lo[ordered]
-    step = np.zeros((n_max, 4, n_sets))  # ledger increment of step k
-    step[position, 0, set_of] = np.where(high_o, 0.0, u_lo_o)
-    step[position, 1, set_of] = np.where(high_o, u_lo_o, 0.0)
-    step[position, 2, set_of] = np.where(high_o, batch.u_hi[ordered], 0.0)
+    specs = list(dict.fromkeys(s.order_spec for s in strategies))
+    order = _allocation_orders(batch, specs)
+    sizes = [len(sets) for sets in pending]
+    alg = np.repeat(np.arange(len(strategies)), sizes)
+    sets = np.concatenate(pending)
+    offsets, high = batch.offsets, batch.is_high
+    first_task = [specs.index(s.order_spec) * batch.n_tasks for s in strategies]
+    start = np.array(first_task)[alg] + offsets[sets]
+    counts = offsets[sets + 1] - offsets[sets]
+    increments = np.zeros((4, batch.n_tasks))  # placing a task adds its column
+    np.copyto(increments[0], batch.u_lo, where=~high)
+    np.copyto(increments[1], batch.u_lo, where=high)
+    np.copyto(increments[2], batch.u_hi, where=high)
     service = batch.service_model
     if service is not None and not service.is_full_drop:
-        step[position, 3, set_of] = np.where(high_o, 0.0, batch.u_res[ordered])
-    high = np.zeros((n_max, n_sets), dtype=bool)
-    high[position, set_of] = high_o
-    implicit_o = batch.deadline[ordered] == batch.period[ordered]
-    all_implicit = bool(implicit_o.all())
-    if not all_implicit:
-        task_implicit = np.zeros((n_max, n_sets), dtype=bool)
-        task_implicit[position, set_of] = implicit_o
-        core_implicit = np.ones((n_sets, m), dtype=bool)
-
-    hc_spec, lc_spec = strategy.hc_fit_spec, strategy.lc_fit_spec
-    reorder = hc_spec[0] != "first" or lc_spec[0] != "first"
-    verdict = np.ones(n_sets, dtype=np.int8)
+        np.copyto(increments[3], batch.u_res, where=~high)
+    task_implicit = batch.deadline == batch.period
+    all_implicit = bool(task_implicit.all())
+    core_implicit = np.ones((len(sets), m), dtype=bool)
+    pairs = [(s.hc_fit_spec, s.lc_fit_spec) for s in strategies]
+    fits = list(dict.fromkeys(spec for pair in pairs for spec in pair))
+    hc_of = np.array([fits.index(hc) for hc, _ in pairs])
+    lc_of = np.array([fits.index(lc) for _, lc in pairs])
+    reorder = any(spec[0] != "first" for spec in fits)
+    verdict = np.ones(len(sets), dtype=np.int8)
+    errors: dict[int, ValueError] = {}
     ends = set(counts.tolist())
-    live = np.arange(n_sets)
-    ledger = np.zeros((4, n_sets, m))
+    bases = np.arange(0, len(sets) * m, m)
+    live = np.arange(len(sets))
+    ledger = np.zeros((4, len(sets), m))
     keep = counts > 0
-    for k in range(n_max):
+    for k in range(int(counts.max())):
         if not keep.all():
             # compress keeps the ledger C-contiguous for the flat commit
-            live, ledger = live[keep], ledger.compress(keep, 1)
-            step, high = step.compress(keep, 2), high.compress(keep, 1)
-            if not all_implicit:
-                task_implicit = task_implicit.compress(keep, 1)
-                core_implicit = core_implicit[keep]
+            live, alg, start = live[keep], alg[keep], start[keep]
+            ledger, core_implicit = ledger.compress(keep, 1), core_implicit[keep]
             if not len(live):
                 break
-        base = np.arange(0, len(live) * m, m)
-        cand = ledger + step[k][:, :, None]
-        implicit = (
-            True if all_implicit else core_implicit & task_implicit[k][:, None]
-        )
+        base = bases[: len(live)]
+        tasks = order[start + k]
+        cand = ledger + increments[:, tasks][:, :, None]
+        implicit = all_implicit or core_implicit & task_implicit[tasks][:, None]
         codes = screen.decide_many(*cand, implicit)
         fitted, fit = codes, None
         if reorder:
-            fit = _fit_order(hc_spec, lc_spec, ledger, high[k])
-            fitted = codes.ravel()[base[:, None] + fit]
+            key = _fit_key(fits, np.where(high[tasks], hc_of[alg], lc_of[alg]), ledger)
+            if key is not None:
+                fit = key.argsort(axis=1, kind="stable")
+                fitted = codes.ravel()[base[:, None] + fit]
         first = (fitted != 0).argmax(axis=1)
         got = fitted.ravel()[base + first]
         core = first if fit is None else fit.ravel()[base + first]
         placed = got == 1
         if not placed.all():
             for r in np.flatnonzero(got == -2).tolist():
-                # Invalid input at the first non-reject core: the scalar
-                # probe raises the ValueError a one-set walk would.
-                j = int(core[r])
-                imp = True if all_implicit else bool(implicit[r, j])
-                screen.decide(*cand[:, r, j].tolist(), imp)
+                # Invalid input at the first non-reject core: keep the
+                # ValueError the scalar probe of a one-set walk raises.
+                a, j = int(alg[r]), int(core[r])
+                try:
+                    if a not in errors:
+                        imp = all_implicit or bool(implicit[r, j])
+                        screen.decide(*cand[:, r, j].tolist(), imp)
+                except ValueError as error:
+                    errors[a] = error
             verdict[live[got == 0]] = 0
             verdict[live[got < 0]] = -1
         index = base + core
@@ -280,65 +267,83 @@ def _lockstep_replay(
         if not all_implicit:
             core_implicit.reshape(-1)[index] = implicit.reshape(-1)[index]
         keep = placed & (counts[live] > k + 1) if k + 1 in ends else placed
-    return verdict
+    return np.split(verdict, np.cumsum(sizes)[:-1]), errors
+
+
+def _add_kernel_delta(into: dict[str, int], before: dict[str, int]) -> None:
+    for key, value in kernel_counters().items():
+        if value != before[key]:
+            into[key] = into.get(key, 0) + value - before[key]
 
 
 def partition_batch(
     batch: TaskSetBatch,
     m: int,
-    test: SchedulabilityTest,
-    strategy: PartitioningStrategy,
+    algorithms: Sequence[tuple[SchedulabilityTest, PartitioningStrategy]],
     *,
     incremental: bool = True,
-    bank: PrefilterBank | None = None,
-) -> BatchPartitionOutcome:
-    """Partition every set of ``batch``; see module docstring.
+    banks: Sequence[PrefilterBank | None] | None = None,
+) -> list[BatchPartitionOutcome]:
+    """Partition every set of ``batch`` under each ``(test, strategy)``
+    pair of ``algorithms``; see module docstring.
 
-    ``accepted[i]`` equals ``partition(batch.taskset(i), m, test, strategy,
-    incremental=incremental).success`` for every set — the settling layers
-    only change *how cheaply* the boolean is obtained.  Raises
-    :class:`UnsupportedTasksetError` up front when the batch violates the
-    test's model assumptions (the batch-level twin of the scalar gates) and
-    ``ValueError`` when ``m`` is not positive.
+    ``outcomes[a].accepted[i]`` equals ``partition(batch.taskset(i), m,
+    test, strategy, incremental=incremental).success`` for pair ``a``; the
+    verdicts, ``prefilter.<source>`` observations and errors are those of
+    one single-pair call per pair in list order.  ``banks[a]`` is pair
+    ``a``'s prefilter bank (None: a fresh one).  Raises
+    :class:`UnsupportedTasksetError` when the batch violates a test's model
+    assumptions and ``ValueError`` when ``m`` is not positive.
     """
     if m <= 0:
         raise ValueError(f"m must be positive, got {m}")
-    outcome = BatchPartitionOutcome()
+    outcomes = [BatchPartitionOutcome() for _ in algorithms]
     if len(batch) == 0:
-        return outcome
-    _validate_batch_support(batch, test, strategy)
-
-    if bank is None:
-        bank = default_prefilter_bank()
-    report = bank.apply(batch, m, test)
-
-    screen = test.batch_screen()
-    pending = [i for i, source in enumerate(report.settled) if source is None]
-    ledger: dict[int, int] = {}
-    if screen is not None and strategy.replayable and pending:
-        codes = _lockstep_replay(batch, np.array(pending), m, screen, strategy)
-        ledger = dict(zip(pending, codes.tolist()))
-
-    for i in range(len(batch)):
-        source = report.settled[i]
-        if source is not None:
-            outcome.accepted.append(False)
-            outcome.settled.append(source)
-            continue
-        verdict = ledger.get(i, -1)
-        if verdict >= 0:
-            outcome.accepted.append(verdict == 1)
-            outcome.settled.append("ledger")
-            continue
-        result = partition(
-            batch.taskset(i), m, test, strategy, incremental=incremental
+        return outcomes
+    reports, pending = [], []
+    groups: dict[type, tuple[ProbeScreen, list[int]]] = {}
+    for a, (test, strategy) in enumerate(algorithms):
+        _validate_batch_support(batch, test, strategy)
+        bank = (banks[a] if banks else None) or default_prefilter_bank()
+        before = kernel_counters()
+        reports.append(bank.apply(batch, m, test).settled)
+        _add_kernel_delta(outcomes[a].kernel, before)
+        pending.append(np.flatnonzero([source is None for source in reports[a]]))
+        screen = test.batch_screen()
+        if screen is not None and strategy.replayable and len(pending[a]):
+            # one replay per screen class
+            groups.setdefault(type(screen), (screen, []))[1].append(a)
+    codes, errors = {}, {}  # per algorithm: {set: ledger code}, replay error
+    for screen, members in groups.values():
+        verdicts, group_errors = _lockstep_replay(
+            batch, m, screen,
+            [algorithms[a][1] for a in members], [pending[a] for a in members],
         )
-        outcome.accepted.append(result.success)
-        outcome.settled.append("full")
-    if _obs.active():
-        # Counters total across runs; the histograms keep the per-run
-        # settle distribution (one observation per stage per batch).
-        for source, count in outcome.settled_counts().items():
-            _obs.REGISTRY.add(f"prefilter.{source}", count)
-            _obs.REGISTRY.observe(f"prefilter.{source}.settled", float(count))
-    return outcome
+        for g, a in enumerate(members):
+            codes[a] = dict(zip(pending[a].tolist(), verdicts[g].tolist()))
+            if g in group_errors:
+                errors[a] = group_errors[g]
+
+    for a, (test, strategy) in enumerate(algorithms):
+        if a in errors:
+            raise errors[a]
+        outcome, code = outcomes[a], codes.get(a, {})
+        before = kernel_counters()
+        for i, source in enumerate(reports[a]):
+            accepted = False
+            if source is None and code.get(i, -1) >= 0:
+                accepted, source = code[i] == 1, "ledger"
+            elif source is None:
+                accepted, source = partition(
+                    batch.taskset(i), m, test, strategy, incremental=incremental
+                ).success, "full"
+            outcome.accepted.append(accepted)
+            outcome.settled.append(source)
+        _add_kernel_delta(outcome.kernel, before)
+        if _obs.active():
+            # Counters total across runs; the histograms keep the per-run
+            # settle distribution (one observation per stage per batch).
+            for source, count in outcome.settled_counts().items():
+                _obs.REGISTRY.add(f"prefilter.{source}", count)
+                _obs.REGISTRY.observe(f"prefilter.{source}.settled", float(count))
+    return outcomes

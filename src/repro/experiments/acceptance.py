@@ -8,11 +8,11 @@ algorithm, the fraction deemed schedulable.
 Two pipelines produce the same numbers:
 
 * ``"batched"`` (the default) — task sets are generated straight into a
-  columnar :class:`~repro.model.batch.TaskSetBatch` and every algorithm
-  runs through :func:`repro.core.batch.partition_batch`: the exact
-  prefilter bank and the utilization-ledger replay settle what they can
-  from the columns, and only the remaining sets are materialized for the
-  incremental per-taskset path;
+  columnar :class:`~repro.model.batch.TaskSetBatch` and all algorithms of
+  a shard run through one :func:`repro.core.batch.partition_batch` call:
+  the exact prefilter bank and the utilization-ledger replay settle what
+  they can from the columns, and only the remaining sets are materialized
+  for the incremental per-taskset path;
 * ``"scalar"`` — the historical one-taskset-at-a-time loop.
 
 The batched pipeline is bit-identical to the scalar one by construction
@@ -350,10 +350,13 @@ def sample_key(config: SweepConfig, bucket: float, points: list[GridPoint]) -> t
     :class:`GeneratorConfig` fields) and nothing else: ``service`` is left
     out, so sweeps differing only in their service level share a key.
     The first five fields are the sample's *group* — one sweep's buckets.
+    Points enter as plain ``(u_hh, u_lh, u_ll)`` tuples: equal where the
+    points are, and cheap to hash on every cluster dispatch.
     """
     return (
         config.label, config.m, config.deadline_type, config.p_high,
-        config.samples_per_bucket, bucket, tuple(points),
+        config.samples_per_bucket, bucket,
+        tuple((point.u_hh, point.u_lh, point.u_ll) for point in points),
     )
 
 
@@ -540,15 +543,14 @@ class AcceptanceSweep:
     ) -> BucketOutcome:
         """Columnar shard execution; same numbers as the scalar loop.
 
-        Each algorithm's acceptance count comes from
-        :func:`~repro.core.batch.partition_batch` over one shared batch.
-        The ratio is the identical ``accepted / samples`` division the
-        scalar loop performs, so the two pipelines' shards are equal field
-        for field (the settling diagnostics ride along, excluded from
+        Every algorithm's acceptance count comes from one
+        :func:`~repro.core.batch.partition_batch` call over the shard's
+        batch.  The ratio is the identical ``accepted / samples`` division
+        the scalar loop performs, so the two pipelines' shards are equal
+        field for field (the settling diagnostics ride along, excluded from
         equality-relevant consumers).
         """
         from repro import obs as _obs
-        from repro.analysis.dbf import kernel_counters
         from repro.analysis.prefilter import default_prefilter_bank
         from repro.core.batch import partition_batch
 
@@ -563,29 +565,22 @@ class AcceptanceSweep:
                 # instance (e.g. re-fetched algorithms on a reused sweep).
                 bank = self._banks.get(algorithm.name)
                 if bank is None or not bank.serves(algorithm.test):
-                    bank = default_prefilter_bank()
-                    self._banks[algorithm.name] = bank
+                    self._banks[algorithm.name] = default_prefilter_bank()
+            outcomes = partition_batch(
+                batch,
+                cfg.m,
+                [(algorithm.test, algorithm.strategy) for algorithm in algorithms],
+                banks=[self._banks[algorithm.name] for algorithm in algorithms],
+            )
+            for algorithm, outcome in zip(algorithms, outcomes):
                 # Always-on (like the kernel counters themselves): the
                 # per-algorithm delta feeds kernel_summary() and the CLI
                 # --pipeline diagnostics, which predate the REPRO_OBS knob.
-                before = kernel_counters()
-                outcome = partition_batch(
-                    batch,
-                    cfg.m,
-                    algorithm.test,
-                    algorithm.strategy,
-                    bank=bank,
-                )
-                delta = {
-                    key: value - before[key]
-                    for key, value in kernel_counters().items()
-                    if value != before[key]
-                }
-                if delta:
+                if outcome.kernel:
                     _obs.REGISTRY.add_counters(
                         {
                             f"kernel.{algorithm.name}.{key}": value
-                            for key, value in delta.items()
+                            for key, value in outcome.kernel.items()
                         }
                     )
                 accepted[algorithm.name] = outcome.accepted_count

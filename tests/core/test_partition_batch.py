@@ -2,9 +2,10 @@
 
 The batched path may settle a set via prefilters or the utilization-ledger
 replay, or fall through to the incremental per-taskset path — whatever the
-mechanism, ``accepted[i]`` must equal ``partition(...).success``.  The fast
-tier covers one configuration per test family; the ``slow`` tier sweeps the
-full strategies × tests × service-models cross product the issue calls for.
+mechanism, ``accepted[i]`` must equal ``partition(...).success``.  One call
+over several algorithms must equal one single-algorithm call per algorithm.
+The fast tier covers one configuration per test family; the ``slow`` tier
+sweeps the full strategies × tests × service-models cross product.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def assert_batch_matches_scalar(batch_args, m, test_name, strategy_name):
     batch = generated_batch(m, deadline_type, service, count, label)
     test = get_test(test_name)
     strategy = get_strategy(strategy_name)
-    outcome = partition_batch(batch, m, test, strategy)
+    [outcome] = partition_batch(batch, m, [(test, strategy)])
     assert len(outcome.accepted) == len(batch)
 
     fresh = generated_batch(m, deadline_type, service, count, label)
@@ -109,15 +110,16 @@ class TestFastDifferential:
 
 class TestEdgesAndGates:
     def test_empty_batch(self):
-        outcome = partition_batch(
-            TaskSetBatch([]), 2, get_test("edf-vd"), get_strategy("cu-udp")
+        [outcome] = partition_batch(
+            TaskSetBatch([]), 2, [(get_test("edf-vd"), get_strategy("cu-udp"))]
         )
         assert outcome.accepted == []
+        assert partition_batch(TaskSetBatch([]), 2, []) == []
 
     def test_invalid_m(self):
         with pytest.raises(ValueError, match="m must be positive"):
             partition_batch(
-                TaskSetBatch([]), 0, get_test("edf-vd"), get_strategy("cu-udp")
+                TaskSetBatch([]), 0, [(get_test("edf-vd"), get_strategy("cu-udp"))]
             )
 
     def test_unsupported_deadline_shape_raises(self):
@@ -126,7 +128,7 @@ class TestEdgesAndGates:
         )
         batch = TaskSetBatch.from_tasksets([constrained])
         with pytest.raises(UnsupportedTasksetError):
-            partition_batch(batch, 2, get_test("edf-vd"), get_strategy("cu-udp"))
+            partition_batch(batch, 2, [(get_test("edf-vd"), get_strategy("cu-udp"))])
 
     def test_unsupported_service_model_raises(self):
         ts = TaskSet(
@@ -135,35 +137,37 @@ class TestEdgesAndGates:
         )
         batch = TaskSetBatch.from_tasksets([ts])
         with pytest.raises(UnsupportedTasksetError):
-            partition_batch(batch, 2, get_test("amc-max"), get_strategy("cu-udp"))
+            partition_batch(
+                batch, 2, [(get_test("amc-max"), get_strategy("cu-udp"))]
+            )
 
     def test_replay_metadata_matches_callables(self):
         """The lexsort allocation order must equal the callable order rules."""
-        from repro.core.batch import _allocation_order
+        from repro.core.batch import _allocation_orders
 
         batches = [
             generated_batch(2, "implicit", None, 10, "pb-order"),
             TaskSetBatch.from_tasksets(shuffled_id_tasksets("pb-order-ids")),
         ]
-        for strategy_name in STRATEGIES + EXTRA_STRATEGIES:
-            strategy = get_strategy(strategy_name)
+        strategies = [get_strategy(n) for n in STRATEGIES + EXTRA_STRATEGIES]
+        specs = list(dict.fromkeys(s.order_spec for s in strategies))
+        for strategy in strategies:
             assert strategy.replayable
             for batch in batches:
-                pending = np.arange(len(batch))
-                set_of, _, ordered = _allocation_order(
-                    batch, pending, strategy.order_spec
-                )
+                # one call for every spec: spec n's order is block n
+                block = specs.index(strategy.order_spec) * batch.n_tasks
+                ordered = _allocation_orders(batch, specs)[block:]
                 for i in range(len(batch)):
                     ts = batch.taskset(i)
                     want = [t.task_id for t in strategy.order(ts)]
-                    local = ordered[set_of == i] - batch.offsets[i]
+                    local = ordered[batch.set_slice(i)] - batch.offsets[i]
                     assert [ts[j].task_id for j in local] == want
 
     def test_fit_order_matches_callables(self):
         """Stable argsorts of the fit keys equal the callable fit rules,
         including ties between cores whose states differ."""
         from repro.core.allocator import ProcessorState
-        from repro.core.batch import _fit_order
+        from repro.core.batch import _fit_key
         from repro.degradation.service import parse_service_model
 
         hc = MCTask(period=10, criticality="HC", wcet_lo=3, wcet_hi=6)
@@ -187,11 +191,16 @@ class TestEdgesAndGates:
         for name in STRATEGIES + EXTRA_STRATEGIES + ("cu-udp-res",):
             strategy = get_strategy(name)
             for high, rule in ((True, strategy.hc_fit), (False, strategy.lc_fit)):
-                got = _fit_order(
-                    strategy.hc_fit_spec, strategy.lc_fit_spec, ledger,
-                    np.array([high]),
+                key = _fit_key(
+                    [strategy.hc_fit_spec, strategy.lc_fit_spec],
+                    np.array([0 if high else 1]),
+                    ledger,
                 )
-                assert got[0].tolist() == list(rule(processors)), (name, high)
+                got = (
+                    range(len(processors)) if key is None
+                    else key.argsort(axis=1, kind="stable")[0].tolist()
+                )
+                assert list(got) == list(rule(processors)), (name, high)
 
 
 def shuffled_id_tasksets(label, service=None):
@@ -240,8 +249,8 @@ class TestFromTasksets:
         tasksets = shuffled_id_tasksets("pb-ids", service)
         test = get_test("edf-vd")
         strategy = get_strategy(strategy_name)
-        outcome = partition_batch(
-            TaskSetBatch.from_tasksets(tasksets), 4, test, strategy
+        [outcome] = partition_batch(
+            TaskSetBatch.from_tasksets(tasksets), 4, [(test, strategy)]
         )
         assert outcome.settled[0] == "ledger"  # the empty set
         for i, ts in enumerate(tasksets):
@@ -250,33 +259,174 @@ class TestFromTasksets:
 
     @pytest.mark.parametrize("strategy_name", ["cu-udp", "ca-f-f", "wfd"])
     def test_invalid_probe_raises_the_scalar_error(self, strategy_name):
-        class InflatedResidual(ServiceModel):
-            """Residual LC service above C^LO, which EDF-VD rejects."""
-
-            name = "inflated"
-
-            def degraded_budget(self, task):
-                return task.wcet_hi if task.is_high else 2 * task.wcet_lo
-
-            def key(self):
-                return ("inflated",)
-
-        ts = TaskSet(
-            [
-                MCTask(period=10, criticality="HC", wcet_lo=2, wcet_hi=4),
-                MCTask(period=10, criticality="LC", wcet_lo=3, wcet_hi=3),
-            ],
-            service_model=InflatedResidual(),
-        )
+        ts = inflated_set((2, 4), [3])
         strategy = get_strategy(strategy_name)
         with pytest.raises(ValueError, match="U_res") as scalar:
             partition(ts, 2, get_test("edf-vd"), strategy)
         with pytest.raises(ValueError) as batched:
             partition_batch(
-                TaskSetBatch.from_tasksets([ts]), 2, get_test("edf-vd"),
-                strategy,
+                TaskSetBatch.from_tasksets([ts]), 2,
+                [(get_test("edf-vd"), strategy)],
             )
         assert str(batched.value) == str(scalar.value)
+
+    def test_invalid_probe_of_the_second_algorithm_raises(self):
+        # Criticality-aware first fit rejects the third HC task before it
+        # probes the LC task; criticality-unaware UDP places the LC task
+        # first and reaches the invalid probe.
+        ts = inflated_set((2, 6), [7], hc_count=3)
+        valid, invalid = get_strategy("ca-f-f"), get_strategy("cu-udp")
+        assert not partition(ts, 2, get_test("edf-vd"), valid).success
+        with pytest.raises(ValueError, match="U_res") as scalar:
+            partition(ts, 2, get_test("edf-vd"), invalid)
+        test = get_test("edf-vd")
+        with pytest.raises(ValueError) as batched:
+            partition_batch(
+                TaskSetBatch.from_tasksets([ts]), 2,
+                [(test, valid), (test, invalid)],
+            )
+        assert str(batched.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_first_invalid_algorithm_in_list_order_raises(self, reverse):
+        # Input order places the 0.2 LC task first, utilization order
+        # the 0.3 one: the two walks fail at different probes.
+        ts = inflated_set((2, 4), [2, 3])
+        strategies = [get_strategy("ca-nosort-f-f"), get_strategy("cu-udp")]
+        if reverse:
+            strategies.reverse()
+        messages = []
+        for strategy in strategies:
+            with pytest.raises(ValueError, match="U_res") as scalar:
+                partition(ts, 2, get_test("edf-vd"), strategy)
+            messages.append(str(scalar.value))
+        assert messages[0] != messages[1]
+        test = get_test("edf-vd")
+        with pytest.raises(ValueError) as batched:
+            partition_batch(
+                TaskSetBatch.from_tasksets([ts]), 2,
+                [(test, strategy) for strategy in strategies],
+            )
+        assert str(batched.value) == messages[0]
+
+
+class InflatedResidual(ServiceModel):
+    """Residual LC service above C^LO, which EDF-VD rejects."""
+
+    name = "inflated"
+
+    def degraded_budget(self, task):
+        return task.wcet_hi if task.is_high else 2 * task.wcet_lo
+
+    def key(self):
+        return ("inflated",)
+
+
+def inflated_set(hc_wcets, lc_wcets, hc_count=1):
+    """HC tasks of ``(C^LO, C^HI)`` and LC tasks of ``C``, period 10, under
+    :class:`InflatedResidual`: every walk that probes an LC task is
+    invalid."""
+    tasks = [
+        MCTask(period=10, criticality="HC", wcet_lo=hc_wcets[0], wcet_hi=hc_wcets[1])
+        for _ in range(hc_count)
+    ]
+    tasks += [
+        MCTask(period=10, criticality="LC", wcet_lo=c, wcet_hi=c) for c in lc_wcets
+    ]
+    return TaskSet(tasks, service_model=InflatedResidual())
+
+
+TESTS = ("edf-vd", "ey", "ecdf", "amc-max")
+
+
+def every_algorithm(deadline_type, service):
+    """Every strategy × test pair the batch supports, as fresh instances
+    (one test instance per pair, as the sweep holds them), with the first
+    pair listed twice."""
+    from repro.degradation.service import parse_service_model
+
+    model = parse_service_model(service or "full-drop")
+    pairs = []
+    for test_name in TESTS:
+        for strategy_name in STRATEGIES + EXTRA_STRATEGIES:
+            test = get_test(test_name)
+            if deadline_type == "constrained" and not test.supports_deadline_type(
+                "constrained"
+            ):
+                continue
+            if not test.supports_service_model(model):
+                continue
+            pairs.append((test, get_strategy(strategy_name)))
+    return [pairs[0], *pairs, pairs[0]]
+
+
+def assert_one_call_equals_calls_per_algorithm(deadline_type, service, m, count):
+    label = f"pbm-{deadline_type}-{service}-{m}"
+    batch = generated_batch(m, deadline_type, service, count, label)
+    together = partition_batch(batch, m, every_algorithm(deadline_type, service))
+    fresh = generated_batch(m, deadline_type, service, count, label)
+    alone = [
+        partition_batch(fresh, m, [pair])[0]
+        for pair in every_algorithm(deadline_type, service)
+    ]
+    assert len(together) == len(alone)
+    for a, (got, want) in enumerate(zip(together, alone)):
+        assert got.accepted == want.accepted, a
+        assert got.settled == want.settled, a
+        assert got.kernel == want.kernel, a
+    return together
+
+
+class TestMultiAlgorithm:
+    """One call over many algorithms == one call per algorithm: the
+    stacked replay mixes order specs, fit specs, screen classes and AMC's
+    missing screen."""
+
+    @pytest.mark.parametrize(
+        "deadline_type,service,m",
+        [
+            ("implicit", None, 2),
+            ("constrained", None, 4),
+            ("implicit", "imprecise:0.5", 4),
+        ],
+    )
+    def test_one_call_equals_one_call_per_algorithm(self, deadline_type, service, m):
+        outcomes = assert_one_call_equals_calls_per_algorithm(
+            deadline_type, service, m, 10
+        )
+        sources = {s for outcome in outcomes for s in outcome.settled}
+        assert "full" in sources
+        # the implicit-deadline plain-EDF accept settles sets in the ledger
+        assert deadline_type == "constrained" or "ledger" in sources
+
+    def test_prefilter_observations_equal_the_per_algorithm_calls(self):
+        from repro import obs
+
+        def observed(calls):
+            obs.clear()
+            previous = obs.set_recorder(obs.MetricsRecorder(obs.REGISTRY))
+            try:
+                for batch, pairs in calls:
+                    partition_batch(batch, 2, pairs)
+                counters = obs.REGISTRY.counters("prefilter.")
+                histograms = {
+                    name: (h.count, h.total)
+                    for name, h in obs.REGISTRY.histograms().items()
+                    if name.startswith("prefilter.")
+                }
+            finally:
+                obs.set_recorder(previous)
+                obs.clear()
+            return counters, histograms
+
+        pairs = every_algorithm("implicit", None)
+        batch = generated_batch(2, "implicit", None, 10, "pbm-obs")
+        together = observed([(batch, pairs)])
+        fresh = generated_batch(2, "implicit", None, 10, "pbm-obs")
+        alone = observed([(fresh, [pair]) for pair in pairs])
+        assert together == alone
+        assert together[0]["prefilter.ledger"] > 0
+        assert together[1]["prefilter.full.settled"][0] > 1
 
 
 @pytest.mark.slow
@@ -307,3 +457,22 @@ class TestFullCrossProduct:
             test_name,
             strategy_name,
         )
+
+
+@pytest.mark.slow
+class TestMultiAlgorithmCrossProduct:
+    """One call over every supported algorithm, across deadline types,
+    service models and core counts."""
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize(
+        "deadline_type,service",
+        [
+            ("implicit", None),
+            ("constrained", None),
+            ("implicit", "imprecise:0.5"),
+            ("implicit", "elastic:2.0"),
+        ],
+    )
+    def test_one_call_equals_one_call_per_algorithm(self, deadline_type, service, m):
+        assert_one_call_equals_calls_per_algorithm(deadline_type, service, m, 25)

@@ -215,6 +215,41 @@ class TestFigure:
         capsys.readouterr()
         assert out.read_bytes() == (DATA / "fig6a-samples4.json").read_bytes()
 
+    def test_fig7a_recorded_output(self, capsys, tmp_path, monkeypatch):
+        """Degraded LC service: the only figure with the U_res ledger
+        column and the res-difference fit metric beside difference, where
+        sibling service levels share one sample.  The result file equals
+        the recorded one byte for byte (CI ``cmp``s the same command's
+        output)."""
+        monkeypatch.chdir(tmp_path)
+        clear_samples()
+        out = tmp_path / "fig7a.json"
+        code = main(
+            ["figure", "fig7a", "--samples", "16", "--m", "2,4", "-o", str(out)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (DATA / "fig7a-samples16.json").read_bytes()
+
+    def test_fig4_diagnostics_recorded(self, capsys, tmp_path, monkeypatch):
+        """Per-algorithm attribution: each algorithm's settle counts and
+        demand-kernel counters equal the recorded block.  fig4 puts three
+        demand-screen algorithms beside AMC, which always falls back.  The
+        ``descent`` row is not per algorithm (and reads lifetime histograms
+        under recording), so it is left out of the comparison."""
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["figure", "fig4", "--samples", "8", "--m", "4",
+             "-o", str(tmp_path / "fig4.json")]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        block = err[err.index("pipeline diagnostics"):].splitlines()
+        got = [line for line in block if line.startswith(("pipeline", "  "))]
+        got = [line for line in got if not line.startswith("  descent:")]
+        want = (DATA / "fig4-samples8-m4-diagnostics.txt").read_text()
+        assert got == want.splitlines()
+
     def test_tiny_figure_run(self, capsys, tmp_path, monkeypatch):
         # run in tmp so an ambient REPRO_OBS=trace writes its default
         # repro-obs.json/repro-trace.json here, not over committed files
