@@ -7,14 +7,16 @@ Paper's headline numbers for this figure: UDP improves schedulability by up
 to 13.3% (m=2), 22.8% (m=4) and 28.1% (m=8), with the gap growing in m.
 """
 
-from repro.experiments import fig3
+from repro.experiments import run_figure
 from repro.experiments.report import improvement_summary, render_sweep
 
 from conftest import bench_m_values, bench_samples, emit
 
 
 def test_fig3_acceptance_ratio(once):
-    result = once(fig3, samples=bench_samples(), m_values=bench_m_values())
+    result = once(
+        run_figure, "fig3", samples=bench_samples(), m_values=bench_m_values()
+    )
     sections = []
     for key, sweep in result.sweeps.items():
         sections.append(render_sweep(sweep, title=f"Figure 3 ({key})"))

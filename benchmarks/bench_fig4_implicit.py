@@ -6,14 +6,16 @@ Paper's headline numbers: improvements up to 3.2/3.8/9.5% under AMC and
 9.8/15.2/15.7% under ECDF for m = 2/4/8.
 """
 
-from repro.experiments import fig4
+from repro.experiments import run_figure
 from repro.experiments.report import improvement_summary, render_sweep
 
 from conftest import bench_m_values, bench_samples, emit
 
 
 def test_fig4_acceptance_ratio(once):
-    result = once(fig4, samples=bench_samples(), m_values=bench_m_values())
+    result = once(
+        run_figure, "fig4", samples=bench_samples(), m_values=bench_m_values()
+    )
     sections = []
     for key, sweep in result.sweeps.items():
         sections.append(render_sweep(sweep, title=f"Figure 4 ({key})"))

@@ -6,14 +6,16 @@ Paper's headline numbers: improvements up to 3.5/13.1/29.7% under AMC and
 12.6/20.8/36.2% under ECDF for m = 2/4/8.
 """
 
-from repro.experiments import fig5
+from repro.experiments import run_figure
 from repro.experiments.report import improvement_summary, render_sweep
 
 from conftest import bench_m_values, bench_samples, emit
 
 
 def test_fig5_acceptance_ratio(once):
-    result = once(fig5, samples=bench_samples(), m_values=bench_m_values())
+    result = once(
+        run_figure, "fig5", samples=bench_samples(), m_values=bench_m_values()
+    )
     sections = []
     for key, sweep in result.sweeps.items():
         sections.append(render_sweep(sweep, title=f"Figure 5 ({key})"))

@@ -7,14 +7,14 @@ Paper's qualitative findings pinned here: CA-UDP degrades as PH grows
 (heavy LC tasks get stranded) while CU-UDP stays strong at every PH.
 """
 
-from repro.experiments import fig6a, fig6b
+from repro.experiments import run_figure
 from repro.experiments.report import render_war
 
 from conftest import bench_samples, emit
 
 
 def test_fig6a_war_implicit(once):
-    result = once(fig6a, samples=bench_samples())
+    result = once(run_figure, "fig6a", samples=bench_samples())
     emit("fig6a", render_war(result))
     # CU-UDP >= CA-UDP at the highest PH (the paper's key observation).
     for m in (2, 4):
@@ -23,7 +23,7 @@ def test_fig6a_war_implicit(once):
 
 
 def test_fig6b_war_constrained(once):
-    result = once(fig6b, samples=bench_samples())
+    result = once(run_figure, "fig6b", samples=bench_samples())
     emit("fig6b", render_war(result))
     for m in (2, 4):
         high_ph = result.war[(m, 0.9)]

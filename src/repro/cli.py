@@ -49,12 +49,51 @@ import sys
 
 from repro.analysis import get_test, registered_tests
 from repro.core import get_strategy, partition, registered_strategies
+from repro.experiments.figures import FIGURES
 from repro.generator import MCTaskSetGenerator
 from repro.model import TaskSet
 from repro.util.env import DBF_KERNELS, RUNNER_BACKENDS
 from repro.util.rng import derive_rng
 
 __all__ = ["main", "build_parser"]
+
+
+def _add_run_options(parser: argparse.ArgumentParser, *, m: bool = True) -> None:
+    """The options ``figure``, ``trace`` and ``campaign`` share.
+
+    ``campaign`` takes no ``--m``: processor counts belong in its spec.
+    """
+    parser.add_argument("--samples", type=int, default=None)
+    if m:
+        parser.add_argument(
+            "--m", default=None, help="comma-separated processor counts"
+        )
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes (0 = all cores, default 1 = serial)",
+    )
+    parser.add_argument(
+        "--backend",
+        choices=RUNNER_BACKENDS,
+        default=None,
+        help=(
+            "executor backend (default: REPRO_RUNNER_BACKEND, else serial "
+            "for --jobs 1 and cluster otherwise); 'cluster' runs worker "
+            "processes with heartbeat fault recovery — results are identical"
+        ),
+    )
+    parser.add_argument(
+        "--demand-kernel",
+        choices=DBF_KERNELS,
+        default=None,
+        help=(
+            "demand-kernel stack for the dbf analyses (default: "
+            "REPRO_DBF_KERNEL, else qpa); exported to workers; block "
+            "is sound but may accept more than qpa — see README"
+        ),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,34 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", default="cli-sim")
 
     figure = sub.add_parser("figure", help="run a paper figure experiment")
-    figure.add_argument(
-        "name",
-        choices=("fig3", "fig4", "fig5", "fig6a", "fig6b", "fig7a", "fig7b"),
-    )
-    figure.add_argument("--samples", type=int, default=None)
-    figure.add_argument(
-        "--m", default=None, help="comma-separated processor counts"
-    )
-    figure.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (0 = all cores, default 1 = serial)",
-    )
+    figure.add_argument("name", choices=FIGURES)
+    _add_run_options(figure)
     figure.add_argument(
         "--cache-dir",
         default=None,
         help="shard cache directory; reruns resume instead of recomputing",
-    )
-    figure.add_argument(
-        "--backend",
-        choices=RUNNER_BACKENDS,
-        default=None,
-        help=(
-            "executor backend (default: REPRO_RUNNER_BACKEND, else serial "
-            "for --jobs 1 and cluster otherwise); 'cluster' runs worker "
-            "processes with heartbeat fault recovery — results are identical"
-        ),
     )
     figure.add_argument(
         "--store",
@@ -161,26 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figure.add_argument(
         "--progress", action="store_true", help="live shard progress on stderr"
-    )
-    figure.add_argument(
-        "--pipeline",
-        choices=("batched", "scalar"),
-        default="batched",
-        help=(
-            "sweep execution pipeline: 'batched' (columnar prefilters + "
-            "ledger replay, default) or 'scalar' (per-taskset); results "
-            "are identical"
-        ),
-    )
-    figure.add_argument(
-        "--demand-kernel",
-        choices=DBF_KERNELS,
-        default=None,
-        help=(
-            "demand-kernel stack for the dbf analyses (default: "
-            "REPRO_DBF_KERNEL, else qpa); exported to workers; block "
-            "is sound but may accept more than qpa — see README"
-        ),
     )
     figure.add_argument(
         "--obs-out",
@@ -222,13 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated figure names (alternative to a spec file)",
     )
-    campaign.add_argument("--samples", type=int, default=None)
-    campaign.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (0 = all cores, default 1 = serial)",
-    )
+    _add_run_options(campaign, m=False)
     campaign.add_argument(
         "--out", default="campaign-results", help="output directory"
     )
@@ -236,16 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help="shard cache directory (default: <out>/cache)",
-    )
-    campaign.add_argument(
-        "--backend",
-        choices=RUNNER_BACKENDS,
-        default=None,
-        help=(
-            "executor backend (default: REPRO_RUNNER_BACKEND, else serial "
-            "for --jobs 1 and cluster otherwise); 'cluster' runs worker "
-            "processes with heartbeat fault recovery — results are identical"
-        ),
     )
     campaign.add_argument(
         "--store",
@@ -261,26 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-progress",
         action="store_true",
         help="suppress the live progress line",
-    )
-    campaign.add_argument(
-        "--pipeline",
-        choices=("batched", "scalar"),
-        default="batched",
-        help=(
-            "sweep execution pipeline: 'batched' (columnar prefilters + "
-            "ledger replay, default) or 'scalar' (per-taskset); results "
-            "are identical"
-        ),
-    )
-    campaign.add_argument(
-        "--demand-kernel",
-        choices=DBF_KERNELS,
-        default=None,
-        help=(
-            "demand-kernel stack for the dbf analyses (default: "
-            "REPRO_DBF_KERNEL, else qpa); exported to workers; block "
-            "is sound but may accept more than qpa — see README"
-        ),
     )
     campaign.add_argument(
         "--journal",
@@ -350,39 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run a figure with tracing forced on; write the span dump",
     )
-    trace.add_argument(
-        "name",
-        choices=("fig3", "fig4", "fig5", "fig6a", "fig6b", "fig7a", "fig7b"),
-    )
-    trace.add_argument("--samples", type=int, default=None)
-    trace.add_argument(
-        "--m", default=None, help="comma-separated processor counts"
-    )
-    trace.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (0 = all cores, default 1 = serial)",
-    )
-    trace.add_argument(
-        "--pipeline", choices=("batched", "scalar"), default="batched"
-    )
-    trace.add_argument(
-        "--demand-kernel",
-        choices=DBF_KERNELS,
-        default=None,
-        help=(
-            "demand-kernel stack for the dbf analyses (default: "
-            "REPRO_DBF_KERNEL, else qpa); block is sound but may accept "
-            "more than qpa"
-        ),
-    )
-    trace.add_argument(
-        "--backend",
-        choices=RUNNER_BACKENDS,
-        default=None,
-        help="executor backend (default: REPRO_RUNNER_BACKEND, else auto)",
-    )
+    trace.add_argument("name", choices=FIGURES)
+    _add_run_options(trace)
     trace.add_argument(
         "--trace-out",
         default="repro-trace.json",
@@ -583,7 +513,6 @@ def _cmd_figure(args) -> int:
             jobs=_resolve_jobs(args.jobs),
             cache=cache,
             progress=progress,
-            pipeline=args.pipeline,
             backend=args.backend,
             diagnostics=diagnostics,
             **kwargs,
@@ -620,7 +549,6 @@ def _cmd_trace(args) -> int:
             args.name,
             samples=args.samples,
             jobs=_resolve_jobs(args.jobs),
-            pipeline=args.pipeline,
             backend=args.backend,
             **kwargs,
         )
@@ -673,7 +601,6 @@ def _cmd_campaign(args) -> int:
         jobs=_resolve_jobs(args.jobs),
         cache_dir=args.cache_dir,
         progress=progress,
-        pipeline=args.pipeline,
         backend=args.backend,
         store=args.store,
         journal=journal,

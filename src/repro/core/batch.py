@@ -313,32 +313,39 @@ def partition_batch(
         if screen is not None and strategy.replayable and len(pending[a]):
             # one replay per screen class
             groups.setdefault(type(screen), (screen, []))[1].append(a)
-    codes, errors = {}, {}  # per algorithm: {set: ledger code}, replay error
+    codes, errors = {}, {}  # per algorithm: ledger codes of pending, replay error
     for screen, members in groups.values():
         verdicts, group_errors = _lockstep_replay(
             batch, m, screen,
             [algorithms[a][1] for a in members], [pending[a] for a in members],
         )
         for g, a in enumerate(members):
-            codes[a] = dict(zip(pending[a].tolist(), verdicts[g].tolist()))
+            codes[a] = verdicts[g]
             if g in group_errors:
                 errors[a] = group_errors[g]
 
     for a, (test, strategy) in enumerate(algorithms):
         if a in errors:
             raise errors[a]
-        outcome, code = outcomes[a], codes.get(a, {})
+        # Prefilters only reject; the ledger settles the pending sets it
+        # decided, and the rest (code -1 or unreplayed) run the scalar path.
+        accepted = np.zeros(len(batch), dtype=bool)
+        settled = np.array(reports[a], dtype=object)
+        full = pending[a]
+        if a in codes:
+            decided = codes[a] >= 0
+            ledger = full[decided]
+            accepted[ledger] = codes[a][decided] == 1
+            settled[ledger] = "ledger"
+            full = full[~decided]
         before = kernel_counters()
-        for i, source in enumerate(reports[a]):
-            accepted = False
-            if source is None and code.get(i, -1) >= 0:
-                accepted, source = code[i] == 1, "ledger"
-            elif source is None:
-                accepted, source = partition(
-                    batch.taskset(i), m, test, strategy, incremental=incremental
-                ).success, "full"
-            outcome.accepted.append(accepted)
-            outcome.settled.append(source)
+        for i in full.tolist():
+            accepted[i] = partition(
+                batch.taskset(i), m, test, strategy, incremental=incremental
+            ).success
+            settled[i] = "full"
+        outcome = outcomes[a]
+        outcome.accepted, outcome.settled = accepted.tolist(), settled.tolist()
         _add_kernel_delta(outcome.kernel, before)
         if _obs.active():
             # Counters total across runs; the histograms keep the per-run

@@ -1,16 +1,20 @@
 """Experiment harness reproducing the paper's evaluation (S12).
 
-Entry points, one per figure of the paper (see
+One entry point runs every figure of the paper (see
 README.md#reproducing-the-papers-figures-at-full-scale):
+:func:`~repro.experiments.figures.run_figure` with a name from
+:data:`~repro.experiments.figures.FIGURES`, whose plan
+(:func:`~repro.experiments.figures.figure_plan`) is the figure:
 
-* :func:`~repro.experiments.figures.fig3` — acceptance ratio vs ``UB``,
-  implicit deadlines, EDF-VD algorithms with a speed-up bound.
-* :func:`~repro.experiments.figures.fig4` — implicit deadlines, algorithms
-  without a speed-up bound (AMC / ECDF vs EY baselines).
-* :func:`~repro.experiments.figures.fig5` — the constrained-deadline
-  counterpart of Figure 4.
-* :func:`~repro.experiments.figures.fig6a` / ``fig6b`` — weighted acceptance
-  ratio vs the HC-task percentage ``PH``.
+* ``fig3`` — acceptance ratio vs ``UB``, implicit deadlines, EDF-VD
+  algorithms with a speed-up bound.
+* ``fig4`` — implicit deadlines, algorithms without a speed-up bound
+  (AMC / ECDF vs EY baselines).
+* ``fig5`` — the constrained-deadline counterpart of Figure 4.
+* ``fig6a`` / ``fig6b`` — weighted acceptance ratio vs the HC-task
+  percentage ``PH``.
+* ``fig7a`` / ``fig7b`` — the degraded-LC-service extension: acceptance
+  vs the imprecise budget ratio ``rho`` / the elastic stretch ``lambda``.
 
 All runs are deterministic: task sets derive from
 ``spawn_seed(label, m, deadline type, PH, bucket, replicate)`` so any data
@@ -43,13 +47,6 @@ from repro.experiments.figures import (
     PAPER_FIGURES,
     FigureResult,
     SweepJob,
-    fig3,
-    fig4,
-    fig5,
-    fig6a,
-    fig6b,
-    fig7a,
-    fig7b,
     figure_plan,
     run_figure,
 )
@@ -79,13 +76,6 @@ __all__ = [
     "FigureResult",
     "SweepJob",
     "figure_plan",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6a",
-    "fig6b",
-    "fig7a",
-    "fig7b",
     "run_figure",
     "improvement_summary",
     "render_sweep",

@@ -5,20 +5,20 @@ utilization ``UB``, generate many task sets (1000 in the paper) from the
 grid combinations mapping to that ``UB`` and report, per partitioned
 algorithm, the fraction deemed schedulable.
 
-Two pipelines produce the same numbers:
+Sweeps run the batched path: task sets are generated straight into a
+columnar :class:`~repro.model.batch.TaskSetBatch` and all algorithms of a
+shard run through one :func:`repro.core.batch.partition_batch` call.  The
+exact prefilter bank and the utilization-ledger replay settle what they
+can from the columns, and only the remaining sets are materialized for
+the incremental per-taskset path.
 
-* ``"batched"`` (the default) — task sets are generated straight into a
-  columnar :class:`~repro.model.batch.TaskSetBatch` and all algorithms of
-  a shard run through one :func:`repro.core.batch.partition_batch` call:
-  the exact prefilter bank and the utilization-ledger replay settle what
-  they can from the columns, and only the remaining sets are materialized
-  for the incremental per-taskset path;
-* ``"scalar"`` — the historical one-taskset-at-a-time loop.
-
-The batched pipeline is bit-identical to the scalar one by construction
-(same derived RNG streams, exact-only settling; asserted by the
-differential tests), so ratios, WAR tables and shard-cache keys never
-depend on the pipeline choice — it is purely a throughput knob.
+The one-taskset-at-a-time loop (``pipeline="scalar"``) stays as the
+reference.  The benchmark harness's cross-check and the differential
+tests reach it through a :class:`~repro.runner.units.WorkUnit` (or an
+``AcceptanceSweep``) built with ``pipeline="scalar"``.  The batched path
+is bit-identical to it by construction (same derived RNG streams,
+exact-only settling), so ratios, WAR tables and shard-cache keys never
+depend on the path.
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ def kernel_summary(
     The batched shard runner records per-algorithm ``kernel.<algorithm>.
     <counter>`` deltas into :data:`repro.obs.REGISTRY` (workers ship theirs
     back to the parent), and this folds them back into the report shape the
-    ``--pipeline`` diagnostics print: the ``qpa-accept`` /
+    ``repro figure`` diagnostics block prints: the ``qpa-accept`` /
     ``approx-accept`` settle counters, with the
     run/iteration totals collapsed to ``qpa-iter-mean`` (mean backward
     fixed-point iterations per QPA search).  The block kernel's
@@ -502,7 +502,7 @@ class AcceptanceSweep:
 
         Same draws, same derived RNG streams as :meth:`batch_for_bucket` —
         this is simply its materialization, kept for per-taskset consumers
-        (benchmarks, examples, the scalar pipeline).
+        (benchmarks, examples, the scalar reference loop).
         """
         return self.batch_for_bucket(bucket, points).to_tasksets()
 
@@ -574,8 +574,8 @@ class AcceptanceSweep:
             )
             for algorithm, outcome in zip(algorithms, outcomes):
                 # Always-on (like the kernel counters themselves): the
-                # per-algorithm delta feeds kernel_summary() and the CLI
-                # --pipeline diagnostics, which predate the REPRO_OBS knob.
+                # per-algorithm delta feeds kernel_summary() and the
+                # `repro figure` diagnostics, which predate the REPRO_OBS knob.
                 if outcome.kernel:
                     _obs.REGISTRY.add_counters(
                         {

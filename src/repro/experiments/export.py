@@ -5,7 +5,7 @@ Figure experiments are expensive at paper scale; this module round-trips
 run can be archived, diffed against a previous run, or re-rendered without
 recomputation::
 
-    result = fig3(samples=1000)
+    result = run_figure("fig3", samples=1000)
     save_figure_result(result, "fig3.json")
     ...
     again = load_figure_result("fig3.json")

@@ -1,16 +1,17 @@
-"""Per-figure experiment configurations and runners.
+"""Per-figure experiment plans and the one runner that executes them.
 
-Each function reproduces one figure of the paper and returns a
-:class:`FigureResult` carrying the same series the paper plots.  Scale is
-controlled by ``samples`` (task sets per ``UB`` bucket — the paper used
-1000) and can also be set via the ``REPRO_SAMPLES`` environment variable;
-see :func:`default_samples`.
+A figure is its plan: :func:`figure_plan` returns the sweeps figure
+``name`` needs as :class:`SweepJob` entries, and :func:`run_figure`
+executes them and returns a :class:`FigureResult` carrying the same series
+the paper plots.  Scale is controlled by ``samples`` (task sets per ``UB``
+bucket — the paper used 1000) and can also be set via the
+``REPRO_SAMPLES`` environment variable; see :func:`default_samples`.
 
-Every figure is planned declaratively (:func:`figure_plan` returns the
-sweeps it needs as :class:`SweepJob` entries) and executed through the
-campaign runner (:mod:`repro.runner`): pass ``jobs=N`` to fan buckets out
-over worker processes and ``cache=FsStore(...)`` to make runs resumable —
-results are bit-identical to a serial, uncached run either way.
+Sweeps run through the campaign runner (:mod:`repro.runner`): pass
+``jobs=N`` to fan buckets out over worker processes and a shard store
+(``cache=create_store("fs", path)``, see :mod:`repro.runner.store`) to
+make runs resumable — results are bit-identical to a serial, uncached run
+either way.
 """
 
 from __future__ import annotations
@@ -28,13 +29,6 @@ __all__ = [
     "SweepJob",
     "default_samples",
     "figure_plan",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6a",
-    "fig6b",
-    "fig7a",
-    "fig7b",
     "run_figure",
 ]
 
@@ -201,29 +195,41 @@ def _degradation_plan(
     ]
 
 
+#: The one definition of every figure: name -> planner.  A planner's
+#: keyword parameters are the scale overrides that figure takes.
 _PLANNERS = {
+    # Figure 3: implicit deadlines, EDF-VD algorithms (speed-up bound 8/3).
     "fig3": lambda samples, m_values=(2, 4, 8): _acceptance_plan(
         "fig3", FIG3_ALGORITHMS, "implicit", m_values, samples
     ),
+    # Figure 4: implicit deadlines, algorithms without a speed-up bound.
     "fig4": lambda samples, m_values=(2, 4, 8): _acceptance_plan(
         "fig4", FIG45_ALGORITHMS, "implicit", m_values, samples
     ),
+    # Figure 5: constrained deadlines, algorithms without a speed-up bound.
     "fig5": lambda samples, m_values=(2, 4, 8): _acceptance_plan(
         "fig5", FIG45_ALGORITHMS, "constrained", m_values, samples
     ),
+    # Figure 6a: WAR vs PH, implicit deadlines, EDF-VD algorithms.
     "fig6a": lambda samples, ph_values=FIG6_PH_VALUES, m_values=FIG6_M_VALUES: _war_plan(
         "fig6a", FIG6A_ALGORITHMS, "implicit", samples, ph_values, m_values
     ),
+    # Figure 6b: WAR vs PH, constrained deadlines, AMC/ECDF vs EY.
     "fig6b": lambda samples, ph_values=FIG6_PH_VALUES, m_values=FIG6_M_VALUES: _war_plan(
         "fig6b", FIG6B_ALGORITHMS, "constrained", samples, ph_values, m_values
     ),
+    # Figure 7a (extension): acceptance/WAR vs imprecise budget ratio rho.
     "fig7a": lambda samples, deg_values=FIG7_RHO_VALUES, m_values=FIG7_M_VALUES: _degradation_plan(
         "fig7a", FIG7A_ALGORITHMS, "implicit", "imprecise", deg_values, m_values, samples
     ),
+    # Figure 7b (extension): acceptance/WAR vs elastic period stretch lambda.
     "fig7b": lambda samples, deg_values=FIG7_LAMBDA_VALUES, m_values=FIG7_M_VALUES: _degradation_plan(
         "fig7b", FIG7B_ALGORITHMS, "implicit", "elastic", deg_values, m_values, samples
     ),
 }
+
+#: Every figure name, in plan-table order.
+FIGURES = tuple(_PLANNERS)
 
 
 def figure_plan(name: str, samples: int | None = None, **kwargs) -> list[SweepJob]:
@@ -231,7 +237,7 @@ def figure_plan(name: str, samples: int | None = None, **kwargs) -> list[SweepJo
     try:
         planner = _PLANNERS[name]
     except KeyError:
-        known = ", ".join(sorted(_PLANNERS))
+        known = ", ".join(sorted(FIGURES))
         raise KeyError(f"unknown figure {name!r}; known: {known}") from None
     return planner(samples, **kwargs)
 
@@ -242,7 +248,6 @@ def _run_plan(
     jobs: int,
     cache,
     progress,
-    pipeline: str = "batched",
     backend=None,
     diagnostics: list | None = None,
 ) -> FigureResult:
@@ -257,7 +262,6 @@ def _run_plan(
             jobs=jobs,
             cache=cache,
             progress=progress,
-            pipeline=pipeline,
             backend=backend,
             diagnostics=diagnostics,
         )
@@ -270,146 +274,30 @@ def _run_plan(
     return result
 
 
-def fig3(
-    samples: int | None = None,
-    m_values: tuple[int, ...] = (2, 4, 8),
-    *,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    pipeline: str = "batched",
-    backend=None,
-    diagnostics: list | None = None,
-) -> FigureResult:
-    """Figure 3: implicit deadlines, EDF-VD algorithms (speed-up bound 8/3)."""
-    plan = figure_plan("fig3", samples, m_values=m_values)
-    return _run_plan("fig3", plan, jobs, cache, progress, pipeline, backend, diagnostics)
-
-
-def fig4(
-    samples: int | None = None,
-    m_values: tuple[int, ...] = (2, 4, 8),
-    *,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    pipeline: str = "batched",
-    backend=None,
-    diagnostics: list | None = None,
-) -> FigureResult:
-    """Figure 4: implicit deadlines, algorithms without a speed-up bound."""
-    plan = figure_plan("fig4", samples, m_values=m_values)
-    return _run_plan("fig4", plan, jobs, cache, progress, pipeline, backend, diagnostics)
-
-
-def fig5(
-    samples: int | None = None,
-    m_values: tuple[int, ...] = (2, 4, 8),
-    *,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    pipeline: str = "batched",
-    backend=None,
-    diagnostics: list | None = None,
-) -> FigureResult:
-    """Figure 5: constrained deadlines, algorithms without a speed-up bound."""
-    plan = figure_plan("fig5", samples, m_values=m_values)
-    return _run_plan("fig5", plan, jobs, cache, progress, pipeline, backend, diagnostics)
-
-
-def fig6a(
-    samples: int | None = None,
-    ph_values: tuple[float, ...] = FIG6_PH_VALUES,
-    m_values: tuple[int, ...] = FIG6_M_VALUES,
-    *,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    pipeline: str = "batched",
-    backend=None,
-    diagnostics: list | None = None,
-) -> FigureResult:
-    """Figure 6a: WAR vs PH, implicit deadlines, EDF-VD algorithms."""
-    plan = figure_plan("fig6a", samples, ph_values=ph_values, m_values=m_values)
-    return _run_plan("fig6a", plan, jobs, cache, progress, pipeline, backend, diagnostics)
-
-
-def fig6b(
-    samples: int | None = None,
-    ph_values: tuple[float, ...] = FIG6_PH_VALUES,
-    m_values: tuple[int, ...] = FIG6_M_VALUES,
-    *,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    pipeline: str = "batched",
-    backend=None,
-    diagnostics: list | None = None,
-) -> FigureResult:
-    """Figure 6b: WAR vs PH, constrained deadlines, AMC/ECDF vs EY."""
-    plan = figure_plan("fig6b", samples, ph_values=ph_values, m_values=m_values)
-    return _run_plan("fig6b", plan, jobs, cache, progress, pipeline, backend, diagnostics)
-
-
-def fig7a(
-    samples: int | None = None,
-    deg_values: tuple[float, ...] = FIG7_RHO_VALUES,
-    m_values: tuple[int, ...] = FIG7_M_VALUES,
-    *,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    pipeline: str = "batched",
-    backend=None,
-    diagnostics: list | None = None,
-) -> FigureResult:
-    """Figure 7a (extension): acceptance/WAR vs imprecise budget ratio rho."""
-    plan = figure_plan("fig7a", samples, deg_values=deg_values, m_values=m_values)
-    return _run_plan("fig7a", plan, jobs, cache, progress, pipeline, backend, diagnostics)
-
-
-def fig7b(
-    samples: int | None = None,
-    deg_values: tuple[float, ...] = FIG7_LAMBDA_VALUES,
-    m_values: tuple[int, ...] = FIG7_M_VALUES,
-    *,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    pipeline: str = "batched",
-    backend=None,
-    diagnostics: list | None = None,
-) -> FigureResult:
-    """Figure 7b (extension): acceptance/WAR vs elastic period stretch lambda."""
-    plan = figure_plan("fig7b", samples, deg_values=deg_values, m_values=m_values)
-    return _run_plan("fig7b", plan, jobs, cache, progress, pipeline, backend, diagnostics)
-
-
-FIGURES = {
-    "fig3": fig3,
-    "fig4": fig4,
-    "fig5": fig5,
-    "fig6a": fig6a,
-    "fig6b": fig6b,
-    "fig7a": fig7a,
-    "fig7b": fig7b,
-}
-
 #: The figures of the DATE 2017 paper itself (the default campaign);
 #: fig7a/fig7b are this reproduction's degradation extension.
 PAPER_FIGURES = ("fig3", "fig4", "fig5", "fig6a", "fig6b")
 
 
-def run_figure(name: str, samples: int | None = None, **kwargs) -> FigureResult:
-    """Dispatch by figure name (``fig3`` ... ``fig6b``).
+def run_figure(
+    name: str,
+    samples: int | None = None,
+    *,
+    jobs: int = 1,
+    cache=None,
+    progress=None,
+    backend=None,
+    diagnostics: list | None = None,
+    **plan_kwargs,
+) -> FigureResult:
+    """Run figure ``name`` (one of :data:`FIGURES`) and collect its series.
 
-    Accepts the same keyword arguments as the figure functions, including
-    the runner options ``jobs``, ``cache``, ``progress`` and ``backend``.
+    ``plan_kwargs`` are the figure's scale overrides (``m_values`` for
+    every figure, ``ph_values`` for fig6a/fig6b, ``deg_values`` for
+    fig7a/fig7b; see :func:`figure_plan`).  ``jobs``, ``cache``,
+    ``progress`` and ``backend`` go to the shard runner, and a
+    ``diagnostics`` list collects the raw per-bucket outcomes for the
+    settled-by report.
     """
-    try:
-        runner = FIGURES[name]
-    except KeyError:
-        known = ", ".join(sorted(FIGURES))
-        raise KeyError(f"unknown figure {name!r}; known: {known}") from None
-    return runner(samples=samples, **kwargs)
+    plan = figure_plan(name, samples, **plan_kwargs)
+    return _run_plan(name, plan, jobs, cache, progress, backend, diagnostics)

@@ -19,7 +19,7 @@ from typing import Any
 from repro import obs
 from repro.obs.journal import emit_open, journal_env
 from repro.experiments.export import save_figure_result
-from repro.experiments.figures import FIGURES, PAPER_FIGURES, run_figure
+from repro.experiments.figures import PAPER_FIGURES, figure_plan, run_figure
 from repro.runner.executor import ExecutorBackend
 from repro.runner.progress import ProgressReporter
 from repro.runner.store import create_store
@@ -41,13 +41,22 @@ class FigureJob:
     key: str = ""  #: output stem; defaults to the figure name
 
     def __post_init__(self):
-        if self.figure not in FIGURES:
-            known = ", ".join(sorted(FIGURES))
-            raise ValueError(f"unknown figure {self.figure!r}; known: {known}")
-        if self.ph_values is not None and self.figure not in ("fig6a", "fig6b"):
-            raise ValueError(f"{self.figure} does not sweep PH values")
-        if self.deg_values is not None and self.figure not in ("fig7a", "fig7b"):
-            raise ValueError(f"{self.figure} does not sweep degradation values")
+        # The figure's plan is the check: an unknown name is a KeyError,
+        # an override its planner does not take a TypeError naming it.
+        try:
+            figure_plan(self.figure, **self.run_kwargs())
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+        except TypeError as exc:
+            for override, axis in (
+                ("ph_values", "PH"),
+                ("deg_values", "degradation"),
+            ):
+                if repr(override) in str(exc):
+                    raise ValueError(
+                        f"{self.figure} does not sweep {axis} values"
+                    ) from None
+            raise
         if not self.key:
             object.__setattr__(self, "key", self.figure)
 
@@ -177,7 +186,6 @@ def run_campaign(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     progress: ProgressReporter | None = None,
-    pipeline: str = "batched",
     backend: "str | ExecutorBackend | None" = None,
     store: str | None = None,
     journal: str | Path | None = None,
@@ -187,8 +195,7 @@ def run_campaign(
     The shard store defaults to ``<out_dir>/cache`` so simply re-running
     the same command resumes/finishes an interrupted campaign; point
     ``cache_dir`` at shared storage to share shards across campaigns and
-    hosts.  ``pipeline`` selects the shard execution path (columnar
-    ``"batched"`` by default), ``backend`` the executor (``serial`` /
+    hosts.  ``backend`` selects the executor (``serial`` /
     ``cluster``; default consults ``REPRO_RUNNER_BACKEND``)
     and ``store`` the shard-store layout (``fs`` / ``object``; default
     consults ``REPRO_RUNNER_STORE``) — outputs and shard payloads are
@@ -234,7 +241,6 @@ def run_campaign(
                         jobs=jobs,
                         cache=cache,
                         progress=progress,
-                        pipeline=pipeline,
                         backend=backend,
                         **job.run_kwargs(),
                     )

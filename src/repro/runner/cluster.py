@@ -39,8 +39,8 @@ each unit and ships its contribution back next to the outcome
 (:func:`repro.obs.capture_payload`); the conductor folds payloads in
 associatively, so counters, histograms and (under ``REPRO_OBS=trace``)
 spans carry the totals a serial run reports.  Payloads are always
-shipped, because the demand-kernel counters behind the CLI
-``--pipeline`` diagnostics must keep working with ``REPRO_OBS`` off.
+shipped, because the demand-kernel counters behind the ``repro figure``
+diagnostics block must keep working with ``REPRO_OBS`` off.
 Worker deaths injected for testing go through :mod:`repro.runner.
 faults`, which SIGKILLs or hangs a worker mid-shard — after it journals
 its claim, before the outcome.

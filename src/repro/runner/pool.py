@@ -128,16 +128,13 @@ def run_sweep(
     jobs: int = 1,
     cache: "ShardStore | None" = None,
     progress: "ProgressReporter | None" = None,
-    pipeline: str = "batched",
     backend: "str | ExecutorBackend | None" = None,
     diagnostics: list | None = None,
 ) -> SweepResult:
     """One full acceptance sweep through the shard runner.
 
-    ``pipeline`` picks the shard execution path (columnar ``"batched"`` or
-    per-taskset ``"scalar"``) and ``backend`` the executor; results and
-    cache identities are the same under every combination — see
-    :mod:`repro.experiments.acceptance` and :mod:`repro.runner.executor`.
+    ``backend`` picks the executor; results and cache identities are the
+    same under every backend — see :mod:`repro.runner.executor`.
     When a ``diagnostics`` list is passed, the raw per-bucket outcomes are
     appended to it so callers can render the settled-by report
     (:func:`~repro.experiments.acceptance.settled_summary`); the demand-
@@ -145,7 +142,7 @@ def run_sweep(
     reads the obs registry, which the shard runs populate either way.
     """
     names = list(algorithm_names)
-    units = decompose_sweep(config, names, pipeline=pipeline)
+    units = decompose_sweep(config, names)
     with obs.span("sweep", label=config.label, m=config.m):
         outcomes = execute_units(
             units, jobs=jobs, cache=cache, progress=progress, backend=backend

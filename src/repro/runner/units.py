@@ -33,12 +33,15 @@ class WorkUnit:
     center and algorithm *names*); the worker re-derives grid points and
     algorithm instances locally, so units stay tiny on the wire — the
     task sets themselves only ever exist inside the worker, as a columnar
-    :class:`~repro.model.batch.TaskSetBatch` under the default pipeline.
+    :class:`~repro.model.batch.TaskSetBatch` on the batched path.
 
     ``pipeline`` selects the execution path (see
-    :data:`repro.experiments.acceptance.PIPELINES`).  It is deliberately
-    *excluded* from the shard-cache identity: both pipelines produce the
-    identical outcome, so shards are interchangeable between them.
+    :data:`repro.experiments.acceptance.PIPELINES`): sweeps run
+    ``"batched"``, and ``"scalar"`` is the reference loop the harness's
+    cross-check and the differential tests build units for.  It is
+    deliberately *excluded* from the shard-cache identity: both paths
+    produce the identical outcome, so shards are interchangeable between
+    them.
     """
 
     config: SweepConfig
@@ -50,19 +53,15 @@ class WorkUnit:
 def decompose_sweep(
     config: SweepConfig,
     algorithm_names: Sequence[str],
-    pipeline: str = "batched",
 ) -> list[WorkUnit]:
     """Split a sweep into independent per-bucket work units, ascending."""
     names = tuple(algorithm_names)
     # Fail fast on typos and on algorithm/deadline-type pairings the tests
     # cannot analyze, before any worker spawns.
     validate_algorithms(config, [get_algorithm(name) for name in names])
-    sweep = AcceptanceSweep(config, pipeline=pipeline)
     return [
-        WorkUnit(
-            config=config, bucket=bucket, algorithms=names, pipeline=pipeline
-        )
-        for bucket in sweep.bucket_points()
+        WorkUnit(config=config, bucket=bucket, algorithms=names)
+        for bucket in AcceptanceSweep(config).bucket_points()
     ]
 
 

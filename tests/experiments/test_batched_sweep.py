@@ -1,12 +1,15 @@
 """Batched sweep pipeline == scalar pipeline, shard for shard.
 
 The headline guarantee of the columnar refactor: for every figure
-configuration, the batched pipeline produces bit-identical sweep results
-(ratios, WAR inputs, shard outcomes) and identical cache keys — the
-pipeline is a throughput knob, never a semantics knob.
+configuration, the batched path every sweep runs produces bit-identical
+sweep results (ratios, WAR inputs, shard outcomes) and identical cache
+keys to the scalar reference loop, reached here through
+``AcceptanceSweep(config, pipeline="scalar")`` and ``WorkUnit``.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -67,8 +70,10 @@ class TestPipelineEquivalence:
     def test_sweep_results_and_war_bit_identical(self):
         config = config_for("fig4", "implicit", "full-drop", samples=3)
         names = ["cu-udp-ecdf", "ca-f-f-ey"]
-        scalar = run_sweep(config, names, pipeline="scalar")
-        batched = run_sweep(config, names, pipeline="batched")
+        scalar = AcceptanceSweep(config, pipeline="scalar").run(
+            [get_algorithm(name) for name in names]
+        )
+        batched = run_sweep(config, names)
         assert scalar.buckets == batched.buckets
         assert scalar.samples == batched.samples
         assert scalar.ratios == batched.ratios
@@ -89,19 +94,22 @@ class TestCacheInteraction:
         config = config_for("fig3", "implicit", "full-drop")
         names = ("cu-udp-edf-vd",)
         cache = FsStore(tmp_path)
-        scalar_units = decompose_sweep(config, names, pipeline="scalar")
-        batched_units = decompose_sweep(config, names, pipeline="batched")
+        batched_units = decompose_sweep(config, names)
+        scalar_units = [
+            dataclasses.replace(unit, pipeline="scalar") for unit in batched_units
+        ]
         for a, b in zip(scalar_units, batched_units):
+            assert a.pipeline == "scalar" and b.pipeline == "batched"
             assert cache.key(a) == cache.key(b)
 
     def test_shards_interchangeable_between_pipelines(self, tmp_path):
         config = config_for("fig3", "implicit", "full-drop")
         names = ("cu-udp-edf-vd",)
         cache = FsStore(tmp_path)
-        unit_b = decompose_sweep(config, names, pipeline="batched")[3]
+        unit_b = decompose_sweep(config, names)[3]
         outcome = run_unit(unit_b)
         cache.store(unit_b, outcome)
-        unit_s = decompose_sweep(config, names, pipeline="scalar")[3]
+        unit_s = dataclasses.replace(unit_b, pipeline="scalar")
         loaded = cache.load(unit_s)
         assert loaded == outcome
         assert loaded.accepted == outcome.accepted  # counts survive the cache

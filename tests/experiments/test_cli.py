@@ -391,6 +391,27 @@ class TestCampaign:
         assert code == 0
         assert "from-file" in capsys.readouterr().out
 
+    def test_recorded_campaign(self, capsys, tmp_path):
+        """fig3, fig6a and fig7b through the campaign engine: each output
+        equals the recorded one byte for byte.  The spec pins ``samples``
+        and ``m_values``, so no ambient knob moves them (CI ``cmp``s the
+        same command's outputs)."""
+        record = DATA / "campaign-samples3-m2"
+        clear_samples()
+        code = main(
+            [
+                "campaign", str(record / "spec.json"), "--jobs", "1",
+                "--out", str(tmp_path / "out"), "--no-progress",
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        for key in ("fig3", "fig6a", "fig7b"):
+            name = f"{key}.json"
+            assert (tmp_path / "out" / name).read_bytes() == (
+                record / name
+            ).read_bytes(), name
+
     def test_spec_and_figures_are_exclusive(self, tmp_path):
         with pytest.raises(SystemExit):
             main(
@@ -463,6 +484,43 @@ class TestParser:
         err = capsys.readouterr().err
         assert "invalid choice: 'pool'" in err
         assert "'serial', 'cluster'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "fig3"],
+            ["campaign", "--figures", "fig3"],
+            ["trace", "fig3"],
+        ],
+    )
+    def test_pipeline_flag_removed(self, argv, capsys):
+        """Sweeps run the batched path; ``--pipeline`` is a usage error."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*argv, "--pipeline", "scalar"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --pipeline" in err
+
+    @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])
+    def test_shared_run_options(self, command):
+        """figure, campaign and trace take the same run options, with the
+        same defaults; only campaign leaves --m to its spec."""
+        target = ["--figures", "fig3"] if command == "campaign" else ["fig3"]
+        parser = build_parser()
+        args = parser.parse_args([command, *target])
+        assert (args.samples, args.jobs, args.backend, args.demand_kernel) == (
+            None, 1, None, None,
+        )
+        args = parser.parse_args(
+            [command, *target, "--samples", "3", "--jobs", "2"]
+        )
+        assert (args.samples, args.jobs) == (3, 2)
+        if command == "campaign":
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, *target, "--m", "2"])
+        else:
+            assert parser.parse_args([command, *target]).m is None
+            assert parser.parse_args([command, *target, "--m", "2,4"]).m == "2,4"
 
     @pytest.mark.parametrize("backend", RUNNER_BACKENDS)
     @pytest.mark.parametrize("command", ["figure", "campaign", "trace"])

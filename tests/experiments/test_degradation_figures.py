@@ -53,7 +53,7 @@ class TestPlans:
 
     def test_figure_job_deg_values_validation(self):
         FigureJob("fig7a", deg_values=(0.5,))
-        with pytest.raises(ValueError, match="degradation"):
+        with pytest.raises(ValueError, match="fig3 does not sweep degradation"):
             FigureJob("fig3", deg_values=(0.5,))
 
 

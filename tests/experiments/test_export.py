@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import fig6a
+from repro.experiments import run_figure
 from repro.experiments.export import (
     figure_result_from_dict,
     figure_result_to_dict,
@@ -14,7 +14,7 @@ from repro.experiments.report import render_figure
 
 @pytest.fixture(scope="module")
 def result():
-    return fig6a(samples=2, ph_values=(0.5,), m_values=(2,))
+    return run_figure("fig6a", samples=2, ph_values=(0.5,), m_values=(2,))
 
 
 class TestRoundTrip:

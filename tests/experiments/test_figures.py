@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import FIGURES, fig3, fig6a, run_figure
+from repro.experiments import FIGURES, run_figure
 from repro.experiments.figures import (
     FIG3_ALGORITHMS,
     FIG45_ALGORITHMS,
@@ -77,14 +77,16 @@ class TestDefaultSamples:
 
 class TestMiniatureRuns:
     def test_fig3_structure(self):
-        result = fig3(samples=2, m_values=(2,))
+        result = run_figure("fig3", samples=2, m_values=(2,))
         assert result.figure == "fig3"
         sweep = result.sweeps["m=2"]
         assert set(sweep.ratios) == set(FIG3_ALGORITHMS)
         assert sweep.buckets  # non-empty
 
     def test_fig6a_war_table(self):
-        result = fig6a(samples=2, ph_values=(0.5,), m_values=(2,))
+        result = run_figure(
+            "fig6a", samples=2, ph_values=(0.5,), m_values=(2,)
+        )
         assert (2, 0.5) in result.war
         table = result.war[(2, 0.5)]
         assert set(table) == set(FIG3_ALGORITHMS)

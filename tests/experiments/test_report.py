@@ -3,11 +3,11 @@
 import pytest
 
 from repro.experiments import (
-    fig6a,
     get_algorithm,
     improvement_summary,
     render_sweep,
     render_war,
+    run_figure,
     sweep_to_csv,
 )
 from repro.experiments.acceptance import AcceptanceSweep, SweepConfig
@@ -61,12 +61,12 @@ class TestCsv:
 
 class TestRenderWar:
     def test_war_table(self):
-        result = fig6a(samples=1, ph_values=(0.5,), m_values=(2,))
+        result = run_figure("fig6a", samples=1, ph_values=(0.5,), m_values=(2,))
         text = render_war(result)
         assert "PH" in text and "WAR" in text
 
     def test_render_figure_combines(self):
-        result = fig6a(samples=1, ph_values=(0.5,), m_values=(2,))
+        result = run_figure("fig6a", samples=1, ph_values=(0.5,), m_values=(2,))
         text = render_figure(result)
         assert "fig6a" in text
 

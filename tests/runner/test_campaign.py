@@ -36,12 +36,21 @@ class TestSpec:
         assert CampaignSpec.from_json_file(path) == spec
 
     def test_unknown_figure_rejected(self):
-        with pytest.raises(ValueError, match="unknown figure"):
-            FigureJob("fig99")
+        with pytest.raises(ValueError, match="unknown figure 'fig9'; known: fig3"):
+            FigureJob("fig9")
 
     def test_ph_values_only_for_fig6(self):
-        with pytest.raises(ValueError, match="does not sweep PH"):
+        with pytest.raises(ValueError, match="fig3 does not sweep PH values"):
             FigureJob("fig3", ph_values=(0.5,))
+
+    @pytest.mark.parametrize(
+        "figure,axis", [("fig6a", "degradation"), ("fig7b", "PH")]
+    )
+    def test_unsupported_override_named(self, figure, axis):
+        """The figure's plan is the validator; with both overrides set, the
+        error names the one the figure does not sweep."""
+        with pytest.raises(ValueError, match=f"{figure} does not sweep {axis}"):
+            FigureJob(figure, ph_values=(0.5,), deg_values=(1.0,))
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ValueError, match="duplicate output keys"):

@@ -1,8 +1,9 @@
 """Serial/parallel/cached equivalence of the shard runner.
 
-The acceptance bar for the whole subsystem: ``fig3(samples=20)`` through
-the runner with ``jobs=2`` must be **byte-identical** to the serial path,
-and cached reruns must change nothing.
+The acceptance bar for the whole subsystem: ``run_figure("fig3",
+samples=20)`` through the runner with ``jobs=2`` must be
+**byte-identical** to the serial path, and cached reruns must change
+nothing.
 """
 
 import json
@@ -12,8 +13,16 @@ import pytest
 from repro.experiments.acceptance import AcceptanceSweep, SweepConfig
 from repro.experiments.algorithms import get_algorithm
 from repro.experiments.export import figure_result_to_dict
-from repro.experiments.figures import fig3
-from repro.runner import FsStore, ProgressReporter, run_sweep
+from repro.experiments.figures import run_figure
+from repro.runner import (
+    CampaignSpec,
+    FigureJob,
+    FsStore,
+    ProgressReporter,
+    decompose_sweep,
+    run_campaign,
+    run_sweep,
+)
 
 CONFIG = SweepConfig(label="pool-test", m=2, samples_per_bucket=3)
 ALGOS = ("cu-udp-edf-vd", "ca-nosort-f-f-edf-vd")
@@ -41,6 +50,20 @@ class TestRunSweep:
         assert cache.hits == cache.stored
         assert cached == fresh
 
+    def test_pipeline_keyword_removed(self, tmp_path):
+        """Sweeps run the batched path; the scalar reference is reached
+        only through ``WorkUnit``/``AcceptanceSweep``, not a keyword."""
+        with pytest.raises(TypeError):
+            run_sweep(CONFIG, ALGOS, pipeline="scalar")
+        with pytest.raises(TypeError):
+            decompose_sweep(CONFIG, ALGOS, pipeline="scalar")
+        with pytest.raises(TypeError):
+            run_figure("fig3", samples=1, m_values=(2,), pipeline="scalar")
+        spec = CampaignSpec("tiny", (FigureJob("fig3", samples=1, m_values=(2,)),))
+        with pytest.raises(TypeError):
+            run_campaign(spec, tmp_path, pipeline="scalar")
+        assert not list(tmp_path.iterdir())
+
     def test_progress_sees_every_shard(self, tmp_path):
         import io
 
@@ -55,25 +78,27 @@ class TestRunSweep:
 
 
 class TestFig3Equivalence:
-    """ISSUE acceptance criterion: fig3(samples=20), jobs=2, byte-identical."""
+    """fig3 at samples=20 through jobs=2 and a cache is byte-identical."""
 
     @pytest.fixture(scope="class")
     def serial_bytes(self):
-        return json.dumps(figure_result_to_dict(fig3(samples=20)))
+        return json.dumps(figure_result_to_dict(run_figure("fig3", samples=20)))
 
     def test_parallel_fig3_byte_identical(self, serial_bytes):
-        parallel = json.dumps(figure_result_to_dict(fig3(samples=20, jobs=2)))
+        parallel = json.dumps(figure_result_to_dict(run_figure("fig3", samples=20, jobs=2)))
         assert parallel == serial_bytes
 
     def test_cached_fig3_byte_identical(self, serial_bytes, tmp_path):
         cache = FsStore(tmp_path)
         first = json.dumps(
-            figure_result_to_dict(fig3(samples=20, jobs=2, cache=cache))
+            figure_result_to_dict(run_figure("fig3", samples=20, jobs=2, cache=cache))
         )
         assert first == serial_bytes
         assert cache.stored > 0
         # a rerun is answered entirely from cache, still byte-identical
         stored_before = cache.stored
-        second = json.dumps(figure_result_to_dict(fig3(samples=20, cache=cache)))
+        second = json.dumps(
+            figure_result_to_dict(run_figure("fig3", samples=20, cache=cache))
+        )
         assert second == serial_bytes
         assert cache.stored == stored_before
