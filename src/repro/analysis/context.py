@@ -266,11 +266,14 @@ class DemandContext(AnalysisContext):
       fallback chain (greedy → steepest → unrefined) shares every query
       its stages have in common instead of recomputing them three times.
 
-    ``stages`` is the ``(policy, refine)`` chain of the owning test; the
-    pre-screen replicates the opening checks of
-    :func:`~repro.analysis.vdtuning.tune_virtual_deadlines` on the same
-    floats, so a screened probe returns the identical outcome the full
-    chain would.
+    ``stages`` is the ``(policy, refine)`` chain of the owning test.  The
+    pre-screen is the one utilization screen of
+    :func:`~repro.analysis.vdtuning.run_tuning_stages`
+    (``vdtuning._utilization_screen``), applied to the running sums, which
+    are float-identical to the candidate's ``TaskSet.utilization``; an
+    unsettled probe then runs the stage loop (``vdtuning._run_stages``)
+    without screening again.  So every probe returns the identical outcome
+    ``run_tuning_stages`` returns on the candidate.
     """
 
     def __init__(
@@ -280,36 +283,37 @@ class DemandContext(AnalysisContext):
         horizon_cap: int,
         service=None,
     ):
+        from repro.analysis.vdtuning import _check_stages
+
+        _check_stages(stages)
         super().__init__(test, service=service)
         self.stages = stages
         self.horizon_cap = horizon_cap
         self._memo: dict = {}
 
     def analyze(self, task: MCTask) -> AnalysisResult:
-        from repro.analysis.vdtuning import DemandEngine, run_tuning_stages
+        from repro.analysis.vdtuning import (
+            DemandEngine,
+            _run_stages,
+            _utilization_screen,
+        )
 
         a, b, c = self._candidate_sums(task)
-        # Necessary-condition pre-screen: these mirror (same floats, same
-        # epsilons, same detail strings) the first checks of
-        # tune_virtual_deadlines, which every stage of the chain would
-        # repeat — so deciding here skips TaskSet construction and all dbf
-        # work without any chance of changing the outcome.
-        if a + b > 1.0 + 1e-9 or c > 1.0 + 1e-9:
+        # The screen of run_tuning_stages on the running sums (float-
+        # identical to the candidate's TaskSet.utilization): a settled
+        # probe builds no TaskSet and does no dbf work.
+        verdict = _utilization_screen(
+            a, b, c, self._implicit and task.implicit_deadline
+        )
+        if verdict is not None:
             return AnalysisResult(
-                False,
+                verdict[0],
                 virtual_deadlines=self._full_deadlines(task),
-                detail="utilization above 1",
-            )
-        if self._implicit and task.implicit_deadline and a + c <= 1.0 + 1e-9:
-            return AnalysisResult(
-                True,
-                virtual_deadlines=self._full_deadlines(task),
-                detail="plain-EDF reserve (a + c <= 1)",
+                detail=verdict[1],
             )
         candidate = self._candidate_taskset(task)
-        engine = DemandEngine(candidate, self.horizon_cap, memo=self._memo)
-        outcome = run_tuning_stages(
-            candidate, self.stages, self.horizon_cap, engine=engine
+        outcome = _run_stages(
+            DemandEngine(candidate, self.horizon_cap, memo=self._memo), self.stages
         )
         return AnalysisResult(
             outcome.schedulable,

@@ -104,6 +104,7 @@ __all__ = [
     "first_violation",
     "kernel_counters",
     "lo_feasible_exact",
+    "lo_mode_tasks",
     "overload_marker",
     "qpa_violation_search",
     "reset_kernel_counters",
@@ -605,6 +606,32 @@ def _lo_violation_scan(
     return None if found is None else found[0]
 
 
+def lo_mode_tasks(
+    taskset: TaskSet, virtual_deadlines: dict[int, int]
+) -> list[_ModeTask]:
+    """LO-mode :class:`_ModeTask` list of ``taskset``, in task order.
+
+    HC tasks run to their virtual deadline (missing entries default to
+    the real deadline), LC tasks to their real one.  The single
+    definition shared by :class:`DemandScenario` and
+    ``DemandEngine.lo_feasible``, which builds no HI side.  Raises
+    ``ValueError`` for a virtual deadline outside ``[C_L, D]``.
+    """
+    out = []
+    for task in taskset:
+        deadline = task.deadline
+        if task.is_high:
+            dv = virtual_deadlines.get(task.task_id, deadline)
+            if not task.wcet_lo <= dv <= deadline:
+                raise ValueError(
+                    f"{task.name}: virtual deadline {dv} outside "
+                    f"[{task.wcet_lo}, {deadline}]"
+                )
+            deadline = dv
+        out.append(_ModeTask(task.wcet_lo, deadline, task.period, task.wcet_lo))
+    return out
+
+
 def lo_feasible_exact(tasks: list["_ModeTask"], cap: int) -> bool:
     """Exact LO-mode feasibility of ``tasks`` under the horizon-cap gates.
 
@@ -650,33 +677,21 @@ class DemandScenario:
         virtual_deadlines = virtual_deadlines or {}
         self.taskset = taskset
         self.horizon_cap = horizon_cap
-        self._lo: list[_ModeTask] = []
-        self._hi: list[_ModeTask] = []
+        self._lo: list[_ModeTask] = lo_mode_tasks(taskset, virtual_deadlines)
+        self._hi: list[_ModeTask] = [
+            _ModeTask(
+                task.wcet_hi,
+                task.deadline - virtual_deadlines.get(task.task_id, task.deadline),
+                task.period,
+                task.wcet_lo,
+            )
+            for task in taskset
+            if task.is_high
+        ]
         #: degraded LC tasks' HI-mode abstraction (empty under drop
         #: semantics); appended *after* the HC entries wherever the two are
         #: combined, so the trigger refinement can stay HC-only by count.
         self._hi_lc: list[_ModeTask] = lc_hi_mode_tasks(taskset)
-        for task in taskset:
-            dv = virtual_deadlines.get(task.task_id, task.deadline)
-            if task.is_high:
-                if not task.wcet_lo <= dv <= task.deadline:
-                    raise ValueError(
-                        f"{task.name}: virtual deadline {dv} outside "
-                        f"[{task.wcet_lo}, {task.deadline}]"
-                    )
-                self._lo.append(_ModeTask(task.wcet_lo, dv, task.period, task.wcet_lo))
-                self._hi.append(
-                    _ModeTask(
-                        task.wcet_hi,
-                        task.deadline - dv,
-                        task.period,
-                        task.wcet_lo,
-                    )
-                )
-            else:
-                self._lo.append(
-                    _ModeTask(task.wcet_lo, task.deadline, task.period, task.wcet_lo)
-                )
 
     # -- horizons ----------------------------------------------------------
     @staticmethod

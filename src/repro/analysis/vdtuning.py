@@ -9,23 +9,32 @@ such that the LO-mode and HI-mode dbf checks of
 * HI-mode demand of task i *decreases* (its carry-over gets more residual
   time, ``D_i - Dv_i``).
 
-The engine implements the descent loop both published algorithms share:
+An analysis (:func:`run_tuning_stages`) first screens utilization once
+(:func:`_utilization_screen`: ``U > 1`` rejects, the implicit-deadline
+plain-EDF reserve accepts).  Each ``(policy, refine)`` stage
+(:func:`_tune_stage`) then runs the steps both published algorithms
+share:
 
-1. start from ``Dv_i = D_i``; if LO already fails, reject (shrinking only
-   makes LO worse);
-2. put every HC task at its V* — its minimal LO-feasible ``Dv`` with
+1. accept by uniform deadline scaling when some ``Dv_i = x D_i`` passes
+   both checks (:func:`_uniform_scaling_search`).  Such an accept proves
+   the two rejects below pass.  It runs only when no ``D_i - C_L_i``
+   exceeds the horizon cap; otherwise the ``C_L`` check below rejects;
+2. reject when LO fails at ``Dv_i = D_i`` (shrinking only makes LO
+   worse), or when HI fails at ``Dv_i = C_L`` (HI demand only falls as
+   deadlines shrink);
+3. put every HC task at its V* — its minimal LO-feasible ``Dv`` with
    every other task at ``D_j`` — and reject if the stage's HI check,
    refined or not, fails there.  Lemma: any assignment a stage can accept
    is LO-feasible, hence at or above every task's V* (LO demand only grows
    as other deadlines shrink), and HI demand, refined or not, only grows
    with each ``Dv_i``, so it fails the HI check too
    (:func:`_vstar_floor_violation`);
-3. while the HI check fails at its earliest violation ``l*``: pick one HC
+4. while the HI check fails at its earliest violation ``l*``: pick one HC
    task by a *policy* and shrink its ``Dv`` just enough to clear the
    deficit at ``l*`` (or as far as LO-mode feasibility allows);
-4. accept when the HI check passes; reject when no task can make progress.
+5. accept when the HI check passes; reject when no task can make progress.
 
-Step 3 starts from the LO-feasible prefix of the core's cached HI-only
+Step 4 starts from the LO-feasible prefix of the core's cached HI-only
 trajectory (:func:`_replay_trajectory`; README.md, "The shrink descent"),
 which skips the iterations that would only follow it.
 
@@ -86,6 +95,7 @@ from repro.analysis.dbf import (
     first_violation,
     lc_hi_mode_entries,
     lo_feasible_exact,
+    lo_mode_tasks,
     overload_marker,
     qpa_violation_search,
 )
@@ -278,25 +288,14 @@ class DemandEngine:
         self._lc_sig = tuple(task_id for task_id, _ in entries)
         #: per-candidate cache of the uniform-scaling search outcome
         self._uniform: dict[bool, tuple] = {}
-        #: QPA warm-start anchor, learned from *unrefined* runs at the
-        #: *full-deadline* assignment — the componentwise maximum of every
-        #: assignment, whose unrefined HI demand therefore dominates all
-        #: others pointwise.  Such a run proves "no unrefined violation
-        #: above t" (t = the largest violation, or 0 on a pass); every
-        #: dominated assignment inherits that certificate, and since the
-        #: trigger refinement only subtracts demand *of the same
-        #: assignment*, the certificate covers refined queries too.
-        #: The same domination argument gives the V* floor reject of every
-        #: stage and the uniform-scaling bisection's ceiling
-        #: (:meth:`hi_feasible`).  Refined runs do not anchor, although
-        #: refined demand is monotone under deadline domination too
-        #: (:func:`_hi_answer`, lemma (a)): a refined anchor would be sound
-        #: but would cost one refined QPA search per engine, which has not
-        #: been measured.  None = not yet learned (learned lazily by
-        #: a dedicated unrefined run, see :meth:`_ensure_anchor`); -1 =
-        #: unavailable (the full-deadline horizon overruns the cap or the
-        #: search aborted).
-        self._qpa_anchor: int | None = None
+        #: QPA warm-start anchors per refinement flag, learned lazily at
+        #: the *full-deadline* assignment — the componentwise maximum of
+        #: every assignment, whose HI demand, refined or not, therefore
+        #: dominates all others pointwise (:func:`_hi_answer`, lemma (a));
+        #: see :meth:`_qpa_anchor`.  The same domination argument gives
+        #: the V* floor reject of every stage and the uniform-scaling
+        #: bisection's ceiling (:meth:`hi_feasible`).
+        self._anchors: dict[bool, int] = {}
         self._full_sig_high = tuple(
             (t.task_id, t.deadline) for t in self._high
         )
@@ -377,8 +376,7 @@ class DemandEngine:
         return self._cached(
             ("lo", self._sig_all(vd)),
             lambda: lo_feasible_exact(
-                DemandScenario(self.taskset, vd, horizon_cap=self.horizon_cap)._lo,
-                self.horizon_cap,
+                lo_mode_tasks(self.taskset, vd), self.horizon_cap
             ),
         )
 
@@ -541,10 +539,10 @@ class DemandEngine:
         bounds every assignment's violations from above, and the caller's
         ``ceiling``, a bound it proved for this assignment's violations.
         """
-        self._ensure_anchor()
+        anchor = self._qpa_anchor(refine)
         start = horizon
-        if self._qpa_anchor is not None and 0 <= self._qpa_anchor < start:
-            start = self._qpa_anchor
+        if 0 <= anchor < start:
+            start = anchor
         if ceiling is not None and ceiling < start:
             start = ceiling
         n_trigger = len(self._high)
@@ -558,44 +556,51 @@ class DemandEngine:
             _dbf._COUNTERS["qpa-accept"] += 1
         return (status, bound)
 
-    def _ensure_anchor(self) -> None:
-        """Learn the unrefined full-deadline QPA anchor once per engine.
+    def _qpa_anchor(self, refine: bool) -> int:
+        """The QPA warm-start anchor of ``refine`` queries.
 
-        One cold unrefined search at the dominating assignment buys a warm
-        start for every later check of *any* assignment (see the anchor
-        attribute docstring) — in particular the O(log D) feasible probes
-        of the uniform-scaling bisection, which otherwise each pay a cold
-        descent from the horizon.  The witness QPA stops on is the largest
-        *breakpoint* violation, but a dominated assignment's breakpoints
-        differ, so the anchor must bound the largest violating *integer*:
-        on the piece right of the witness ``w`` the demand is flat (a
-        rising piece would violate at its right breakpoint, contradicting
-        ``w``'s maximality), so violations extend at most to
-        ``demand(w) - 1`` — the sound anchor.  A pass anchors at 0 (no
-        violations anywhere).  Unavailable (-1) when the full-deadline
-        horizon overruns the cap or the search aborts.
+        A search at the full-deadline assignment under the same
+        refinement proves "no violation above t"; every assignment it
+        dominates inherits that certificate (lemma (a) at
+        :func:`_hi_answer` holds refined or not), so every later check of
+        *any* assignment may start its search at ``t`` — in particular
+        the O(log D) feasible probes of the uniform-scaling bisection,
+        which otherwise each pay a cold descent from the horizon.  The
+        witness QPA stops on is the largest *breakpoint* violation, but a
+        dominated assignment's breakpoints differ, so the anchor must
+        bound the largest violating *integer*: on the piece right of the
+        witness ``w`` the demand is flat (a rising piece would violate at
+        its right breakpoint, contradicting ``w``'s maximality), so
+        violations extend at most to ``demand(w) - 1`` — the sound
+        anchor.  A pass anchors at 0 (no violations anywhere); -1 means
+        unavailable (the full-deadline horizon overruns the cap or the
+        search aborts).
+
+        A refined query takes the refined anchor: refined demand is at
+        most the unrefined one, so its violations, and usually its anchor,
+        lie lower.  Each costs one search per engine that asks for it.
         """
-        if self._qpa_anchor is not None:
-            return
-        self._qpa_anchor = -1
+        anchor = self._anchors.get(refine)
+        if anchor is not None:
+            return anchor
+        anchor = -1
         vd_full = {t.task_id: t.deadline for t in self._high}
         tasks = self._hi_tasks(vd_full)
         state, _ = self._hi_meta(self._full_sig_high, tasks)
-        if state[0] == "raise" or state[1] is None:
-            return
-        horizon = state[1]
-        n_trigger = len(self._high)
-        status, witness, _ = qpa_violation_search(
-            tasks,
-            horizon,
-            lambda t: _hi_point_demand(tasks, t, False, n_trigger),
-            ramps=True,
-        )
-        if status == "pass":
-            self._qpa_anchor = 0
-        elif status == "violation":
-            demand = _hi_point_demand(tasks, witness, False, n_trigger)
-            self._qpa_anchor = demand - 1
+        if state[0] != "raise" and state[1] is not None:
+            n_trigger = len(self._high)
+            status, witness, _ = qpa_violation_search(
+                tasks,
+                state[1],
+                lambda t: _hi_point_demand(tasks, t, refine, n_trigger),
+                ramps=True,
+            )
+            if status == "pass":
+                anchor = 0
+            elif status == "violation":
+                anchor = _hi_point_demand(tasks, witness, refine, n_trigger) - 1
+        self._anchors[refine] = anchor
+        return anchor
 
     def hi_violation(
         self, vd: dict[int, int], refine: bool, not_before: int = 0
@@ -630,7 +635,7 @@ class DemandEngine:
         every violating integer of ``vd`` (or None for no bound), which a
         fresh QPA search starts at or below, like the anchor.  A search
         that stops on a witness ``w`` lowers it to ``demand(w) - 1``, the
-        bound :meth:`_ensure_anchor` proves for every assignment ``vd``
+        bound :meth:`_qpa_anchor` proves for every assignment ``vd``
         dominates.  The answer, and every memo entry, is the same with or
         without it.
         """
@@ -901,6 +906,43 @@ class DemandEngine:
         return self._cached(("vmin", task.task_id, sig_o), compute)
 
 
+def _utilization_screen(
+    u_ll: float, u_lh: float, u_hh: float, implicit: bool
+) -> tuple[bool, str] | None:
+    """The utilization screen every EY/ECDF analysis opens with.
+
+    ``(verdict, detail)`` when the sums settle the set, None when it needs
+    dbf work.  ``U_LL + U_LH`` or ``U_HH`` above 1 rejects: no assignment
+    can pass.  The implicit-deadline plain-EDF reserve ``U_LL + U_HH <= 1``
+    accepts: the reservation argument (EDF-VD, x = 1) already guarantees
+    MC-correctness with untouched deadlines.  Both published tests accept
+    that region after tuning anyway, so the shortcut changes only the
+    certificate, not the verdict.
+
+    The single definition of the screen: :func:`tune_virtual_deadlines`
+    and :func:`run_tuning_stages` apply it to
+    :attr:`~repro.model.TaskSet.utilization`, and
+    :class:`~repro.analysis.context.DemandContext` to its running sums
+    (float-identical to those).
+    """
+    if u_ll + u_lh > 1.0 + 1e-9 or u_hh > 1.0 + 1e-9:
+        return (False, "utilization above 1")
+    if implicit and u_ll + u_hh <= 1.0 + 1e-9:
+        return (True, "plain-EDF reserve (a + c <= 1)")
+    return None
+
+
+def _check_stages(stages: tuple[tuple[str, bool], ...]) -> None:
+    """Reject an empty chain or an unknown policy in any stage, once per
+    analysis entry (:func:`run_tuning_stages`,
+    :class:`~repro.analysis.context.DemandContext`)."""
+    if not stages:
+        raise ValueError("at least one tuning stage is required")
+    for policy, _ in stages:
+        if policy not in ("steepest", "ratio"):
+            raise ValueError(f"unknown tuning policy {policy!r}")
+
+
 def tune_virtual_deadlines(
     taskset: TaskSet,
     policy: str,
@@ -908,12 +950,12 @@ def tune_virtual_deadlines(
     horizon_cap: int,
     engine: DemandEngine | None = None,
 ) -> TuningOutcome:
-    """Run the descent loop; see module docstring.
+    """Screen ``taskset``, then run one tuning stage; see module docstring.
 
-    With recording on (:mod:`repro.obs`) each call — i.e. each tuning
-    probe — contributes its trajectory length to the
-    ``descent.iterations`` histogram and ticks a per-outcome counter;
-    pure observation, the outcome itself is untouched.
+    With recording on (:mod:`repro.obs`) each stage that runs — i.e. each
+    tuning probe past the utilization screen — contributes its trajectory
+    length to the ``descent.iterations`` histogram and ticks a per-outcome
+    counter; pure observation, the outcome itself is untouched.
 
     Parameters
     ----------
@@ -931,64 +973,94 @@ def tune_virtual_deadlines(
         a shared memo (the incremental contexts) get identical outcomes
         with repeated work deduplicated.
     """
-    outcome = _tune_virtual_deadlines_impl(
-        taskset, policy, refine, horizon_cap, engine
+    return run_tuning_stages(taskset, ((policy, refine),), horizon_cap, engine)
+
+
+def run_tuning_stages(
+    taskset: TaskSet,
+    stages: tuple[tuple[str, bool], ...],
+    horizon_cap: int,
+    engine: DemandEngine | None = None,
+) -> TuningOutcome:
+    """Screen ``taskset`` once, then run ``(policy, refine)`` stages in
+    order until one accepts.
+
+    This is the fallback-chain shape of :class:`~repro.analysis.ecdf.
+    ECDFTest` (and, with a single stage, of :class:`~repro.analysis.ey.
+    EYTest`): later stages only run when every earlier stage rejected, and
+    the last outcome is returned either way.  A screened set runs no
+    stage.  The stages share one engine — a fresh one when ``engine`` is
+    omitted; the incremental contexts pass one on the core's memo — so
+    they share all common dbf work.
+    """
+    _check_stages(stages)
+    util = taskset.utilization
+    verdict = _utilization_screen(
+        util.u_ll, util.u_lh, util.u_hh, taskset.is_implicit_deadline
     )
-    if _obs.active():
-        _obs.REGISTRY.observe("descent.iterations", float(outcome.iterations))
-        _obs.REGISTRY.add(
-            "descent.accepted" if outcome.schedulable else "descent.rejected"
-        )
+    if verdict is not None:
+        vd = {t.task_id: t.deadline for t in taskset if t.is_high}
+        return TuningOutcome(verdict[0], vd, 0, verdict[1])
+    if engine is None:
+        engine = DemandEngine(taskset, horizon_cap)
+    return _run_stages(engine, stages)
+
+
+def _run_stages(
+    engine: DemandEngine, stages: tuple[tuple[str, bool], ...]
+) -> TuningOutcome:
+    """The stage loop of :func:`run_tuning_stages` on ``engine``'s
+    candidate, which the caller has already screened
+    (:class:`~repro.analysis.context.DemandContext` screens its running
+    sums)."""
+    outcome: TuningOutcome | None = None
+    for policy, refine in stages:
+        outcome = _tune_stage(engine, policy, refine)
+        if _obs.active():
+            _obs.REGISTRY.observe("descent.iterations", float(outcome.iterations))
+            _obs.REGISTRY.add(
+                "descent.accepted" if outcome.schedulable else "descent.rejected"
+            )
+        if outcome.schedulable:
+            break
     return outcome
 
 
-def _tune_virtual_deadlines_impl(
-    taskset: TaskSet,
-    policy: str,
-    refine: bool,
-    horizon_cap: int,
-    engine: DemandEngine | None,
-) -> TuningOutcome:
-    if policy not in ("steepest", "ratio"):
-        raise ValueError(f"unknown tuning policy {policy!r}")
-    if engine is None:
-        engine = DemandEngine(taskset, horizon_cap)
+def _tune_stage(engine: DemandEngine, policy: str, refine: bool) -> TuningOutcome:
+    """One ``(policy, refine)`` stage on a screened candidate.
 
-    high_tasks = list(taskset.high_tasks)
+    The outcome is the one the historical order returns: the LO check at
+    full deadlines, the HI check at ``Dv = C_L``, the uniform-scaling
+    search, the V* floor, then the descent.  The uniform search runs
+    first, because each of its accepts proves that both rejects before it
+    pass.  Let ``best`` be the accepted assignment, ``C_L <= best <= D``:
+
+    * LO at full deadlines.  LO demand never rises as a ``Dv`` grows, and
+      neither does the LO horizon bound: its ``1 - U`` is fixed and its
+      numerator is a float sum of the non-negative terms
+      ``u_i max(0, T_i - Dv_i)`` in a fixed order, which is monotone in
+      every term.  So LO-feasible at ``best`` implies LO-feasible at
+      ``D``, and the bound's overload and divergence cases agree.
+    * HI at ``C_L``.  By lemma (a) at :func:`_hi_answer`, HI demand at
+      ``C_L`` is pointwise at most that at ``best``; its residual
+      deadlines ``D - Dv`` only grow, so the same fold argument bounds its
+      classical horizon by ``best``'s.  A pass at ``best`` is a pass at
+      every length, hence at ``C_L``.
+    * The one gap is the horizon widening of :func:`_hi_meta_of` to the
+      largest HI deadline: ``D_i - C_L_i`` can exceed the cap where
+      ``D_i - best_i`` does not, and then the ``C_L`` check rejects with
+      "HI horizon cap exceeded".  So the uniform search runs only when
+      ``max(D_i - C_L_i) <= horizon_cap`` over the HC tasks, an O(n)
+      integer test; otherwise the ``C_L`` check below rejects: its
+      widened horizon overruns the cap, or the bound itself raises or
+      reports overload, so no search there could accept.
+
+    The price is one search on each candidate that one of those rejects
+    used to settle first; its HI phase is memoized across the probes of
+    a core (:func:`_uniform_hi_phase`).
+    """
+    high_tasks = list(engine._high)
     vd = {t.task_id: t.deadline for t in high_tasks}
-
-    # Quick necessary conditions — saves dbf work on hopeless sets.
-    util = taskset.utilization
-    if util.u_lo > 1.0 + 1e-9 or util.u_hh > 1.0 + 1e-9:
-        return TuningOutcome(False, vd, 0, "utilization above 1")
-
-    # Certified fast accept (implicit deadlines): with U_LL + U_HH <= 1 the
-    # plain-EDF reservation argument (EDF-VD, x = 1) already guarantees
-    # MC-correctness with untouched deadlines — no tuning needed.  Both
-    # published tests accept this region after tuning anyway; taking the
-    # shortcut only changes the certificate, not the verdict.
-    if (
-        taskset.is_implicit_deadline
-        and util.u_ll + util.u_hh <= 1.0 + 1e-9
-    ):
-        return TuningOutcome(True, vd, 0, "plain-EDF reserve (a + c <= 1)")
-
-    if not engine.lo_feasible(vd):
-        return TuningOutcome(False, vd, 0, "LO-mode infeasible at full deadlines")
-
-    # Definitive fast reject: HI demand is monotone non-increasing in every
-    # virtual deadline, so ``Dv_i = C_i^L`` minimizes it.  If even that
-    # fails, no assignment can pass the HI check.
-    if high_tasks:
-        floor_vd = {t.task_id: t.wcet_lo for t in high_tasks}
-        try:
-            floor_violation = engine.hi_violation(floor_vd, refine)
-        except HorizonExceeded:
-            return TuningOutcome(False, vd, 0, "HI horizon cap exceeded")
-        if floor_violation is not None:
-            return TuningOutcome(
-                False, vd, 0, f"HI infeasible even at minimal Dv (l*={floor_violation})"
-            )
 
     # Fast path: uniform deadline scaling.  ``vd_i(x) = floor(x * D_i)``
     # (clamped to the model range) is monotone in ``x``: HI demand is
@@ -998,15 +1070,34 @@ def _tune_virtual_deadlines_impl(
     # descent needs one iteration per violation point.  The descent below
     # remains the completion pass (per-task deadlines can succeed where
     # uniform scaling cannot), so this is acceptance-neutral or better.
-    if high_tasks:
+    if high_tasks and (
+        max(t.deadline - t.wcet_lo for t in high_tasks) <= engine.horizon_cap
+    ):
         uniform = _uniform_scaling_search(high_tasks, refine, engine)
         if uniform is not None:
             return uniform
 
-    # V* floor reject: one HI check, under the stage's own refinement, at
-    # the per-task minimal LO-feasible deadlines settles descents that
-    # cannot accept.
+    if not engine.lo_feasible(vd):
+        return TuningOutcome(False, vd, 0, "LO-mode infeasible at full deadlines")
+
     if high_tasks:
+        # Definitive fast reject: HI demand is monotone non-increasing in
+        # every virtual deadline, so ``Dv_i = C_i^L`` minimizes it.  If
+        # even that fails, no assignment can pass the HI check.
+        floor_vd = {t.task_id: t.wcet_lo for t in high_tasks}
+        try:
+            floor_violation = engine.hi_violation(floor_vd, refine)
+        except HorizonExceeded:
+            return TuningOutcome(False, vd, 0, "HI horizon cap exceeded")
+        if floor_violation is not None:
+            return TuningOutcome(
+                False, vd, 0,
+                f"HI infeasible even at minimal Dv (l*={floor_violation})",
+            )
+
+        # V* floor reject: one HI check, under the stage's own refinement,
+        # at the per-task minimal LO-feasible deadlines settles descents
+        # that cannot accept.
         violation = _vstar_floor_violation(high_tasks, vd, engine, refine)
         if violation is not None:
             _dbf._COUNTERS["floor-reject-refined" if refine else "floor-reject"] += 1
@@ -1017,35 +1108,6 @@ def _tune_virtual_deadlines_impl(
     if _dbf._KERNEL == "block":
         return _descend_block(high_tasks, vd, policy, refine, engine)
     return _descend(high_tasks, vd, policy, refine, engine)
-
-
-def run_tuning_stages(
-    taskset: TaskSet,
-    stages: tuple[tuple[str, bool], ...],
-    horizon_cap: int,
-    engine: DemandEngine | None = None,
-) -> TuningOutcome:
-    """Run ``(policy, refine)`` stages in order until one accepts.
-
-    This is the fallback-chain shape of :class:`~repro.analysis.ecdf.
-    ECDFTest` (and, with a single stage, of :class:`~repro.analysis.ey.
-    EYTest`): later stages only run when every earlier stage rejected, and
-    the last outcome is returned either way.  The stages share one engine
-    — a fresh one when ``engine`` is omitted; the incremental contexts pass
-    one on the core's memo — so they share all common dbf work.
-    """
-    if not stages:
-        raise ValueError("at least one tuning stage is required")
-    if engine is None:
-        engine = DemandEngine(taskset, horizon_cap)
-    outcome: TuningOutcome | None = None
-    for policy, refine in stages:
-        outcome = tune_virtual_deadlines(
-            taskset, policy, refine, horizon_cap, engine=engine
-        )
-        if outcome.schedulable:
-            break
-    return outcome
 
 
 def _scaled_deadlines(high_tasks: list[MCTask], x: float) -> dict[int, int]:

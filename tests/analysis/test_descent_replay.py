@@ -246,6 +246,35 @@ def audit_hi_entries(memo, sets, cap=CAP):
         assert value[: len(fresh)] == fresh, key
 
 
+@contextmanager
+def audit_lo_and_unib():
+    """Check every ``DemandEngine.lo_feasible`` answer and every uniform
+    HI phase (``("lo", ...)`` and ``("unib", ...)`` memo entries) against
+    a fresh engine's, whichever earlier probe wrote the entry."""
+    lo_feasible = DemandEngine.lo_feasible
+    hi_phase = vdtuning._uniform_hi_phase
+
+    def fresh(engine):
+        return DemandEngine(engine.taskset, engine.horizon_cap)
+
+    def lo_spy(engine, vd):
+        got = lo_feasible(engine, vd)
+        assert got == lo_feasible(fresh(engine), vd), (engine.taskset, vd)
+        return got
+
+    def hi_phase_spy(high_tasks, refine, engine):
+        got = hi_phase(high_tasks, refine, engine)
+        assert got == hi_phase(high_tasks, refine, fresh(engine)), (
+            engine.taskset, refine,
+        )
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DemandEngine, "lo_feasible", lo_spy)
+        patch.setattr(vdtuning, "_uniform_hi_phase", hi_phase_spy)
+        yield
+
+
 class TestMemoAudit:
     @pytest.mark.parametrize("service", SERVICES)
     @pytest.mark.parametrize("kernel_name", ("qpa", "block"))
@@ -268,24 +297,42 @@ class TestMemoAudit:
                 )
                 audit_hi_entries(memo, sets)
 
+    @given(core_probes())
+    @settings(max_examples=100, deadline=None)
+    def test_lo_and_unib_answers_are_exact(self, probes):
+        """The ECDF chain, then every single stage, over a growing LC set
+        on one memo: every LO verdict and every uniform HI phase equals a
+        fresh engine's, so neither the refinement flag nor the LC members
+        a key leaves out can serve a wrong hit."""
+        hcs, lcs, service = probes
+        memo: dict = {}
+        with audit_lo_and_unib():
+            for ts in candidates(hcs, lcs, service):
+                run_tuning_stages(ts, ECDF_CHAIN, CAP, DemandEngine(ts, CAP, memo=memo))
+                for policy, refine in STAGES:
+                    tune_virtual_deadlines(
+                        ts, policy, refine, CAP, DemandEngine(ts, CAP, memo=memo)
+                    )
+
     @pytest.mark.parametrize("algorithm_name", ["ca-f-f-ey", "cu-udp-ecdf"])
     @pytest.mark.parametrize("figure", ["fig4", "fig5"])
     def test_partition_memos_are_exact(self, figure, algorithm_name, monkeypatch):
         """Whole m = 4 partitions of seed-0 figure sets: every core's
-        shared memo holds only exact HI answers."""
+        shared memo holds only exact HI answers, and serves only exact
+        LO verdicts and uniform HI phases."""
         (job,) = figure_plan(figure, 8, m_values=(4,))
         sweep = AcceptanceSweep(job.config)
         algorithm = get_algorithm(algorithm_name)
         filled: dict[int, tuple[dict, list]] = {}
-        run_stages = vdtuning.run_tuning_stages
+        run_stages = vdtuning._run_stages
 
-        def spy(taskset, stages, horizon_cap, engine=None):
+        def spy(engine, stages):
             memo, probed = filled.setdefault(id(engine._memo), (engine._memo, []))
-            probed.append(taskset)
-            return run_stages(taskset, stages, horizon_cap, engine=engine)
+            probed.append(engine.taskset)
+            return run_stages(engine, stages)
 
-        monkeypatch.setattr(vdtuning, "run_tuning_stages", spy)
-        with demand_kernel("qpa"):
+        monkeypatch.setattr(vdtuning, "_run_stages", spy)
+        with demand_kernel("qpa"), audit_lo_and_unib():
             for bucket, points in sweep.bucket_points().items():
                 if not 0.5 <= bucket <= 0.8:
                     continue

@@ -237,3 +237,55 @@ def oracle_descent(high_tasks, vd, policy, refine, engine):
         vd[task.task_id] -= shrink
         frozen.clear()
     return TuningOutcome(False, vd, vdtuning._MAX_ITERATIONS, "iteration cap reached")
+
+
+# The tuning entry in its historical order: the oracle of the uniform-first
+# stage body (vdtuning._tune_stage) and the one-screen stage loop.
+
+def oracle_tune(taskset, policy, refine, horizon_cap, engine):
+    """One tuning stage as it ran before the uniform search moved first:
+    the utilization screen, the LO check at full deadlines, the HI check
+    at ``Dv = C_L``, the uniform-scaling search, the V* floor and the
+    descent, each on every stage."""
+    if policy not in ("steepest", "ratio"):
+        raise ValueError(f"unknown tuning policy {policy!r}")
+    high_tasks = list(taskset.high_tasks)
+    vd = {t.task_id: t.deadline for t in high_tasks}
+    util = taskset.utilization
+    if util.u_lo > 1.0 + 1e-9 or util.u_hh > 1.0 + 1e-9:
+        return TuningOutcome(False, vd, 0, "utilization above 1")
+    if taskset.is_implicit_deadline and util.u_ll + util.u_hh <= 1.0 + 1e-9:
+        return TuningOutcome(True, vd, 0, "plain-EDF reserve (a + c <= 1)")
+    if not engine.lo_feasible(vd):
+        return TuningOutcome(False, vd, 0, "LO-mode infeasible at full deadlines")
+    if high_tasks:
+        floor_vd = {t.task_id: t.wcet_lo for t in high_tasks}
+        try:
+            floor_violation = engine.hi_violation(floor_vd, refine)
+        except HorizonExceeded:
+            return TuningOutcome(False, vd, 0, "HI horizon cap exceeded")
+        if floor_violation is not None:
+            return TuningOutcome(
+                False, vd, 0, f"HI infeasible even at minimal Dv (l*={floor_violation})"
+            )
+        uniform = vdtuning._uniform_scaling_search(high_tasks, refine, engine)
+        if uniform is not None:
+            return uniform
+        violation = vdtuning._vstar_floor_violation(high_tasks, vd, engine, refine)
+        if violation is not None:
+            return TuningOutcome(
+                False, vd, 0, f"HI infeasible at V* floor (l*={violation})"
+            )
+    if dbf.demand_kernel() == "block":
+        return vdtuning._descend_block(high_tasks, vd, policy, refine, engine)
+    return vdtuning._descend(high_tasks, vd, policy, refine, engine)
+
+
+def oracle_stages(taskset, stages, horizon_cap, engine):
+    """The stage chain with :func:`oracle_tune` per stage, each stage
+    screening again."""
+    for policy, refine in stages:
+        outcome = oracle_tune(taskset, policy, refine, horizon_cap, engine)
+        if outcome.schedulable:
+            break
+    return outcome

@@ -162,6 +162,18 @@ class TestFigure:
         capsys.readouterr()
         assert out.read_bytes() == (DATA / "fig5-samples8-m4.json").read_bytes()
 
+    def test_fig5_m2_recorded_output(self, capsys, tmp_path, monkeypatch):
+        """Constrained deadlines at m = 2, the benchmark's fig5 slice, where
+        most tuning calls accept by uniform deadline scaling: the result
+        file equals the recorded one byte for byte (CI ``cmp``s the same
+        command's output)."""
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "fig5.json"
+        code = main(["figure", "fig5", "--samples", "16", "--m", "2", "-o", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (DATA / "fig5-samples16-m2.json").read_bytes()
+
     def test_fig4_recorded_output(self, capsys, tmp_path, monkeypatch):
         """Implicit deadlines at m = 4, where ECDF's refined stages often
         stop at the V* floor: the result file equals the recorded one byte
@@ -236,11 +248,13 @@ class TestFigure:
         demand-kernel counters equal the recorded block.  fig4 puts three
         demand-screen algorithms beside AMC, which always falls back.  The
         ``descent`` row is not per algorithm (and reads lifetime histograms
-        under recording), so it is left out of the comparison."""
+        under recording), so it is left out of the comparison.  The block
+        records the ``qpa`` kernel's counters, so the run names that kernel
+        rather than inherit ``REPRO_DBF_KERNEL``."""
         monkeypatch.chdir(tmp_path)
         code = main(
             ["figure", "fig4", "--samples", "8", "--m", "4",
-             "-o", str(tmp_path / "fig4.json")]
+             "--demand-kernel", "qpa", "-o", str(tmp_path / "fig4.json")]
         )
         assert code == 0
         err = capsys.readouterr().err
